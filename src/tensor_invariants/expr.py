@@ -342,7 +342,10 @@ def _apply_binary(op: str, a: float, b: float, node: Expr) -> float:
             raise DomainError("zero base with negative exponent", node)
         if a < 0.0 and b != int(b):
             raise DomainError(f"negative base {a!r} with non-integer exponent", node)
-        out = a ** b
+        try:
+            out = a ** b
+        except OverflowError:
+            raise DomainError("pow overflow", node) from None
         if not math.isfinite(out):
             raise DomainError("pow overflow", node)
         return out

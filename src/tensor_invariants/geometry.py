@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Chart
-from .tensor import PointField, TensorField
+from .tensor import LastPointMemo, PointField, TensorField
 
 __all__ = [
     "SingularMetricError",
@@ -52,14 +52,18 @@ __all__ = [
 RICCI_LAST = "last"
 RICCI_MIDDLE = "middle"
 
-_DET_TOL = 1e-12
+# largest accepted condition number of the metric; relative, so a rescaled
+# metric is accepted or rejected alike
+_COND_MAX = 1e12
 
 _LETTERS = "abcdefgh"
 
 
 class SingularMetricError(Exception):
-    def __init__(self, point, det):
-        super().__init__(f"metric is singular at {tuple(point)} (det = {det!r})")
+    def __init__(self, point, cond):
+        super().__init__(
+            f"metric is singular at {tuple(point)} (condition number {cond:.3e})"
+        )
 
 
 class _MetricConnection:
@@ -75,10 +79,14 @@ class _MetricConnection:
 
     def jets(self, point):
         g, dg, d2g = self.metric.jet2(point)
-        det = np.linalg.det(g)
-        if abs(det) < _DET_TOL:
-            raise SingularMetricError(point, det)
-        ginv = np.linalg.inv(g)
+        try:
+            ginv = np.linalg.inv(g)
+            # 1-norm condition number, from the inverse needed anyway
+            cond = np.linalg.norm(g, 1) * np.linalg.norm(ginv, 1)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not cond <= _COND_MAX:
+            raise SingularMetricError(point, cond)
         # dginv[a,b,n] = -ginv dg ginv
         dginv = -np.einsum("ac,cdn,db->abn", ginv, dg, ginv)
         # bracket[l,j,k] = dg[l,k,j] + dg[l,j,k] - dg[j,k,l]
@@ -119,14 +127,20 @@ class _SumConnection:
 
 
 class Space:
-    """Chart plus connection; immutable, with per-point jet caching."""
+    """Chart plus connection; immutable, with the connection jet of the last
+    point remembered."""
 
     def __init__(self, chart: Chart, provider, torsion=None, origin: str = "given-connection"):
         self.chart = chart
         self.origin = origin
         self._provider = provider
         self._torsion = torsion
-        self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._connection_jet = LastPointMemo(provider.jets)
+
+    @property
+    def _cache(self) -> dict:
+        """Point -> (coefficients, partials); holds the last point only."""
+        return self._connection_jet.cache
 
     @classmethod
     def from_metric(cls, metric: TensorField) -> "Space":
@@ -156,13 +170,9 @@ class Space:
         return self.chart.dim
 
     def connection_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric coefficients and their first partials at a point."""
-        key = tuple(float(x) for x in point)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._provider.jets(point)
-            self._cache[key] = hit
-        return hit
+        """Symmetric coefficients and their first partials at a point
+        (read-only arrays)."""
+        return self._connection_jet(point)
 
     def connection(self, point) -> np.ndarray:
         return self.connection_jet(point)[0]

@@ -39,7 +39,7 @@ from .geometry import (
     thomas_arrays,
     weyl_arrays,
 )
-from .tensor import zero_field
+from .tensor import LastPointMemo, zero_field
 
 __all__ = [
     "SValues",
@@ -245,7 +245,7 @@ def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
         out += s1 * s3 * sigma2 * float(rho @ phi)
         return out
 
-    return evaluate
+    return LastPointMemo(evaluate)
 
 
 def _calF_jet(spec: OmegaSpec, point):
@@ -309,7 +309,7 @@ def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
             )
         return out
 
-    return evaluate
+    return LastPointMemo(evaluate)
 
 
 def basic_weyl(
@@ -444,7 +444,7 @@ def derived_weyl_chain(
 ) -> WeylChain:
     dee_eval = dee(space, spec, deriv_space)
 
-    def pieces(point):
+    def pieces_at(point):
         conn, dconn = space.connection_jet(point)
         riemann = curvature_arrays(conn, dconn)
         ric = ricci_arrays(riemann, convention)
@@ -456,6 +456,9 @@ def derived_weyl_chain(
         dtrace_alt = dtrace - dtrace.T
         dmix = np.einsum("ajma->jm", d) - np.einsum("ajam->jm", d)
         return classical, d_alt, dtrace_alt, dmix
+
+    # shared by the four stages, so each point assembles them once
+    pieces = LastPointMemo(pieces_at)
 
     def first(point, trace_sign: float) -> np.ndarray:
         classical, d_alt, dtrace_alt, dmix = pieces(point)

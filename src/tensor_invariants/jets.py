@@ -1,10 +1,12 @@
-"""Order-3 forward-mode derivative jets via truncated Taylor arithmetic.
+"""Forward-mode derivative jets via truncated Taylor arithmetic.
 
 A :class:`Jet3` carries a value together with exact partial derivatives up to
 third order at a point.  Propagation uses truncated Taylor products and the
 chain rule, not finite differences, so partials are exact up to rounding.
-The maximum order is fixed at 3: that is the deepest derivative chain the
-curvature and covariant-derivative assemblies ever request.
+The library asks for order 2 at most: second partials of a metric give the
+first partials of its Christoffel symbols, which curvature needs, and every
+other field (connection coefficients, omega data) is jetted to order 1.
+Order 3 is supported and tested but has no caller in the library.
 """
 
 from __future__ import annotations
@@ -122,7 +124,10 @@ def _pow_derivatives(x: float, p: float, node: Expr) -> tuple[float, float, floa
             exponent = p - k
             if x == 0.0 and exponent < 0:
                 raise DomainError("pow derivative singular at zero base", node)
-            derivs.append(coeff * x ** exponent)
+            try:
+                derivs.append(coeff * x ** exponent)
+            except OverflowError:
+                raise DomainError("pow derivative overflow", node) from None
     return tuple(derivs)
 
 

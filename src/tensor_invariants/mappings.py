@@ -29,6 +29,7 @@ sampling a sound falsifier of the field identities.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ from .invariants import (
     derived_weyl_chain,
     omega_jet,
 )
-from .tensor import PointField, add_fields, scale_field
+from .tensor import LastPointMemo, PointField, add_fields, scale_field
 
 __all__ = [
     "MappingSpec",
@@ -285,9 +286,11 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     """
     n = space.dim
     delta = np.eye(n)
+    # shared by the evaluators below, so each point assembles them once
+    pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
 
     def thomas_eval(point) -> np.ndarray:
-        conn, _, _, _, calF, _, nu = _fplanar_pieces(space, F, sigma, point)
+        conn, _, _, _, calF, _, nu = pieces(point)
         trace = np.einsum("aja->j", conn)
         reduced = trace - 0.5 * nu
         out = conn - 0.5 * calF
@@ -297,11 +300,11 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def dee_eval(point) -> np.ndarray:
-        conn, _, _, _, calF, dcalF, _ = _fplanar_pieces(space, F, sigma, point)
+        conn, _, _, _, calF, dcalF, _ = pieces(point)
         return -0.5 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
 
     def zeta_eval(point) -> np.ndarray:
-        conn, dconn, Fv, sv, calF, dcalF, nu = _fplanar_pieces(space, F, sigma, point)
+        conn, dconn, Fv, sv, calF, dcalF, nu = pieces(point)
         trace = np.einsum("aja->j", conn)
         dtrace = np.einsum("ajan->jn", dconn)
         trace_cov = covariant_derivative_arrays(trace, dtrace, "l", conn)
@@ -315,7 +318,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wbasic_eval(point) -> np.ndarray:
-        conn, dconn, _, _, calF, dcalF, _ = _fplanar_pieces(space, F, sigma, point)
+        conn, dconn, _, _, calF, dcalF, _ = pieces(point)
         riemann = curvature_arrays(conn, dconn)
         ric = ricci_arrays(riemann, convention)
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
@@ -326,7 +329,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wderived_eval(point) -> np.ndarray:
-        conn, dconn, _, _, calF, dcalF, _ = _fplanar_pieces(space, F, sigma, point)
+        conn, dconn, _, _, calF, dcalF, _ = pieces(point)
         riemann = curvature_arrays(conn, dconn)
         w = weyl_arrays(riemann, ricci_arrays(riemann, convention))
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
@@ -353,11 +356,19 @@ class InvarianceRow:
 
     @property
     def max_discrepancy(self) -> float:
-        return max(d for _, d in self.discrepancies) if self.discrepancies else 0.0
+        """Largest per-point discrepancy; NaN if any point gave NaN (np.max
+        propagates it, where the builtin max drops it after the first item)."""
+        if not self.discrepancies:
+            return 0.0
+        return float(np.max([d for _, d in self.discrepancies]))
+
+    @property
+    def finite(self) -> bool:
+        return math.isfinite(self.max_discrepancy)
 
     @property
     def passed(self) -> bool:
-        return self.max_discrepancy <= self.tol
+        return self.max_discrepancy <= self.tol  # False for NaN and inf
 
 
 @dataclass
@@ -379,18 +390,7 @@ class InvarianceReport:
         return {
             "tol": self.tol,
             "passed": self.passed,
-            "invariants": [
-                {
-                    "name": row.name,
-                    "max_discrepancy": row.max_discrepancy,
-                    "passed": row.passed,
-                    "points": [
-                        {"point": list(point), "discrepancy": disc}
-                        for point, disc in row.discrepancies
-                    ],
-                }
-                for row in self.rows
-            ],
+            "invariants": [_row_dict(row) for row in self.rows],
         }
 
     def to_json(self) -> str:
@@ -401,9 +401,20 @@ class InvarianceReport:
         lines = [f"{'invariant'.ljust(width)}  {'max disc':>12}  verdict"]
         for row in self.rows:
             verdict = "PASS" if row.passed else "FAIL"
-            lines.append(f"{row.name.ljust(width)}  {row.max_discrepancy:>12.3e}  {verdict}")
+            worst = f"{row.max_discrepancy:>12.3e}" if row.finite else f"{'non-finite':>12}"
+            lines.append(f"{row.name.ljust(width)}  {worst}  {verdict}")
         lines.append(f"tolerance {self.tol:g}; overall {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+def _row_dict(row: InvarianceRow) -> dict:
+    out = {"name": row.name, "max_discrepancy": row.max_discrepancy, "passed": row.passed}
+    if not row.finite:
+        out["non_finite"] = True
+    out["points"] = [
+        {"point": list(point), "discrepancy": disc} for point, disc in row.discrepancies
+    ]
+    return out
 
 
 def sample_points(box, count: int, seed: int) -> list[tuple]:
@@ -487,12 +498,15 @@ def verify_invariance(
             raise ValueError(f"unknown invariants: {unknown}")
         names = list(invariants)
 
-    report = InvarianceReport(tol=tol)
-    for name in names:
-        eval_src, eval_tgt = pairs[name]
-        rows = []
-        for point in points:
+    # point-major: every requested invariant at one point before the next
+    # point, so the last-point memos of fields, spaces and evaluators hit
+    evaluators = [pairs[name] for name in names]
+    per_row: list[list] = [[] for _ in names]
+    for point in points:
+        key = tuple(point)
+        for (eval_src, eval_tgt), rows in zip(evaluators, per_row):
             disc = float(np.max(np.abs(eval_src(point) - eval_tgt(point))))
-            rows.append((tuple(point), disc))
-        report.rows.append(InvarianceRow(name, rows, tol))
-    return report
+            rows.append((key, disc))
+    return InvarianceReport(
+        [InvarianceRow(name, rows, tol) for name, rows in zip(names, per_row)], tol
+    )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "zero_field",
     "scale_field",
     "add_fields",
+    "LastPointMemo",
 ]
 
 _LETTERS = "abcdefgh"
@@ -143,6 +145,48 @@ def loads(text: str) -> TensorValue:
 
 
 # ---------------------------------------------------------------------------
+# per-point memo
+# ---------------------------------------------------------------------------
+
+class LastPointMemo:
+    """A point function that remembers its result at the last point only.
+
+    The key is the point as an exact tuple of floats.  ``cache`` is a dict
+    holding at most that one entry, so memory stays bounded however many
+    points a run visits; a call at another point replaces the entry.  A
+    point-major loop evaluates everything it needs at one point before it
+    moves on, so one slot is enough for each object to be computed once per
+    point.  Arrays in a result (or in a result tuple) are made read-only:
+    a caller cannot alter what a later call at the same point returns.
+    """
+
+    __slots__ = ("fn", "cache")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.cache: dict = {}
+
+    def __call__(self, point):
+        key = tuple(map(float, point))
+        cache = self.cache
+        if key in cache:
+            return cache[key]
+        value = _read_only(self.fn(point))
+        cache.clear()
+        cache[key] = value
+        return value
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # fields: tensors of scalar expressions, and generic point-function fields
 # ---------------------------------------------------------------------------
 
@@ -170,6 +214,11 @@ class TensorField:
         collect(entries, 0)
         self.shape = shape
         self.entries = flat
+        # the memos hold the entries, not the field, so that a field left
+        # unused is freed at once rather than by the cycle collector
+        self._value_memo = LastPointMemo(partial(_entry_values, flat, shape))
+        self._jet_memo = LastPointMemo(partial(_entry_jets, flat, shape, n, 1))
+        self._jet2_memo = LastPointMemo(partial(_entry_jets, flat, shape, n, 2))
 
     @classmethod
     def zeros(cls, chart: ex.Chart, variance: str) -> "TensorField":
@@ -187,25 +236,17 @@ class TensorField:
         return self.entries[flat]
 
     def value(self, point) -> np.ndarray:
-        values = [ex.evaluate(node, point) for node in self.entries]
-        return np.array(values).reshape(self.shape)
+        """Entry values (read-only, computed once per point)."""
+        return self._value_memo(point)
 
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """Values and first partials; derivative axis last."""
-        n = self.chart.dim
-        jets = [eval_jet(node, point, order=1) for node in self.entries]
-        value = np.array([j.value for j in jets]).reshape(self.shape)
-        grad = np.array([j.grad for j in jets]).reshape(self.shape + (n,))
-        return value, grad
+        """Values and first partials; derivative axis last (read-only)."""
+        return self._jet_memo(point)
 
     def jet2(self, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, first and second partials; derivative axes last."""
-        n = self.chart.dim
-        jets = [eval_jet(node, point, order=2) for node in self.entries]
-        value = np.array([j.value for j in jets]).reshape(self.shape)
-        grad = np.array([j.grad for j in jets]).reshape(self.shape + (n,))
-        hess = np.array([j.hess for j in jets]).reshape(self.shape + (n, n))
-        return value, grad, hess
+        """Values, first and second partials; derivative axes last (read-only)."""
+        return self._jet2_memo(point)
+
 
     def strings(self) -> list:
         """Entries printed back to grammar text, nested per the shape."""
@@ -216,6 +257,20 @@ class TensorField:
             return [build(prefix + (i,)) for i in range(self.chart.dim)]
 
         return build(())
+
+
+def _entry_values(entries, shape, point) -> np.ndarray:
+    return np.array([ex.evaluate(node, point) for node in entries]).reshape(shape)
+
+
+def _entry_jets(entries, shape, n, order, point) -> tuple:
+    """(value, grad) for order 1, (value, grad, hess) for order 2."""
+    jets = [eval_jet(node, point, order=order) for node in entries]
+    value = np.array([j.value for j in jets]).reshape(shape)
+    grad = np.array([j.grad for j in jets]).reshape(shape + (n,))
+    if order == 1:
+        return value, grad
+    return value, grad, np.array([j.hess for j in jets]).reshape(shape + (n, n))
 
 
 class PointField:

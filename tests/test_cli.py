@@ -52,6 +52,32 @@ def test_domain_error_exit_code_2(capsys):
     assert run_cli("christoffel", "--config", "example-r3", "--point", "0,2,3") == 2
 
 
+def test_pow_overflow_is_a_math_error(capsys):
+    # (1e200)^2 overflows a float
+    assert run_cli("christoffel", "--config", "example-r3", "--point", "1e200,1,1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("math error:") and "pow overflow" in err
+
+
+def test_small_scale_metric_is_accepted(capsys):
+    # diag(u^2, v^2, w^2) at 1e-3 has det 1e-18 but condition number 1
+    assert run_cli("christoffel", "--config", "example-r3", "--point", "1e-3,1e-3,1e-3") == 0
+    assert "(1,1,1) = 1000.0" in capsys.readouterr().out
+
+
+def test_rank_deficient_metric_exit_code_2(tmp_path, capsys):
+    config = {
+        "chart": ["u", "v", "w"],
+        "space": {"metric": [["u^2", "u*v", "0"], ["u*v", "v^2", "0"], ["0", "0", "1"]]},
+        "points": {"list": [[1.0, 2.0, 3.0]]},
+    }
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("christoffel", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("math error: metric is singular") and "condition number" in err
+
+
 def test_point_dimension_checked(capsys):
     assert run_cli("thomas", "--config", "example-r3", "--point", "1,2") == 1
 

@@ -77,6 +77,14 @@ def test_singular_metric_raises(chart):
         christoffel(metric).connection((1.0, 2.0, 3.0))
 
 
+def test_singularity_check_is_scale_free(chart, example_metric):
+    # condition number 1 however small the entries
+    conn = christoffel(example_metric).connection((1e-3, 1e-3, 1e-3))
+    assert np.allclose(np.diagonal(np.diagonal(conn)), 1e3)
+    tiny = TensorField(chart, "ll", [["1e-9", "0", "0"], ["0", "1e-9", "0"], ["0", "0", "1e-9"]])
+    assert np.max(np.abs(christoffel(tiny).connection((1.0, 2.0, 3.0)))) == 0.0
+
+
 def test_asymmetric_metric_rejected(chart):
     metric = TensorField(chart, "ll", [["1", "u", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     with pytest.raises(ValueError, match="differ"):

@@ -8,6 +8,8 @@ from tensor_invariants.geometry import Space, thomas
 from tensor_invariants.invariants import OmegaSpec, SValues
 from tensor_invariants.mappings import (
     FPlanarSpec,
+    InvarianceReport,
+    InvarianceRow,
     MappingSpec,
     apply_mapping,
     fplanar_as_omega,
@@ -276,6 +278,28 @@ def test_report_serialization_roundtrip(example_space, chart):
     assert len(payload["invariants"]) == len(report.rows)
     text = report.to_text()
     assert "classical_thomas" in text and "verdict" in text
+
+
+def test_nan_after_first_point_fails():
+    row = InvarianceRow("x", [((0,), 0.0), ((1,), math.nan)], 1e-8)
+    assert math.isnan(row.max_discrepancy)
+    assert not row.finite
+    assert not row.passed
+    report = InvarianceReport([row], 1e-8)
+    assert not report.passed
+    line = report.to_text().splitlines()[1]
+    assert "non-finite" in line and line.endswith("FAIL")
+    payload = report.to_dict()["invariants"][0]
+    assert payload["non_finite"] is True
+    assert payload["passed"] is False
+
+
+def test_infinite_discrepancy_fails():
+    row = InvarianceRow("x", [((0,), math.inf), ((1,), 0.0)], 1e-8)
+    assert row.max_discrepancy == math.inf
+    assert not row.passed
+    finite = InvarianceReport([InvarianceRow("y", [((0,), 0.0)], 1e-8)]).to_dict()
+    assert "non_finite" not in finite["invariants"][0]
 
 
 def test_unknown_invariant_name_rejected(example_space, chart):
