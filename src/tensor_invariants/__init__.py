@@ -32,7 +32,7 @@ from .invariants import (
     omega_square_expanded,
     zeta,
 )
-from .jets import Jet3, eval_jet
+from .jets import Jet, eval_jet
 from .mappings import (
     FPlanarSpec,
     InvarianceReport,
@@ -46,15 +46,6 @@ from .mappings import (
     sample_points,
     verify_invariance,
 )
-from .tensor import (
-    PointField,
-    TensorField,
-    TensorValue,
-    alternate,
-    contract,
-    kronecker,
-    outer,
-    sym,
-)
+from .tensor import PointField, TensorField
 
 __version__ = "0.1.0"

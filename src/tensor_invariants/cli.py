@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .audit import findings_to_json, run_paper_audit
 from .configs import ConfigError, JobConfig, builtin_config
-from .expr import ExprError
+from .expr import DomainError, ExprError
 from .geometry import (
     SingularMetricError,
     curvature,
@@ -98,8 +99,14 @@ def _resolve_points(args, job: JobConfig) -> list[tuple]:
             raise ConfigError(
                 f"--point has {len(point)} coordinates, chart has {job.chart.dim}"
             )
-        return [point]
-    return job.points(seed=args.points_seed)
+        points = [point]
+    else:
+        points = job.points(seed=args.points_seed)
+    for point in points:
+        for name, x in zip(job.chart.names, point):
+            if not math.isfinite(x):
+                raise ValueError(f"coordinate {name} = {x!r} is not finite")
+    return points
 
 
 # --- table rendering ---------------------------------------------------------
@@ -258,6 +265,7 @@ def _run_audit(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    job = None
     try:
         args = parser.parse_args(argv)
         if args.command == "example-r3":
@@ -284,6 +292,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    except DomainError as err:
+        print(f"math error: {err.describe(job and job.chart)}", file=sys.stderr)
+        return 2
     except (ExprError, SingularMetricError, np.linalg.LinAlgError, ValueError) as err:
         print(f"math error: {err}", file=sys.stderr)
         return 2

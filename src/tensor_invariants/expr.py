@@ -58,8 +58,13 @@ class DomainError(ExprError):
     """Evaluation left the expression's domain (pole, log of non-positive...)."""
 
     def __init__(self, message: str, node) -> None:
-        super().__init__(f"{message} in subexpression '{print_expr(node)}'")
+        self.reason = message
         self.node = node
+        super().__init__(self.describe())
+
+    def describe(self, chart: Chart | None = None) -> str:
+        """The message, with the subexpression printed in `chart`'s names."""
+        return f"{self.reason} in subexpression '{print_expr(self.node, chart)}'"
 
 
 @dataclass(frozen=True)
@@ -402,12 +407,3 @@ def evaluate_stack(ops: list[tuple], point) -> float:
             stack.append(_apply_binary(payload, a, b, node))
     return stack[0]
 
-
-def free_variables(node: Expr) -> set[int]:
-    if isinstance(node, Const):
-        return set()
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Unary):
-        return free_variables(node.arg)
-    return free_variables(node.left) | free_variables(node.right)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Chart
-from .tensor import LastPointMemo, PointField, TensorField
+from .tensor import LastPointMemo, PointField, TensorField, add_fields
 
 __all__ = [
     "SingularMetricError",
@@ -100,42 +100,32 @@ class _MetricConnection:
         return gamma, dgamma
 
 
-class _FieldConnection:
-    """Connection from an explicit (1,2) coefficient field, symmetrized."""
-
-    def __init__(self, coefficients):
-        self.coefficients = coefficients
-
-    def jets(self, point):
-        raw, draw = self.coefficients.jet(point)
-        sym = 0.5 * (raw + raw.transpose(0, 2, 1))
-        dsym = 0.5 * (draw + draw.transpose(0, 2, 1, 3))
-        return sym, dsym
-
-
 class _SumConnection:
-    """Base connection plus a symmetric deformation field."""
+    """A base space's (memoised) connection plus a symmetric deformation field."""
 
-    def __init__(self, base, deformation):
+    def __init__(self, base: "Space", deformation):
         self.base = base
         self.deformation = deformation
 
     def jets(self, point):
-        base, dbase = self.base.jets(point)
+        base, dbase = self.base.connection_jet(point)
         delta, ddelta = self.deformation.jet(point)
         return base + delta, dbase + ddelta
 
 
 class Space:
     """Chart plus connection; immutable, with the connection jet of the last
-    point remembered."""
+    point remembered.
+
+    `provider` maps a point to the symmetric coefficients and their first
+    partials there.
+    """
 
     def __init__(self, chart: Chart, provider, torsion=None, origin: str = "given-connection"):
         self.chart = chart
         self.origin = origin
-        self._provider = provider
         self._torsion = torsion
-        self._connection_jet = LastPointMemo(provider.jets)
+        self._connection_jet = LastPointMemo(provider)
 
     @property
     def _cache(self) -> dict:
@@ -149,14 +139,14 @@ class Space:
             for k in range(j + 1, n):
                 if metric.entry(j, k) != metric.entry(k, j):
                     raise ValueError(f"metric entries ({j + 1},{k + 1}) and ({k + 1},{j + 1}) differ")
-        return cls(metric.chart, _MetricConnection(metric), origin="from-metric")
+        return cls(metric.chart, _MetricConnection(metric).jets, origin="from-metric")
 
     @classmethod
     def from_connection(cls, coefficients) -> "Space":
         sym_field, torsion_field = symmetrize_connection(coefficients)
         return cls(
             coefficients.chart,
-            _FieldConnection(coefficients),
+            sym_field.jet,
             torsion=torsion_field,
             origin="given-connection",
         )
@@ -185,22 +175,10 @@ class Space:
 
     def deformed(self, deformation, torsion_delta=None, origin: str = "mapped") -> "Space":
         """New space with coefficients L + deformation (deformation symmetric)."""
-        torsion = self._combine_torsion(torsion_delta)
-        return Space(self.chart, _SumConnection(self._provider, deformation), torsion, origin)
-
-    def _combine_torsion(self, torsion_delta):
-        if torsion_delta is None:
-            return self._torsion
-        if self._torsion is None:
-            return torsion_delta
-        base, delta = self._torsion, torsion_delta
-
-        def fn(point):
-            v1, g1 = base.jet(point)
-            v2, g2 = delta.jet(point)
-            return v1 + v2, g1 + g2
-
-        return PointField(self.chart, "ull", fn)
+        torsion = self._torsion
+        if torsion_delta is not None:
+            torsion = torsion_delta if torsion is None else add_fields(torsion, torsion_delta)
+        return Space(self.chart, _SumConnection(self, deformation).jets, torsion, origin)
 
 
 def christoffel(metric: TensorField) -> Space:

@@ -44,6 +44,8 @@ from .tensor import LastPointMemo, zero_field
 __all__ = [
     "SValues",
     "OmegaSpec",
+    "calF_jet",
+    "nu_jet",
     "omega",
     "omega_jet",
     "omega_square_expanded",
@@ -127,33 +129,64 @@ class OmegaSpec:
         )
 
 
-def omega(spec: OmegaSpec, point) -> np.ndarray:
-    """omega^i_{jk}; symmetric in (j, k) by construction."""
-    s1, s2, s3 = spec.s.as_tuple()
-    rho, sigma, F, phi, sigma2 = spec.values(point)
-    n = spec.chart.dim
-    delta = np.eye(n)
-    out = s1 * (np.einsum("ij,k->ijk", delta, rho) + np.einsum("ik,j->ijk", delta, rho))
-    out += s2 * (np.einsum("ij,k->ijk", F, sigma) + np.einsum("ik,j->ijk", F, sigma))
+def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A^i_j v_k + A^i_k v_j; calF is _pair(F, sigma)."""
+    half = np.einsum("ij,k->ijk", A, v)
+    return half + half.transpose(0, 2, 1)
+
+
+def _nu(F: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """nu_j = calF^a_{ja} = tr(F) sigma_j + F^a_j sigma_a."""
+    return np.trace(F) * sigma + F.T @ sigma
+
+
+def calF_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
+    """calF^i_{jk} = F^i_j sigma_k + F^i_k sigma_j with its first partials,
+    from an affinor field and a 1-form field."""
+    Fv, dF = F.jet(point)
+    sv, ds = sigma.jet(point)
+    half = np.einsum("ijn,k->ijkn", dF, sv) + np.einsum("ij,kn->ijkn", Fv, ds)
+    return _pair(Fv, sv), half + half.transpose(0, 2, 1, 3)
+
+
+def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
+    """The trace nu_j = calF^a_{ja} with its first partials, built directly
+    rather than from the full calF jet."""
+    Fv, dF = F.jet(point)
+    sv, ds = sigma.jet(point)
+    grad = (
+        np.einsum("aan,j->jn", dF, sv)
+        + np.trace(Fv) * ds
+        + np.einsum("ajn,a->jn", dF, sv)
+        + np.einsum("aj,an->jn", Fv, ds)
+    )
+    return _nu(Fv, sv), grad
+
+
+def _omega_value(s: SValues, rho, calF, phi, sigma2) -> np.ndarray:
+    s1, s2, s3 = s.as_tuple()
+    out = s1 * _pair(np.eye(len(rho)), rho)
+    out += s2 * calF
     out += s3 * np.einsum("jk,i->ijk", sigma2, phi)
     return out
 
 
+def omega(spec: OmegaSpec, point) -> np.ndarray:
+    """omega^i_{jk}; symmetric in (j, k) by construction."""
+    rho, sigma, F, phi, sigma2 = spec.values(point)
+    return _omega_value(spec.s, rho, _pair(F, sigma), phi, sigma2)
+
+
 def omega_jet(spec: OmegaSpec, point) -> tuple[np.ndarray, np.ndarray]:
     s1, s2, s3 = spec.s.as_tuple()
-    (rho, drho), (sigma, dsigma), (F, dF), (phi, dphi), (sigma2, dsigma2) = spec.jets(point)
-    n = spec.chart.dim
-    delta = np.eye(n)
-    value = s1 * (np.einsum("ij,k->ijk", delta, rho) + np.einsum("ik,j->ijk", delta, rho))
-    value += s2 * (np.einsum("ij,k->ijk", F, sigma) + np.einsum("ik,j->ijk", F, sigma))
-    value += s3 * np.einsum("jk,i->ijk", sigma2, phi)
+    rho, drho = spec.rho.jet(point)
+    phi, dphi = spec.phi.jet(point)
+    sigma2, dsigma2 = spec.sigma2.jet(point)
+    calF, dcalF = calF_jet(spec.F, spec.sigma, point)
+    delta = np.eye(spec.chart.dim)
+    value = _omega_value(spec.s, rho, calF, phi, sigma2)
     grad = s1 * (np.einsum("ij,kn->ijkn", delta, drho) + np.einsum("ik,jn->ijkn", delta, drho))
-    grad += s2 * (
-        np.einsum("ijn,k->ijkn", dF, sigma)
-        + np.einsum("ij,kn->ijkn", F, dsigma)
-        + np.einsum("ikn,j->ijkn", dF, sigma)
-        + np.einsum("ik,jn->ijkn", F, dsigma)
-    )
+    grad += s2 * dcalF
     grad += s3 * (
         np.einsum("jkn,i->ijkn", dsigma2, phi) + np.einsum("jk,in->ijkn", sigma2, dphi)
     )
@@ -248,20 +281,6 @@ def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
     return LastPointMemo(evaluate)
 
 
-def _calF_jet(spec: OmegaSpec, point):
-    """(1,2) object F^i_j sigma_m + F^i_m sigma_j with its first partials."""
-    (sigma, dsigma) = spec.sigma.jet(point)
-    (F, dF) = spec.F.jet(point)
-    value = np.einsum("ij,m->ijm", F, sigma) + np.einsum("im,j->ijm", F, sigma)
-    grad = (
-        np.einsum("ijn,m->ijmn", dF, sigma)
-        + np.einsum("ij,mn->ijmn", F, dsigma)
-        + np.einsum("imn,j->ijmn", dF, sigma)
-        + np.einsum("im,jn->ijmn", F, dsigma)
-    )
-    return value, grad
-
-
 def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
     """The four-group D^{(s2).(s3).i}_{jmn} building block."""
     conn_space = deriv_space or space
@@ -283,7 +302,7 @@ def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
                 + np.einsum("in,j,m->ijmn", F, FTs, sigma)
                 + np.einsum("im,j,n->ijmn", F2, sigma, sigma)
             )
-            calF, dcalF = _calF_jet(spec, point)
+            calF, dcalF = calF_jet(spec.F, spec.sigma, point)
             out -= s2 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
         if s3 != 0.0:
             phi, dphi = spec.phi.jet(point)
@@ -354,26 +373,23 @@ def basic_weyl(
 
 
 def _thomas_trace_term(spec: OmegaSpec, point) -> np.ndarray:
-    """s2 (F^a_k sigma_a + F sigma_k) + s3 sigma_{ka} phi^a."""
+    """s2 nu_k + s3 sigma_{ka} phi^a."""
     _, s2, s3 = spec.s.as_tuple()
-    sigma = spec.sigma.value(point)
-    F = spec.F.value(point)
-    phi = spec.phi.value(point)
-    sigma2 = spec.sigma2.value(point)
-    return s2 * (F.T @ sigma + np.trace(F) * sigma) + s3 * (sigma2 @ phi)
+    nu = _nu(spec.F.value(point), spec.sigma.value(point))
+    return s2 * nu + s3 * (spec.sigma2.value(point) @ spec.phi.value(point))
 
 
 def derived_thomas(space: Space, spec: OmegaSpec):
     """Derived associated invariant of the Thomas type (rho eliminated).
 
     With s = (1, 0, 0) this reduces exactly to the classical Thomas
-    projective parameter.
+    projective parameter.  s1 enters only through the coefficient s1/(N+1)
+    of the delta-trace correction.
     """
 
     def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
-        delta = np.eye(n)
         conn = space.connection(point)
         trace = np.einsum("aja->j", conn)
         reduced = trace - _thomas_trace_term(spec, point)
@@ -381,10 +397,8 @@ def derived_thomas(space: Space, spec: OmegaSpec):
         F = spec.F.value(point)
         phi = spec.phi.value(point)
         sigma2 = spec.sigma2.value(point)
-        out = conn - (s1 / (n + 1)) * (
-            np.einsum("ij,k->ijk", delta, reduced) + np.einsum("ik,j->ijk", delta, reduced)
-        )
-        out -= s2 * (np.einsum("ij,k->ijk", F, sigma) + np.einsum("ik,j->ijk", F, sigma))
+        out = conn - (s1 / (n + 1)) * _pair(np.eye(n), reduced)
+        out -= s2 * _pair(F, sigma)
         out -= s3 * np.einsum("jk,i->ijk", sigma2, phi)
         return out
 
@@ -399,7 +413,6 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
     def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
-        delta = np.eye(n)
         conn = space.connection(point)
         t_classical = thomas_arrays(conn)
         sigma = spec.sigma.value(point)
@@ -408,11 +421,9 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
         sigma2 = spec.sigma2.value(point)
         bterm = _thomas_trace_term(spec, point)
         rhs = s1 * t_classical + (1.0 - s1) * conn
-        rhs -= s2 * (np.einsum("ij,k->ijk", F, sigma) + np.einsum("ik,j->ijk", F, sigma))
+        rhs -= s2 * _pair(F, sigma)
         rhs -= s3 * np.einsum("jk,i->ijk", sigma2, phi)
-        rhs += (s1 / (n + 1)) * (
-            np.einsum("ij,k->ijk", delta, bterm) + np.einsum("ik,j->ijk", delta, bterm)
-        )
+        rhs += (s1 / (n + 1)) * _pair(np.eye(n), bterm)
         return derived(point) - rhs
 
     return evaluate

@@ -52,8 +52,10 @@ from .invariants import (
     SValues,
     basic_thomas,
     basic_weyl,
+    calF_jet,
     derived_thomas,
     derived_weyl_chain,
+    nu_jet,
     omega_jet,
 )
 from .tensor import LastPointMemo, PointField, add_fields, scale_field
@@ -146,19 +148,11 @@ def _fplanar_deformation(f: FPlanarSpec, chart: Chart) -> PointField:
 
     def fn(point):
         psi, dpsi = f.psi.jet(point)
-        sigma, dsigma = f.sigma.jet(point)
-        F, dF = f.F.jet(point)
+        calF, dcalF = calF_jet(f.F, f.sigma, point)
         delta = np.eye(n)
         value = np.einsum("ik,j->ijk", delta, psi) + np.einsum("ij,k->ijk", delta, psi)
-        value += np.einsum("ik,j->ijk", F, sigma) + np.einsum("ij,k->ijk", F, sigma)
         grad = np.einsum("ik,jn->ijkn", delta, dpsi) + np.einsum("ij,kn->ijkn", delta, dpsi)
-        grad += (
-            np.einsum("ikn,j->ijkn", dF, sigma)
-            + np.einsum("ik,jn->ijkn", F, dsigma)
-            + np.einsum("ijn,k->ijkn", dF, sigma)
-            + np.einsum("ij,kn->ijkn", F, dsigma)
-        )
-        return value, grad
+        return value + calF, grad + dcalF
 
     return PointField(chart, "ull", fn)
 
@@ -186,15 +180,7 @@ def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
         conn, dconn = space.connection_jet(point)
         trace = np.einsum("aja->j", conn)
         dtrace = np.einsum("ajan->jn", dconn)
-        Fv, dF = F.jet(point)
-        sv, ds = sigma.jet(point)
-        nu = np.trace(Fv) * sv + Fv.T @ sv
-        dnu = (
-            np.einsum("aan,j->jn", dF, sv)
-            + np.trace(Fv) * ds
-            + np.einsum("ajn,a->jn", dF, sv)
-            + np.einsum("aj,an->jn", Fv, ds)
-        )
+        nu, dnu = nu_jet(F, sigma, point)
         value = (trace + 0.5 * sign * nu) / (n + 1)
         grad = (dtrace + 0.5 * sign * dnu) / (n + 1)
         return value, grad
@@ -205,7 +191,6 @@ def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
 def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
     """The s = (1, 1/2, 0) omega pair realizing the F-planar deformation."""
     chart = source.chart
-    target = fplanar_build(source, f)
     s = SValues(1.0, 0.5, 0.0)
     rho = fplanar_rho_field(source, f.F, f.sigma)
     rho_bar = add_fields(rho, f.psi)
@@ -228,15 +213,7 @@ def fplanar_recover(source: Space, target: Space, F, sigma, points, tol: float =
     def psi_fn(point):
         conn_s, dconn_s = source.connection_jet(point)
         conn_t, dconn_t = target.connection_jet(point)
-        Fv, dF = F.jet(point)
-        sv, ds = sigma.jet(point)
-        nu = np.trace(Fv) * sv + Fv.T @ sv
-        dnu = (
-            np.einsum("aan,j->jn", dF, sv)
-            + np.trace(Fv) * ds
-            + np.einsum("ajn,a->jn", dF, sv)
-            + np.einsum("aj,an->jn", Fv, ds)
-        )
+        nu, dnu = nu_jet(F, sigma, point)
         value = (np.einsum("aja->j", conn_t) - np.einsum("aja->j", conn_s) - nu) / (n + 1)
         grad = (np.einsum("ajan->jn", dconn_t) - np.einsum("ajan->jn", dconn_s) - dnu) / (
             n + 1
@@ -264,17 +241,9 @@ def fplanar_recover(source: Space, target: Space, F, sigma, points, tol: float =
 
 def _fplanar_pieces(space: Space, F, sigma, point):
     conn, dconn = space.connection_jet(point)
-    Fv, dF = F.jet(point)
-    sv, ds = sigma.jet(point)
-    calF = np.einsum("ik,j->ijk", Fv, sv) + np.einsum("ij,k->ijk", Fv, sv)
-    dcalF = (
-        np.einsum("ikn,j->ijkn", dF, sv)
-        + np.einsum("ik,jn->ijkn", Fv, ds)
-        + np.einsum("ijn,k->ijkn", dF, sv)
-        + np.einsum("ij,kn->ijkn", Fv, ds)
-    )
-    nu = np.trace(Fv) * sv + Fv.T @ sv  # calF^a_{ja}
-    return conn, dconn, Fv, sv, calF, dcalF, nu
+    calF, dcalF = calF_jet(F, sigma, point)
+    nu, dnu = nu_jet(F, sigma, point)
+    return conn, dconn, F.jet(point)[0], sigma.jet(point)[0], calF, dcalF, nu, dnu
 
 
 def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
@@ -290,7 +259,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
 
     def thomas_eval(point) -> np.ndarray:
-        conn, _, _, _, calF, _, nu = pieces(point)
+        conn, _, _, _, calF, _, nu, _ = pieces(point)
         trace = np.einsum("aja->j", conn)
         reduced = trace - 0.5 * nu
         out = conn - 0.5 * calF
@@ -300,15 +269,14 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def dee_eval(point) -> np.ndarray:
-        conn, _, _, _, calF, dcalF, _ = pieces(point)
+        conn, _, _, _, calF, dcalF, _, _ = pieces(point)
         return -0.5 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
 
     def zeta_eval(point) -> np.ndarray:
-        conn, dconn, Fv, sv, calF, dcalF, nu = pieces(point)
+        conn, dconn, Fv, sv, _, _, nu, dnu = pieces(point)
         trace = np.einsum("aja->j", conn)
         dtrace = np.einsum("ajan->jn", dconn)
         trace_cov = covariant_derivative_arrays(trace, dtrace, "l", conn)
-        dnu = np.einsum("aian->in", dcalF)  # partials of calF^a_{ia}
         nu_cov = covariant_derivative_arrays(nu, dnu, "l", conn)
         FTA = Fv.T @ trace  # L^b_{ab} F^a_i
         out = trace_cov / (n + 1)
@@ -318,7 +286,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wbasic_eval(point) -> np.ndarray:
-        conn, dconn, _, _, calF, dcalF, _ = pieces(point)
+        conn, dconn, _, _, calF, dcalF, _, _ = pieces(point)
         riemann = curvature_arrays(conn, dconn)
         ric = ricci_arrays(riemann, convention)
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
@@ -329,7 +297,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wderived_eval(point) -> np.ndarray:
-        conn, dconn, _, _, calF, dcalF, _ = pieces(point)
+        conn, dconn, _, _, calF, dcalF, _, _ = pieces(point)
         riemann = curvature_arrays(conn, dconn)
         w = weyl_arrays(riemann, ricci_arrays(riemann, convention))
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)

@@ -1,23 +1,23 @@
-"""Dense tensors over a chart: point values, algebra, and expression fields.
+"""Tensor fields over a chart: expression fields, point-function fields and
+the last-point memo they share.
 
 Storage is row-major with the index order as written in the formulas this
-package implements (contravariant slot first).  Variance is a string of
-``'u'``/``'l'`` flags, one per slot.
+package implements (contravariant slot first), derivative axes last.
+Variance is a string of ``'u'``/``'l'`` flags, one per slot.
 
-Convention lock (the single most error-prone choice in this codebase): the
-alternation bracket is the two-term difference WITHOUT the 1/2 factor,
+Convention lock (the single most error-prone choice in this codebase): an
+index bracket is the two-term difference WITHOUT the 1/2 factor,
 
-    alternate(A)_{..m..n..} = A_{..m..n..} - A_{..n..m..},
+    delta^i_[m R_jn] = delta^i_m R_jn - delta^i_n R_jm,
 
 while pair symmetrization DOES carry the 1/2.  Jointly these make the
-projective Weyl assembly collapse to its Riemannian form when the Ricci
-tensor is symmetric: N/(N^2-1) + 1/(N^2-1) = 1/(N-1).
+projective Weyl assembly (``geometry.weyl_arrays``) collapse to its
+Riemannian form when the Ricci tensor is symmetric:
+N/(N^2-1) + 1/(N^2-1) = 1/(N-1).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -26,14 +26,6 @@ from . import expr as ex
 from .jets import eval_jet
 
 __all__ = [
-    "TensorValue",
-    "contract",
-    "alternate",
-    "sym",
-    "outer",
-    "kronecker",
-    "dumps",
-    "loads",
     "TensorField",
     "PointField",
     "zero_field",
@@ -41,107 +33,6 @@ __all__ = [
     "add_fields",
     "LastPointMemo",
 ]
-
-_LETTERS = "abcdefgh"
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """A tensor evaluated at a point: dense data plus a variance signature."""
-
-    data: np.ndarray
-    variance: str
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        if data.ndim != len(self.variance):
-            raise ValueError(f"variance {self.variance!r} does not match rank {data.ndim}")
-        if any(flag not in "ul" for flag in self.variance):
-            raise ValueError(f"variance flags must be 'u' or 'l': {self.variance!r}")
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorValue)
-            and self.variance == other.variance
-            and np.array_equal(self.data, other.data)
-        )
-
-
-def _check_slot(t: TensorValue, slot: int) -> None:
-    if not 0 <= slot < t.rank:
-        raise ValueError(f"slot {slot} out of range for rank {t.rank}")
-
-
-def contract(t: TensorValue, slot_a: int, slot_b: int) -> TensorValue:
-    """Sum over the diagonal of one upper and one lower slot."""
-    _check_slot(t, slot_a)
-    _check_slot(t, slot_b)
-    if slot_a == slot_b:
-        raise ValueError("contraction slots must be distinct")
-    if {t.variance[slot_a], t.variance[slot_b]} != {"u", "l"}:
-        raise ValueError(
-            f"contraction needs one upper and one lower slot, got "
-            f"{t.variance[slot_a]!r} and {t.variance[slot_b]!r}"
-        )
-    letters = list(_LETTERS[: t.rank])
-    letters[slot_b] = letters[slot_a]
-    out_letters = [c for i, c in enumerate(letters) if i not in (slot_a, slot_b)]
-    data = np.einsum(f"{''.join(letters)}->{''.join(out_letters)}", t.data)
-    variance = "".join(f for i, f in enumerate(t.variance) if i not in (slot_a, slot_b))
-    if not out_letters:
-        return TensorValue(np.asarray(float(data)).reshape(()), "")
-    return TensorValue(data, variance)
-
-
-def alternate(t: TensorValue, slot_a: int, slot_b: int) -> TensorValue:
-    """Two-term antisymmetrization A[..m..n..] - A[..n..m..] (no 1/2)."""
-    _check_slot(t, slot_a)
-    _check_slot(t, slot_b)
-    if t.variance[slot_a] != t.variance[slot_b]:
-        raise ValueError("alternation slots must have equal variance")
-    return TensorValue(t.data - np.swapaxes(t.data, slot_a, slot_b), t.variance)
-
-
-def sym(t: TensorValue, slot_a: int, slot_b: int) -> TensorValue:
-    """Pair symmetrization with the 1/2 factor."""
-    _check_slot(t, slot_a)
-    _check_slot(t, slot_b)
-    if t.variance[slot_a] != t.variance[slot_b]:
-        raise ValueError("symmetrization slots must have equal variance")
-    return TensorValue(0.5 * (t.data + np.swapaxes(t.data, slot_a, slot_b)), t.variance)
-
-
-def outer(a: TensorValue, b: TensorValue) -> TensorValue:
-    return TensorValue(np.multiply.outer(a.data, b.data), a.variance + b.variance)
-
-
-def kronecker(chart_or_dim) -> TensorValue:
-    n = getattr(chart_or_dim, "dim", chart_or_dim)
-    return TensorValue(np.eye(n), "ul")
-
-
-def dumps(t: TensorValue) -> str:
-    """Serialize to the tensor dump format (flat row-major data)."""
-    payload = {
-        "shape": list(t.data.shape),
-        "variance": t.variance,
-        "data": [repr(float(x)) for x in t.data.reshape(-1)],
-        "index_order": "paper",
-    }
-    return json.dumps(payload)
-
-
-def loads(text: str) -> TensorValue:
-    payload = json.loads(text)
-    if payload.get("index_order") != "paper":
-        raise ValueError("unsupported index order")
-    data = np.array([float(x) for x in payload["data"]]).reshape(payload["shape"])
-    return TensorValue(data, payload["variance"])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +138,6 @@ class TensorField:
         """Values, first and second partials; derivative axes last (read-only)."""
         return self._jet2_memo(point)
 
-
     def strings(self) -> list:
         """Entries printed back to grammar text, nested per the shape."""
 
@@ -264,13 +154,23 @@ def _entry_values(entries, shape, point) -> np.ndarray:
 
 
 def _entry_jets(entries, shape, n, order, point) -> tuple:
-    """(value, grad) for order 1, (value, grad, hess) for order 2."""
+    """(value, grad) for order 1, (value, grad, hess) for order 2.
+
+    Float products overflow to inf without raising, so a derivative too
+    large for a float is caught here, naming the entry it came from.
+    """
     jets = [eval_jet(node, point, order=order) for node in entries]
-    value = np.array([j.value for j in jets]).reshape(shape)
-    grad = np.array([j.grad for j in jets]).reshape(shape + (n,))
-    if order == 1:
-        return value, grad
-    return value, grad, np.array([j.hess for j in jets]).reshape(shape + (n, n))
+    out = (
+        np.array([j.value for j in jets]).reshape(shape),
+        np.array([j.grad for j in jets]).reshape(shape + (n,)),
+    )
+    if order == 2:
+        out += (np.array([j.hess for j in jets]).reshape(shape + (n, n)),)
+    if not all(np.isfinite(a).all() for a in out):
+        for node, jet in zip(entries, jets):
+            if not all(np.isfinite(x).all() for x in (jet.value, jet.grad, jet.hess)[: order + 1]):
+                raise ex.DomainError("non-finite value or derivative", node)
+    return out
 
 
 class PointField:

@@ -59,6 +59,61 @@ def test_pow_overflow_is_a_math_error(capsys):
     assert err.startswith("math error:") and "pow overflow" in err
 
 
+def test_domain_error_names_chart_coordinates(capsys):
+    assert run_cli("christoffel", "--config", "example-r3", "--point", "1e200,1,1") == 2
+    err = capsys.readouterr().err
+    assert "'u^2.0'" in err and "x0" not in err
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [("nan,1.5,1.5", "coordinate u = nan is not finite"), ("1,inf,1", "coordinate v = inf")],
+)
+def test_non_finite_point_is_a_math_error(capsys, point, message):
+    assert run_cli("verify", "--config", "fplanar-demo", "--point", point) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("math error:") and message in err
+    assert "overflow" not in err
+
+
+def test_non_finite_listed_point_is_a_math_error(tmp_path, capsys):
+    config = dict(BUILTIN_CONFIGS["example-r3"])
+    config["points"] = {"list": [[1.0, 2.0, 3.0], [1.0, "nan", 3.0]]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("christoffel", "--config", str(path)) == 2
+    assert "coordinate v = nan is not finite" in capsys.readouterr().err
+
+
+def test_tiny_log_argument_is_not_an_overflow(tmp_path, capsys):
+    # the connection is jetted to order 1, so 1/u^3 (which overflows here)
+    # is never formed
+    config = {
+        "chart": ["u", "v"],
+        "space": {"connection": {"1,1,1": "ln(u)"}},
+        "points": {"list": [[1.0, 1.0]]},
+    }
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("christoffel", "--config", str(path), "--point", "1e-105,1") == 0
+    assert "(1,1,1) = " in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_metric_jet_is_a_math_error(tmp_path, capsys):
+    # the metric is jetted to order 2; 1/u^2 overflows to inf at u = 1e-160
+    config = {
+        "chart": ["u", "v"],
+        "space": {"metric": [["1 + ln(u)^2", "0"], ["0", "1"]]},
+        "points": {"list": [[1.0, 1.0]]},
+    }
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("curvature", "--config", str(path), "--point", "1e-160,1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("math error: non-finite") and "'1.0 + ln(u)^2.0'" in err
+
+
 def test_small_scale_metric_is_accepted(capsys):
     # diag(u^2, v^2, w^2) at 1e-3 has det 1e-18 but condition number 1
     assert run_cli("christoffel", "--config", "example-r3", "--point", "1e-3,1e-3,1e-3") == 0

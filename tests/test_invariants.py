@@ -12,11 +12,14 @@ from tensor_invariants.invariants import (
     SValues,
     basic_thomas,
     basic_weyl,
+    calF_jet,
     dee,
     derived_thomas,
     derived_thomas_correlation_residual,
     derived_weyl_chain,
+    nu_jet,
     omega,
+    omega_jet,
     omega_square_expanded,
     zeta,
 )
@@ -34,6 +37,26 @@ LN15 = math.log(15.0)
 
 def example_fplanar_spec(chart, affinor, sigma_form, rho=None):
     return OmegaSpec(chart, SValues(1.0, 0.5, 0.0), rho=rho, sigma=sigma_form, F=affinor)
+
+
+# --- calF and nu ---------------------------------------------------------------
+
+def test_nu_jet_is_the_trace_of_calF_jet(chart):
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        spec = random_omega_spec(chart, rng)
+        for point in sample_points([[1.0, 2.0]] * 3, 3, seed=13):
+            calF, dcalF = calF_jet(spec.F, spec.sigma, point)
+            nu, dnu = nu_jet(spec.F, spec.sigma, point)
+            assert np.max(np.abs(nu - np.einsum("aja->j", calF))) < 1e-14
+            assert np.max(np.abs(dnu - np.einsum("ajan->jn", dcalF))) < 1e-14
+
+
+def test_omega_jet_value_matches_omega(chart):
+    rng = np.random.default_rng(14)
+    spec = random_omega_spec(chart, rng)
+    for point in sample_points([[1.0, 2.0]] * 3, 3, seed=15):
+        assert np.array_equal(omega_jet(spec, point)[0], omega(spec, point))
 
 
 # --- omega -------------------------------------------------------------------

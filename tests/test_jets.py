@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tensor_invariants.expr import Chart, DomainError, evaluate, parse
-from tensor_invariants.jets import Jet3, eval_jet
+from tensor_invariants.jets import Jet, eval_jet
 
 CHART = Chart(("u", "v", "w"))
 
@@ -29,7 +29,6 @@ def test_polynomial_square():
     assert jet.value == 9.0
     assert jet.grad[0] == 6.0
     assert jet.hess[0, 0] == 2.0
-    assert np.all(jet.third == 0.0)
 
 
 def test_reciprocal_derivatives():
@@ -37,7 +36,6 @@ def test_reciprocal_derivatives():
     assert jet.value == 1.0
     assert jet.grad[0] == pytest.approx(-1.0, abs=1e-15)
     assert jet.hess[0, 0] == pytest.approx(2.0, abs=1e-14)
-    assert jet.third[0, 0, 0] == pytest.approx(-6.0, abs=1e-13)
 
 
 def test_example_log_partials():
@@ -48,7 +46,7 @@ def test_example_log_partials():
 
 def test_truncation_orders():
     jet = eval_jet(parse("sin(u)", CHART), (1.0, 2.0, 3.0), order=1)
-    assert jet.hess is None and jet.third is None
+    assert jet.hess is None
     jet0 = eval_jet(parse("sin(u)", CHART), (1.0, 2.0, 3.0), order=0)
     assert jet0.grad is None
 
@@ -60,6 +58,26 @@ def test_value_channel_matches_evaluate_exactly():
         for _ in range(5):
             point = tuple(rng.uniform(0.5, 2.0, 3))
             assert eval_jet(node, point).value == evaluate(node, point)
+
+
+def test_order_is_at_most_two():
+    with pytest.raises(ValueError, match="0..2"):
+        eval_jet(parse("u", CHART), (1.0, 2.0, 3.0), order=3)
+
+
+@pytest.mark.parametrize("text", ["u^2.5", "u^1.5"])
+def test_fractional_power_at_zero_has_zero_gradient(text):
+    # only the derivatives up to the requested order are formed, so a
+    # singular higher derivative does not fail a lower-order jet
+    jet = eval_jet(parse(text, CHART), (0.0, 1.0, 1.0), order=1)
+    assert jet.value == 0.0
+    assert np.all(jet.grad == 0.0)
+
+
+def test_fractional_power_at_zero_order_two():
+    assert np.all(eval_jet(parse("u^2.5", CHART), (0.0, 1.0, 1.0)).hess == 0.0)
+    with pytest.raises(DomainError, match="singular"):
+        eval_jet(parse("u^1.5", CHART), (0.0, 1.0, 1.0))
 
 
 def test_domain_error_propagates():
@@ -95,16 +113,6 @@ def _fd_hess(node, point, h=1e-4):
     return out
 
 
-def _fd_third(node, point, h=1e-3):
-    # central difference of the FD Hessian; h balances truncation vs roundoff
-    out = np.zeros((3, 3, 3))
-    for k in range(3):
-        ek = np.zeros(3)
-        ek[k] = h
-        out[:, :, k] = (_fd_hess(node, point + ek, h) - _fd_hess(node, point - ek, h)) / (2 * h)
-    return out
-
-
 def _close(got, want, rel=1e-5, abs_tol=1e-7):
     return np.all(np.abs(got - want) <= abs_tol + rel * np.abs(want))
 
@@ -118,8 +126,6 @@ def test_jets_match_finite_differences_on_corpus():
             jet = eval_jet(node, point)
             assert _close(jet.grad, _fd_grad(node, point)), text
             assert _close(jet.hess, _fd_hess(node, point)), text
-            # third-order FD noise floor is larger
-            assert _close(jet.third, _fd_third(node, point), rel=1e-4, abs_tol=1e-4), text
 
 
 def test_example_cross_partial_against_finite_difference():
@@ -131,12 +137,11 @@ def test_example_cross_partial_against_finite_difference():
 
 # --- Leibniz product property against an independent in-test expansion -----
 
-def _leibniz(a: Jet3, b: Jet3) -> Jet3:
+def _leibniz(a: Jet, b: Jet) -> Jet:
     n = a.n
-    out = Jet3(n, 3, a.value * b.value)
+    out = Jet(n, 2, a.value * b.value)
     out.grad = np.zeros(n)
     out.hess = np.zeros((n, n))
-    out.third = np.zeros((n, n, n))
     for i in range(n):
         out.grad[i] = a.grad[i] * b.value + a.value * b.grad[i]
         for j in range(n):
@@ -146,17 +151,6 @@ def _leibniz(a: Jet3, b: Jet3) -> Jet3:
                 + a.grad[j] * b.grad[i]
                 + a.value * b.hess[i, j]
             )
-            for k in range(n):
-                out.third[i, j, k] = (
-                    a.third[i, j, k] * b.value
-                    + a.hess[i, j] * b.grad[k]
-                    + a.hess[i, k] * b.grad[j]
-                    + a.hess[j, k] * b.grad[i]
-                    + b.hess[i, j] * a.grad[k]
-                    + b.hess[i, k] * a.grad[j]
-                    + b.hess[j, k] * a.grad[i]
-                    + a.value * b.third[i, j, k]
-                )
     return out
 
 
@@ -174,7 +168,6 @@ def test_sum_rule_is_componentwise():
         assert total.value == ja.value + jb.value
         assert np.array_equal(total.grad, ja.grad + jb.grad)
         assert np.array_equal(total.hess, ja.hess + jb.hess)
-        assert np.array_equal(total.third, ja.third + jb.third)
 
 
 def test_chain_rule_against_naive_composition():
@@ -188,23 +181,12 @@ def test_chain_rule_against_naive_composition():
         jet = eval_jet(inner, point)
         composed = eval_jet(Unary("sin", inner), point)
         g = jet.value
-        f1, f2, f3 = math.cos(g), -math.sin(g), -math.cos(g)
+        f1, f2 = math.cos(g), -math.sin(g)
         grad = f1 * jet.grad
         hess = f2 * np.einsum("i,j->ij", jet.grad, jet.grad) + f1 * jet.hess
-        third = (
-            f3 * np.einsum("i,j,k->ijk", jet.grad, jet.grad, jet.grad)
-            + f2
-            * (
-                np.einsum("ij,k->ijk", jet.hess, jet.grad)
-                + np.einsum("ik,j->ijk", jet.hess, jet.grad)
-                + np.einsum("jk,i->ijk", jet.hess, jet.grad)
-            )
-            + f1 * jet.third
-        )
         assert composed.value == math.sin(g)
         assert np.allclose(composed.grad, grad, rtol=1e-12, atol=1e-12)
         assert np.allclose(composed.hess, hess, rtol=1e-12, atol=1e-11)
-        assert np.allclose(composed.third, third, rtol=1e-12, atol=1e-10)
 
 
 def test_product_rule_against_naive_expansion():
@@ -224,5 +206,4 @@ def test_product_rule_against_naive_expansion():
         assert abs(product.value - expected.value) <= 1e-12 * scale
         assert np.allclose(product.grad, expected.grad, rtol=1e-12, atol=1e-12)
         assert np.allclose(product.hess, expected.hess, rtol=1e-12, atol=1e-11)
-        assert np.allclose(product.third, expected.third, rtol=1e-12, atol=1e-10)
         pairs += 1

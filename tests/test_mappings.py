@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tensor_invariants.expr import Chart
-from tensor_invariants.geometry import Space, thomas
+from tensor_invariants.geometry import Space, symmetrize_connection, thomas
 from tensor_invariants.invariants import OmegaSpec, SValues
 from tensor_invariants.mappings import (
     FPlanarSpec,
@@ -100,6 +100,18 @@ def test_torsion_delta_reaches_target(example_space, chart):
     assert target.torsion(P0)[0, 1, 2] == 1.0
     # symmetric part untouched by a pure torsion change
     assert np.array_equal(target.connection(P0), example_space.connection(P0))
+
+
+def test_torsion_delta_adds_to_source_torsion(chart):
+    entries = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    entries[0][1][2] = "u"  # source torsion^1_23 = u/2
+    field = TensorField(chart, "ull", entries)
+    source = Space.from_connection(field)
+    spec = OmegaSpec(chart, SValues(1.0, 0.0, 0.0))
+    delta = scale_field(symmetrize_connection(field)[1], 3.0)
+    target = apply_mapping(source, MappingSpec(spec, spec, torsion_delta=delta))
+    assert target.torsion(P0)[0, 1, 2] == 4.0 * source.torsion(P0)[0, 1, 2]
+    assert target.torsion(P0)[0, 2, 1] == -2.0 * P0[0]
 
 
 # --- F-planar construction ------------------------------------------------------

@@ -117,7 +117,7 @@ def test_verify_fplanar_work_counts(monkeypatch):
     jetted = Counter()
     eval_jet = jets.eval_jet
 
-    def counting_eval_jet(node, point, order=3):
+    def counting_eval_jet(node, point, order=2):
         jetted[(id(node), tuple(point), order)] += 1
         return eval_jet(node, point, order)
 
@@ -155,10 +155,11 @@ def test_verify_fplanar_work_counts(monkeypatch):
         for node in field.entries:
             for point in points:
                 assert jetted[(id(node), tuple(point), order)] == 1
-    # each space computes its connection once per point: the metric provider
-    # runs for the source and once more under the target's sum
+    # each space computes its connection once per point, and the target's
+    # sum reads the source's memoised connection: the metric provider runs
+    # once per point
     assert set(provided) == {tuple(p) for p in points}
-    assert set(provided.values()) == {2}
+    assert set(provided.values()) == {1}
     assert set(summed.values()) == {1}
 
 

@@ -1,141 +1,26 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tensor_invariants.expr import Chart
-from tensor_invariants.tensor import (
-    TensorField,
-    TensorValue,
-    alternate,
-    contract,
-    dumps,
-    kronecker,
-    loads,
-    outer,
-    sym,
-)
+from tensor_invariants.geometry import weyl_arrays
+from tensor_invariants.tensor import TensorField
 
 CHART = Chart(("u", "v", "w"))
 
 
-def test_contract_identity_trace():
-    assert contract(kronecker(3), 0, 1).data == pytest.approx(3.0)
-
-
-def test_contract_example_affinor_trace():
-    field = TensorField(CHART, "ul", [["sin(u)", "0", "0"], ["0", "cos(v)", "0"], ["0", "0", "w"]])
-    trace = contract(TensorValue(field.value((1.0, 2.0, 3.0)), "ul"), 0, 1)
-    assert float(trace.data) == pytest.approx(math.sin(1) + math.cos(2) + 3.0, abs=1e-15)
-    assert float(trace.data) == pytest.approx(3.425324, abs=1e-6)
-
-
-def test_contract_of_outer_is_matrix_product():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    product = contract(outer(TensorValue(a, "ul"), TensorValue(b, "ul")), 1, 2)
-    expected = np.zeros((3, 3))
-    for i in range(3):
-        for k in range(3):
-            acc = 0.0
-            for j in range(3):
-                acc += a[i, j] * b[j, k]
-            expected[i, k] = acc
-    assert np.max(np.abs(product.data - expected)) < 1e-13
-    assert product.variance == "ul"
-
-
-def test_contract_of_outer_against_loop_oracle_low_dims():
-    rng = np.random.default_rng(1)
-    for n in (2, 3):
-        a = TensorValue(rng.standard_normal((n, n)), "ul")
-        b = TensorValue(rng.standard_normal(n), "u")
-        got = contract(outer(a, b), 1, 2)
-        expected = np.array([sum(a.data[i, j] * b.data[j] for j in range(n)) for i in range(n)])
-        assert np.max(np.abs(got.data - expected)) < 1e-13
-        assert got.variance == "u"
-
-
-def test_contract_variance_mismatch_rejected():
-    with pytest.raises(ValueError, match="upper and one lower"):
-        contract(TensorValue(np.eye(3), "uu"), 0, 1)
-    with pytest.raises(ValueError, match="slot"):
-        contract(kronecker(3), 0, 5)
-
-
-def test_alternate_kills_symmetric():
-    s = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert np.all(alternate(TensorValue(s, "ll"), 0, 1).data == 0.0)
-
-
-def test_alternate_double_is_twice():
-    rng = np.random.default_rng(2)
-    t = TensorValue(rng.standard_normal((3, 3)), "ll")
-    once = alternate(t, 0, 1)
-    twice = alternate(once, 0, 1)
-    assert np.allclose(twice.data, 2.0 * once.data)
-
-
-def test_alternate_output_is_antisymmetric_in_its_slots():
-    rng = np.random.default_rng(3)
-    t = TensorValue(rng.standard_normal((3, 3, 3)), "lll")
-    out = alternate(t, 0, 2).data
-    assert np.max(np.abs(out + np.swapaxes(out, 0, 2))) == 0.0
-
-
 def test_bracket_convention_lock():
-    # delta^i_[m R_jn] must expand to delta^i_m R_jn - delta^i_n R_jm
+    # brackets without 1/2 and symmetrization with 1/2 make the projective
+    # Weyl assembly collapse to R + (delta^i_m R_jn - delta^i_n R_jm)/(N-1)
+    # when the Ricci tensor is symmetric
     rng = np.random.default_rng(4)
-    ric = rng.standard_normal((3, 3))
-    paired = outer(kronecker(3), TensorValue(ric, "ll"))  # [i, m, j, n]
-    bracket = alternate(paired, 1, 3)
-    explicit = np.einsum("im,jn->imjn", np.eye(3), ric) - np.einsum(
-        "in,jm->imjn", np.eye(3), ric
-    )
-    assert np.max(np.abs(bracket.data - explicit)) == 0.0
-
-
-def test_sym_kills_antisymmetric_and_halves():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.all(sym(TensorValue(a, "ll"), 0, 1).data == 0.0)
-    b = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert sym(TensorValue(b, "ll"), 0, 1).data[0, 1] == 1.0
-
-
-def test_kronecker_entries():
-    delta = kronecker(3)
-    assert delta.data[0, 0] == 1.0 and delta.data[0, 1] == 0.0
-
-
-def test_outer_entries():
-    rho = TensorValue(np.array([1.0, 0.0, 0.0]), "l")
-    paired = outer(kronecker(3), rho)
-    assert paired.data[0, 0, 0] == 1.0
-    assert paired.data[0, 1, 0] == 0.0
-
-
-@given(st.integers(0, 10), st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
-@settings(max_examples=100, deadline=None)
-def test_contract_is_linear(seed, alpha, beta):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, 3, 3))
-    b = rng.standard_normal((3, 3, 3))
-    combo = contract(TensorValue(alpha * a + beta * b, "ull"), 0, 1)
-    parts = alpha * contract(TensorValue(a, "ull"), 0, 1).data + beta * contract(
-        TensorValue(b, "ull"), 0, 1
-    ).data
-    assert np.allclose(combo.data, parts, rtol=1e-12, atol=1e-12)
-
-
-def test_dump_roundtrip():
-    rng = np.random.default_rng(5)
-    t = TensorValue(rng.standard_normal((3, 3)), "ul")
-    back = loads(dumps(t))
-    assert back == t
-    assert '"index_order": "paper"' in dumps(t)
+    for n in range(2, 7):
+        riemann = rng.standard_normal((n,) * 4)
+        a = rng.standard_normal((n, n))
+        ric = a + a.T
+        delta = np.eye(n)
+        bracket = np.einsum("im,jn->ijmn", delta, ric) - np.einsum("in,jm->ijmn", delta, ric)
+        expected = riemann + bracket / (n - 1)
+        assert np.max(np.abs(weyl_arrays(riemann, ric) - expected)) < 1e-13, n
 
 
 def test_field_entries_share_chart():
