@@ -111,19 +111,15 @@ def _resolve_points(args, job: JobConfig) -> list[tuple]:
 
 # --- table rendering ---------------------------------------------------------
 
-def _rows(evaluate, points):
+def _rows(points, arrays):
     rows = []
-    for point in points:
-        data = np.asarray(evaluate(point))
-        if data.ndim == 0:
-            rows.append((point, (), float(data)))
-            continue
+    for point, data in zip(points, arrays):
         for index in np.ndindex(*data.shape):
             rows.append((point, tuple(i + 1 for i in index), float(data[index])))
     return rows
 
 
-def _csv_text(job, name, rank, rows) -> str:
+def _csv_text(job, rank, rows) -> str:
     header = list(job.chart.names) + [f"i{k + 1}" for k in range(rank)] + ["value"]
     lines = [",".join(header)]
     for point, index, value in rows:
@@ -132,16 +128,17 @@ def _csv_text(job, name, rank, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_payload(job, name, variance, evaluate, points) -> dict:
-    return {
+def _json_text(job, name, variance, points, arrays) -> str:
+    payload = {
         "object": name,
         "variance": variance,
         "chart": list(job.chart.names),
         "points": [
-            {"point": [float(c) for c in point], "data": np.asarray(evaluate(point)).tolist()}
-            for point in points
+            {"point": [float(c) for c in point], "data": data.tolist()}
+            for point, data in zip(points, arrays)
         ],
     }
+    return json.dumps(payload, indent=2)
 
 
 def _text_table(name, rows) -> str:
@@ -162,16 +159,17 @@ def _emit_tables(args, job, objects, points) -> None:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for name, variance, evaluate in objects:
-        rows = _rows(evaluate, points)
-        csv_text = _csv_text(job, name, len(variance), rows)
-        payload = _json_payload(job, name, variance, evaluate, points)
+        # one evaluation per (object, point): a second sweep would miss the
+        # last-point memos and recompute the connection
+        arrays = [np.asarray(evaluate(point)) for point in points]
+        rows = _rows(points, arrays)
         if out_dir:
-            (out_dir / f"{name}.csv").write_text(csv_text)
-            (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2))
+            (out_dir / f"{name}.csv").write_text(_csv_text(job, len(variance), rows))
+            (out_dir / f"{name}.json").write_text(_json_text(job, name, variance, points, arrays))
         if args.format == "csv":
-            sys.stdout.write(csv_text)
+            sys.stdout.write(_csv_text(job, len(variance), rows))
         elif args.format == "json":
-            print(json.dumps(payload, indent=2))
+            print(_json_text(job, name, variance, points, arrays))
         else:
             print(_text_table(name, rows))
 

@@ -33,9 +33,7 @@ def _require(condition: bool, message: str) -> None:
 def _parse_entries(chart: Chart, variance: str, raw, label: str) -> TensorField:
     try:
         return TensorField(chart, variance, raw)
-    except ExprError as err:
-        raise ConfigError(f"{label}: {err}") from err
-    except ValueError as err:
+    except (ExprError, ValueError) as err:
         raise ConfigError(f"{label}: {err}") from err
 
 

@@ -13,6 +13,10 @@ The grammar (EBNF):
 right-associative; exponents must be constants, which keeps
 differentiation total.  Chains like ``u^2^3`` are folded right-associatively
 into a single constant exponent.
+
+Fields evaluate their trees through the compiled programs of ``jets``, which
+share this module's scalar rules (``_apply_unary``/``_apply_binary``);
+:func:`evaluate` is the plain tree walk kept as their independent oracle.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ __all__ = [
     "parse",
     "print_expr",
     "evaluate",
-    "compile_stack",
-    "evaluate_stack",
     "FUNCTIONS",
 ]
 
@@ -305,7 +307,8 @@ def _print_pow_base(node: Expr, chart: Chart | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation (tree walk and independent stack machine)
+# evaluation: the scalar rules the compiled programs of ``jets`` share, and
+# the tree walk kept as their independent oracle
 # ---------------------------------------------------------------------------
 
 def _apply_unary(op: str, x: float, node: Expr) -> float:
@@ -358,7 +361,12 @@ def _apply_binary(op: str, a: float, b: float, node: Expr) -> float:
 
 
 def evaluate(node: Expr, point) -> float:
-    """Evaluate the tree at a point (list of chart coordinate values)."""
+    """Evaluate the tree at a point (list of chart coordinate values).
+
+    A plain recursive walk, independent of the compiled programs that
+    ``TensorField`` runs: tests check ``jets.run_program`` against it, and
+    the audit uses it on the paper's printed formulas.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -368,42 +376,3 @@ def evaluate(node: Expr, point) -> float:
     left = evaluate(node.left, point)
     right = evaluate(node.right, point)
     return _apply_binary(node.op, left, right, node)
-
-
-def compile_stack(node: Expr) -> list[tuple]:
-    """Flatten a tree to postfix ops for the stack interpreter."""
-    ops: list[tuple] = []
-
-    def walk(n: Expr) -> None:
-        if isinstance(n, Const):
-            ops.append(("const", n.value, n))
-        elif isinstance(n, Var):
-            ops.append(("var", n.index, n))
-        elif isinstance(n, Unary):
-            walk(n.arg)
-            ops.append(("un", n.op, n))
-        else:
-            walk(n.left)
-            walk(n.right)
-            ops.append(("bin", n.op, n))
-
-    walk(node)
-    return ops
-
-
-def evaluate_stack(ops: list[tuple], point) -> float:
-    """Second interpreter: run the postfix program on an explicit stack."""
-    stack: list[float] = []
-    for kind, payload, node in ops:
-        if kind == "const":
-            stack.append(payload)
-        elif kind == "var":
-            stack.append(float(point[payload]))
-        elif kind == "un":
-            stack.append(_apply_unary(payload, stack.pop(), node))
-        else:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(_apply_binary(payload, a, b, node))
-    return stack[0]
-

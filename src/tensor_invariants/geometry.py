@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Chart
-from .tensor import LastPointMemo, PointField, TensorField, add_fields
+from .tensor import LastPointMemo, PointField, TensorField, add_fields, zero_field
 
 __all__ = [
     "SingularMetricError",
@@ -153,7 +153,7 @@ class Space:
 
     @classmethod
     def flat(cls, chart: Chart) -> "Space":
-        return cls.from_connection(TensorField.zeros(chart, "ull"))
+        return cls.from_connection(zero_field(chart, "ull"))
 
     @property
     def dim(self) -> int:

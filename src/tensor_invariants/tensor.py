@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import expr as ex
-from .jets import eval_jet
+from .jets import compile_program, run_program
 
 __all__ = [
     "TensorField",
@@ -82,7 +82,8 @@ def _read_only(value):
 # ---------------------------------------------------------------------------
 
 class TensorField:
-    """Dense tensor whose entries are parsed scalar expressions."""
+    """Dense tensor of parsed scalar expressions, each compiled once to the
+    ``jets`` program that gives its values and partials."""
 
     def __init__(self, chart: ex.Chart, variance: str, entries):
         self.chart = chart
@@ -105,20 +106,13 @@ class TensorField:
         collect(entries, 0)
         self.shape = shape
         self.entries = flat
-        # the memos hold the entries, not the field, so that a field left
+        self.programs = [compile_program(node) for node in flat]
+        # the memos hold the programs, not the field, so that a field left
         # unused is freed at once rather than by the cycle collector
-        self._value_memo = LastPointMemo(partial(_entry_values, flat, shape))
-        self._jet_memo = LastPointMemo(partial(_entry_jets, flat, shape, n, 1))
-        self._jet2_memo = LastPointMemo(partial(_entry_jets, flat, shape, n, 2))
-
-    @classmethod
-    def zeros(cls, chart: ex.Chart, variance: str) -> "TensorField":
-        def build(depth):
-            if depth == len(variance):
-                return ex.Const(0.0)
-            return [build(depth + 1) for _ in range(chart.dim)]
-
-        return cls(chart, variance, build(0) if variance else ex.Const(0.0))
+        self._value_memo, self._jet_memo, self._jet2_memo = (
+            LastPointMemo(partial(_entry_arrays, self.programs, shape, order))
+            for order in range(3)
+        )
 
     def entry(self, *index) -> ex.Expr:
         flat = 0
@@ -149,28 +143,23 @@ class TensorField:
         return build(())
 
 
-def _entry_values(entries, shape, point) -> np.ndarray:
-    return np.array([ex.evaluate(node, point) for node in entries]).reshape(shape)
-
-
-def _entry_jets(entries, shape, n, order, point) -> tuple:
-    """(value, grad) for order 1, (value, grad, hess) for order 2.
-
-    Float products overflow to inf without raising, so a derivative too
-    large for a float is caught here, naming the entry it came from.
-    """
-    jets = [eval_jet(node, point, order=order) for node in entries]
-    out = (
-        np.array([j.value for j in jets]).reshape(shape),
-        np.array([j.grad for j in jets]).reshape(shape + (n,)),
-    )
-    if order == 2:
-        out += (np.array([j.hess for j in jets]).reshape(shape + (n, n)),)
-    if not all(np.isfinite(a).all() for a in out):
-        for node, jet in zip(entries, jets):
-            if not all(np.isfinite(x).all() for x in (jet.value, jet.grad, jet.hess)[: order + 1]):
-                raise ex.DomainError("non-finite value or derivative", node)
-    return out
+def _entry_arrays(programs, shape, order, point):
+    """Entry values at order 0, else (value, grad[, hess]) with derivative
+    axes last.  Floats overflow to inf/NaN without raising, so a non-finite
+    value or derivative is caught here, naming its entry."""
+    if order:
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = [run_program(program, point, order) for program in programs]
+        channels = [np.array(c) for c in zip(*results)]
+    else:  # plain floats: no numpy warnings to silence
+        channels = [np.array([run_program(program, point, 0) for program in programs])]
+    if not all(np.isfinite(c).all() for c in channels):
+        for program, entry in zip(programs, zip(*channels)):
+            if not all(np.isfinite(c).all() for c in entry):
+                # the last op of a program is its entry's root node
+                raise ex.DomainError("non-finite value or derivative", program[-1][2])
+    out = tuple(c.reshape(shape + c.shape[1:]) for c in channels)
+    return out if order else out[0]
 
 
 class PointField:

@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tensor_invariants import cli, geometry
 from tensor_invariants.cli import main
 from tensor_invariants.configs import BUILTIN_CONFIGS, ConfigError, JobConfig, builtin_config
 
@@ -99,7 +101,6 @@ def test_tiny_log_argument_is_not_an_overflow(tmp_path, capsys):
     assert "(1,1,1) = " in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_metric_jet_is_a_math_error(tmp_path, capsys):
     # the metric is jetted to order 2; 1/u^2 overflows to inf at u = 1e-160
     config = {
@@ -110,8 +111,28 @@ def test_overflowing_metric_jet_is_a_math_error(tmp_path, capsys):
     path = tmp_path / "log.json"
     path.write_text(json.dumps(config))
     assert run_cli("curvature", "--config", str(path), "--point", "1e-160,1") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("math error: non-finite") and "'1.0 + ln(u)^2.0'" in err
+    # no numpy overflow warning ahead of the error line
+    assert capsys.readouterr().err.splitlines() == [
+        "math error: non-finite value or derivative in subexpression '1.0 + ln(u)^2.0'"
+    ]
+
+
+def test_overflowing_field_value_is_a_math_error(tmp_path, capsys):
+    # u*u*u overflows to inf at u = 1e120; a float product does not raise
+    omega = {"s": [1, 1, 1], "rho": ["u*u*u", "0"]}
+    config = {
+        "chart": ["u", "v"],
+        "space": {"connection": {}},
+        "omega": omega,
+        "omega_bar": omega,
+        "points": {"list": [[1.0, 1.0]]},
+    }
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("invariants", "--config", str(path), "--point", "1e120,1") == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("math error: non-finite") and "'u*u*u'" in err
+    assert "inf" not in out and "nan" not in out
 
 
 def test_small_scale_metric_is_accepted(capsys):
@@ -155,6 +176,44 @@ def test_csv_and_json_outputs_identical_values(tmp_path):
         index = tuple(int(c) - 1 for c in cells[2:-1])
         value = float(cells[-1])
         assert value == data[index]  # bit-identical through repr round-trip
+
+
+def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
+    # text, CSV and JSON come from one evaluation per (object, point), so the
+    # metric provider runs once per point
+    evaluated = Counter()
+    tensor_objects = cli._tensor_objects
+
+    def counting_objects(args, job, command):
+        def counted(name, evaluate):
+            def wrapper(point):
+                evaluated[(name, tuple(point))] += 1
+                return evaluate(point)
+
+            return wrapper
+
+        return [(name, var, counted(name, ev)) for name, var, ev in tensor_objects(args, job, command)]
+
+    provided = Counter()
+    metric_jets = geometry._MetricConnection.jets
+
+    def counting_metric(self, point):
+        provided[tuple(point)] += 1
+        return metric_jets(self, point)
+
+    monkeypatch.setattr(cli, "_tensor_objects", counting_objects)
+    monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
+    config = dict(BUILTIN_CONFIGS["example-r3"])
+    config["points"] = {"list": [[1.0, 2.0, 3.0], [1.5, 1.25, 2.0], [2.0, 1.0, 1.5]]}
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(config))
+    for fmt in ("text", "csv", "json"):
+        evaluated.clear()
+        provided.clear()
+        out = str(tmp_path / fmt)
+        assert run_cli("curvature", "--config", str(path), "--format", fmt, "--out", out) == 0
+        assert len(evaluated) == 3 and set(evaluated.values()) == {1}
+        assert len(provided) == 3 and set(provided.values()) == {1}
 
 
 def test_ricci_emits_antisymmetric_part(tmp_path):

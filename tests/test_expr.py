@@ -12,12 +12,11 @@ from tensor_invariants.expr import (
     ParseError,
     Unary,
     Var,
-    compile_stack,
     evaluate,
-    evaluate_stack,
     parse,
     print_expr,
 )
+from tensor_invariants.jets import compile_program, run_program
 
 CHART = Chart(("u", "v", "w"))
 
@@ -149,6 +148,7 @@ def _random_ast(rng, depth):
 
 
 def test_tree_walk_and_stack_machine_agree_to_zero_ulp():
+    # the compiled program at order 0 against the independent tree walk
     import numpy as np
 
     rng = np.random.default_rng(42)
@@ -156,9 +156,13 @@ def test_tree_walk_and_stack_machine_agree_to_zero_ulp():
     while checked < 1000:
         node = _random_ast(rng, 4)
         point = tuple(rng.uniform(0.5, 2.0, 3))
+        program = compile_program(node)
         try:
             reference = evaluate(node, point)
-        except DomainError:
+        except DomainError as err:
+            with pytest.raises(DomainError) as raised:
+                run_program(program, point, 0)
+            assert raised.value.node is err.node
             continue
-        assert evaluate_stack(compile_stack(node), point) == reference
+        assert run_program(program, point, 0) == reference
         checked += 1

@@ -1,10 +1,11 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from tensor_invariants.expr import Chart, DomainError, evaluate, parse
-from tensor_invariants.jets import Jet, eval_jet
+from tensor_invariants.expr import Chart, DomainError, evaluate, parse, print_expr
+from tensor_invariants.jets import eval_jet
 
 CHART = Chart(("u", "v", "w"))
 
@@ -137,21 +138,21 @@ def test_example_cross_partial_against_finite_difference():
 
 # --- Leibniz product property against an independent in-test expansion -----
 
-def _leibniz(a: Jet, b: Jet) -> Jet:
-    n = a.n
-    out = Jet(n, 2, a.value * b.value)
-    out.grad = np.zeros(n)
-    out.hess = np.zeros((n, n))
+def _leibniz(a, b):
+    """(value, grad, hess) of the product of two order-2 jets, by loops."""
+    n = len(a.grad)
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
     for i in range(n):
-        out.grad[i] = a.grad[i] * b.value + a.value * b.grad[i]
+        grad[i] = a.grad[i] * b.value + a.value * b.grad[i]
         for j in range(n):
-            out.hess[i, j] = (
+            hess[i, j] = (
                 a.hess[i, j] * b.value
                 + a.grad[i] * b.grad[j]
                 + a.grad[j] * b.grad[i]
                 + a.value * b.hess[i, j]
             )
-    return out
+    return a.value * b.value, grad, hess
 
 
 def test_sum_rule_is_componentwise():
@@ -201,9 +202,65 @@ def test_product_rule_against_naive_expansion():
         na, nb = parse(fa, CHART), parse(fb, CHART)
         ja, jb = eval_jet(na, point), eval_jet(nb, point)
         product = eval_jet(Binary("mul", na, nb), point)
-        expected = _leibniz(ja, jb)
-        scale = 1.0 + abs(expected.value)
-        assert abs(product.value - expected.value) <= 1e-12 * scale
-        assert np.allclose(product.grad, expected.grad, rtol=1e-12, atol=1e-12)
-        assert np.allclose(product.hess, expected.hess, rtol=1e-12, atol=1e-11)
+        value, grad, hess = _leibniz(ja, jb)
+        scale = 1.0 + abs(value)
+        assert abs(product.value - value) <= 1e-12 * scale
+        assert np.allclose(product.grad, grad, rtol=1e-12, atol=1e-12)
+        assert np.allclose(product.hess, hess, rtol=1e-12, atol=1e-11)
         pairs += 1
+
+
+# --- symbolic oracle ---------------------------------------------------------
+
+def test_engine_matches_sympy_derivatives_on_random_asts():
+    # exact partials, so value, gradient and Hessian agree with sympy's
+    # symbolic derivatives evaluated to 30 digits
+    sp = pytest.importorskip("sympy")
+    from test_expr import _random_ast
+
+    from tensor_invariants.expr import Const, Unary, Var
+
+    symbols = sp.symbols("u v w")
+    functions = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "ln": sp.log, "sqrt": sp.sqrt}
+    arithmetic = {
+        "add": operator.add,
+        "sub": operator.sub,
+        "mul": operator.mul,
+        "div": operator.truediv,
+    }
+
+    def to_sympy(node):
+        if isinstance(node, Const):
+            return sp.Rational(node.value)
+        if isinstance(node, Var):
+            return symbols[node.index]
+        if isinstance(node, Unary):
+            arg = to_sympy(node.arg)
+            return -arg if node.op == "neg" else functions[node.op](arg)
+        if node.op == "pow":
+            return to_sympy(node.left) ** sp.Rational(node.right.value)
+        return arithmetic[node.op](to_sympy(node.left), to_sympy(node.right))
+
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 200:
+        node = _random_ast(rng, 4)
+        point = tuple(rng.uniform(0.5, 2.0, 3))
+        try:
+            jet = eval_jet(node, point, order=2)
+        except DomainError:
+            continue
+        expr = to_sympy(node)
+        subs = {x: sp.Rational(c) for x, c in zip(symbols, point)}
+
+        def at_point(e):
+            return float(e.evalf(30, subs=subs))
+
+        want = [at_point(expr)]
+        want += [at_point(expr.diff(x)) for x in symbols]
+        want += [at_point(expr.diff(x, y)) for x in symbols for y in symbols]
+        want = np.array(want)
+        got = np.concatenate([[jet.value], jet.grad, jet.hess.ravel()])
+        close = np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))
+        assert close.all(), print_expr(node, CHART)
+        checked += 1

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tensor_invariants import geometry, jets, tensor
+from tensor_invariants import geometry, tensor
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import thomas, weyl
@@ -114,16 +114,15 @@ def test_verify_fplanar_work_counts(monkeypatch):
     points = job.points()
     assert len(points) == 20
 
-    jetted = Counter()
-    eval_jet = jets.eval_jet
+    runs = Counter()
+    run_program = tensor.run_program
 
-    def counting_eval_jet(node, point, order=2):
-        jetted[(id(node), tuple(point), order)] += 1
-        return eval_jet(node, point, order)
+    def counting_run(program, point, order):
+        runs[(id(program), tuple(point), order)] += 1
+        return run_program(program, point, order)
 
-    # the recursion inside jets and the entry point used by TensorField
-    monkeypatch.setattr(jets, "eval_jet", counting_eval_jet)
-    monkeypatch.setattr(tensor, "eval_jet", counting_eval_jet)
+    # the interpreter as TensorField calls it
+    monkeypatch.setattr(tensor, "run_program", counting_run)
 
     provided = Counter()
     summed = Counter()
@@ -147,14 +146,14 @@ def test_verify_fplanar_work_counts(monkeypatch):
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) == 13
 
-    # each (entry node, point, order) is jetted at most once
-    assert jetted and max(jetted.values()) == 1
+    # each (entry program, point, order) is run at most once
+    assert runs and max(runs.values()) == 1
     # every entry of the metric (order 2) and of F and sigma (order 1) was
-    # jetted at every point, so the count above measured real work
+    # run at every point, so the count above measured real work
     for field, order in ((job.metric, 2), (mapping.F, 1), (mapping.sigma, 1)):
-        for node in field.entries:
+        for program in field.programs:
             for point in points:
-                assert jetted[(id(node), tuple(point), order)] == 1
+                assert runs[(id(program), tuple(point), order)] == 1
     # each space computes its connection once per point, and the target's
     # sum reads the source's memoised connection: the metric provider runs
     # once per point
