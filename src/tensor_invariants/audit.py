@@ -6,6 +6,9 @@ invariance assertion), measures it against this implementation, and records a
 verdict: ``confirmed`` (agreement to rounding), ``discrepancy`` (the printed
 claim fails numerically; the measurement quantifies by how much), or
 ``info``.  Findings are reported whether the residuals are zero or not.
+
+A sweep over sample points evaluates its objects once on the points as one
+batch (``tensor.PointBatch``) and takes the maximum over it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .mappings import (
     verify_invariance,
 )
 from .sampling import random_connection_space, random_mapping, random_omega_spec
-from .tensor import scale_field
+from .tensor import PointBatch, scale_field
 
 __all__ = ["Finding", "run_paper_audit", "findings_to_json"]
 
@@ -71,6 +74,11 @@ def findings_to_json(findings: list[Finding]) -> str:
 
 def _fmt(x: float) -> float:
     return float(x)
+
+
+def _largest(array) -> float:
+    """Largest absolute entry."""
+    return float(np.max(np.abs(array)))
 
 
 def _christoffel_table_finding(space, chart, points) -> Finding:
@@ -114,11 +122,9 @@ def _christoffel_table_finding(space, chart, points) -> Finding:
 
 
 def _curvature_flat_finding(space, points) -> Finding:
-    riemann, ric = curvature(space), ricci(space)
-    worst = ric_worst = 0.0
-    for p in points:
-        worst = max(worst, float(np.max(np.abs(riemann(p)))))
-        ric_worst = max(ric_worst, float(np.max(np.abs(ric(p)[0]))))
+    batch = PointBatch(points)
+    worst = _largest(curvature(space)(batch))
+    ric_worst = _largest(ricci(space)(batch)[0])
     return Finding(
         id="example-curvature-cases",
         claim=(
@@ -138,22 +144,21 @@ def _curvature_flat_finding(space, points) -> Finding:
 
 
 def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
-    worst_table = 0.0
-    worst_trace = 0.0
-    for point in points:
-        F = affinor.value(point)
-        s = sigma.value(point)
-        calF = calF_jet(affinor, sigma, point)[0]
-        sigma3 = s[2]
-        table = np.zeros((3, 3, 3))
-        for i in range(3):
-            table[i, 2, i] = F[i, i] * sigma3
-            table[i, i, 2] = F[i, i] * sigma3
-        table[2, 2, 2] = 2.0 * F[2, 2] * sigma3
-        worst_table = max(worst_table, float(np.max(np.abs(calF - table))))
-        trace = nu_jet(affinor, sigma, point)[0]
-        closed = np.array([np.trace(F) * s[j] + F[j, j] * s[j] for j in range(3)])
-        worst_trace = max(worst_trace, float(np.max(np.abs(trace - closed))))
+    batch = PointBatch(points)
+    F = affinor.value(batch)
+    s = sigma.value(batch)
+    calF = calF_jet(affinor, sigma, batch)[0]
+    sigma3 = s[:, 2]
+    table = np.zeros(calF.shape)
+    for i in range(3):
+        table[:, i, 2, i] = F[:, i, i] * sigma3
+        table[:, i, i, 2] = F[:, i, i] * sigma3
+    table[:, 2, 2, 2] = 2.0 * F[:, 2, 2] * sigma3
+    worst_table = _largest(calF - table)
+    trace = nu_jet(affinor, sigma, batch)[0]
+    tr = F[:, 0, 0] + F[:, 1, 1] + F[:, 2, 2]
+    closed = np.stack([tr * s[:, j] + F[:, j, j] * s[:, j] for j in range(3)], axis=1)
+    worst_trace = _largest(trace - closed)
     spot = {
         "calF_3_33_at_(1,2,3)": _fmt(2.0 * 3.0 * math.log(15.0)),
         "calF_1_13_at_(1,2,3)": _fmt(math.sin(1.0) * math.log(15.0)),
@@ -172,12 +177,12 @@ def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
 
 def _omega_square_finding(chart, rng, points) -> Finding:
     worst = 0.0
+    batch = PointBatch(points[:3])
     for _ in range(50):
         spec = random_omega_spec(chart, rng)
-        for point in points[:3]:
-            w = omega(spec, point)
-            direct = np.einsum("ajm,ian->ijmn", w, w)
-            worst = max(worst, float(np.max(np.abs(direct - omega_square_expanded(spec, point)))))
+        w = omega(spec, batch)
+        direct = np.einsum("...ajm,...ian->...ijmn", w, w)
+        worst = max(worst, _largest(direct - omega_square_expanded(spec, batch)))
     return Finding(
         id="omega-square-expansion",
         claim="term-by-term expansion of omega^a_{jm} omega^i_{an}",
@@ -188,13 +193,13 @@ def _omega_square_finding(chart, rng, points) -> Finding:
 
 def _weyl_modes_finding(chart, rng, points) -> Finding:
     worst = 0.0
+    batch = PointBatch(points[:3])
     for _ in range(10):
         space = random_connection_space(chart, rng)
         spec = random_omega_spec(chart, rng)
-        for point in points[:3]:
-            direct = basic_weyl(space, spec, MODE_DIRECT)(point)
-            structured = basic_weyl(space, spec, MODE_STRUCTURED)(point)
-            worst = max(worst, float(np.max(np.abs(direct - structured))))
+        direct = basic_weyl(space, spec, MODE_DIRECT)(batch)
+        structured = basic_weyl(space, spec, MODE_STRUCTURED)(batch)
+        worst = max(worst, _largest(direct - structured))
     return Finding(
         id="basic-weyl-direct-vs-structured",
         claim="the zeta/D regrouping of the basic Weyl invariant equals the direct substitution",
@@ -206,16 +211,14 @@ def _weyl_modes_finding(chart, rng, points) -> Finding:
 def _correlation_finding(chart, rng, points) -> Finding:
     worst_t = 0.0
     worst_w = 0.0
+    batch = PointBatch(points[:2])
     for _ in range(10):
         space = random_connection_space(chart, rng)
         spec = random_omega_spec(chart, rng)
         chain = derived_weyl_chain(space, spec)
-        for point in points[:2]:
-            worst_t = max(
-                worst_t,
-                float(np.max(np.abs(derived_thomas_correlation_residual(space, spec)(point)))),
-            )
-            worst_w = max(worst_w, float(np.max(np.abs(chain.correlation_residual(point)))))
+        residual = derived_thomas_correlation_residual(space, spec)(batch)
+        worst_t = max(worst_t, _largest(residual))
+        worst_w = max(worst_w, _largest(chain.correlation_residual(batch)))
     return Finding(
         id="correlation-identities",
         claim="derived invariants relate to the classical Thomas parameter and Weyl tensor by the printed correlation identities",
@@ -241,11 +244,11 @@ def _derived_thomas_general_s_finding(chart, rng, points) -> Finding:
         ),
         "unit": (derived_thomas(space, unit_src), derived_thomas(target, unit_tgt)),
     }
-    worst = dict.fromkeys(evaluators, 0.0)
-    for point in points[:5]:
-        for key, (eval_src, eval_tgt) in evaluators.items():
-            gap = float(np.max(np.abs(eval_src(point) - eval_tgt(point))))
-            worst[key] = max(worst[key], gap)
+    batch = PointBatch(points[:5])
+    worst = {
+        key: _largest(eval_src(batch) - eval_tgt(batch))
+        for key, (eval_src, eval_tgt) in evaluators.items()
+    }
     return Finding(
         id="derived-thomas-s1-coefficient",
         claim="the derived Thomas invariant (outer trace coefficient s1/(N+1)) is invariant for arbitrary s",
@@ -296,10 +299,8 @@ def _weyl_first_sign_finding(chart, rng, points) -> Finding:
     space = random_connection_space(chart, rng)
     spec = random_omega_spec(chart, rng, SValues(1.0, 0.5, -0.7))
     chain = derived_weyl_chain(space, spec)
-    gap = max(
-        float(np.max(np.abs(chain.first_printed(p) - chain.first_corrected(p))))
-        for p in points[:4]
-    )
+    batch = PointBatch(points[:4])
+    gap = _largest(chain.first_printed(batch) - chain.first_corrected(batch))
     return Finding(
         id="weyl-first-stage-trace-sign",
         claim="sign of the delta-weighted D^a_{a[..]} trace terms in the first chained Weyl invariant",
@@ -323,16 +324,13 @@ def _fplanar_readings_finding(example_space, fspec, points, convention) -> Findi
         for label, scale in (("-sigma", -1.0), ("+sigma", 1.0), ("3sigma", 3.0))
     }
     keys = ("thomas", "wbasic", "wderived")
-    worst = {label: dict.fromkeys(keys, 0.0) for label in tgt_sets}
-    # point-major, so the spaces' last-point memos hit across the readings
-    for p in points[:6]:
-        for label, tgt_set in tgt_sets.items():
-            for key in keys:
-                gap = float(np.max(np.abs(src_set[key](p) - tgt_set[key](p))))
-                worst[label][key] = max(worst[label][key], gap)
+    # one batch, so the spaces' last-batch memos hit across the readings
+    batch = PointBatch(points[:6])
     readings = {
-        f"target_sigma={label}": {key: _fmt(worst[label][key]) for key in keys}
-        for label in tgt_sets
+        f"target_sigma={label}": {
+            key: _largest(src_set[key](batch) - tgt_set[key](batch)) for key in keys
+        }
+        for label, tgt_set in tgt_sets.items()
     }
     return Finding(
         id="fplanar-invariance-readings",
@@ -360,11 +358,10 @@ def _fplanar_reduction_findings(example_space, fspec, points) -> list[Finding]:
     gen_zeta = zeta(example_space, spec)
     gen_dee = dee(example_space, spec)
     gen_weyl = basic_weyl(example_space, spec, MODE_STRUCTURED)
-    zeta_gap = dee_gap = wbasic_gap = 0.0
-    for p in points[:6]:
-        zeta_gap = max(zeta_gap, float(np.max(np.abs(printed["zeta"](p) - gen_zeta(p)))))
-        dee_gap = max(dee_gap, float(np.max(np.abs(printed["dee"](p) - gen_dee(p)))))
-        wbasic_gap = max(wbasic_gap, float(np.max(np.abs(printed["wbasic"](p) - gen_weyl(p)))))
+    batch = PointBatch(points[:6])
+    zeta_gap = _largest(printed["zeta"](batch) - gen_zeta(batch))
+    dee_gap = _largest(printed["dee"](batch) - gen_dee(batch))
+    wbasic_gap = _largest(printed["wbasic"](batch) - gen_weyl(batch))
     return [
         Finding(
             id="fplanar-zeta-reduction",

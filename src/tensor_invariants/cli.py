@@ -6,7 +6,9 @@ the paper audit.  Index bases in configs and outputs are 1-based; internal
 storage is 0-based, converted only here.
 
 Exit codes: 0 success, 1 config error, 2 math or domain error,
-3 verification failure (some invariant discrepancy above tolerance).
+3 verification failure (some invariant discrepancy above tolerance).  A
+reader that closes stdout early (``| head -1``) does not change the code:
+the rest of the output is dropped and the command runs to its end.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -109,6 +112,16 @@ def _resolve_points(args, job: JobConfig) -> list[tuple]:
     return points
 
 
+def _emit(text: str, end: str = "\n") -> None:
+    """Write `text` to stdout at once; if the reader has gone, send this and
+    all later output (the interpreter's last flush too) to the null device."""
+    try:
+        sys.stdout.write(text + end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 # --- table rendering ---------------------------------------------------------
 
 def _rows(points, arrays):
@@ -167,11 +180,11 @@ def _emit_tables(args, job, objects, points) -> None:
             (out_dir / f"{name}.csv").write_text(_csv_text(job, len(variance), rows))
             (out_dir / f"{name}.json").write_text(_json_text(job, name, variance, points, arrays))
         if args.format == "csv":
-            sys.stdout.write(_csv_text(job, len(variance), rows))
+            _emit(_csv_text(job, len(variance), rows), end="")
         elif args.format == "json":
-            print(_json_text(job, name, variance, points, arrays))
+            _emit(_json_text(job, name, variance, points, arrays))
         else:
-            print(_text_table(name, rows))
+            _emit(_text_table(name, rows))
 
 
 # --- commands ----------------------------------------------------------------
@@ -239,7 +252,7 @@ def _run_verify(args, job) -> int:
         tol=tol,
         convention=args.ricci_convention,
     )
-    print(report.to_text())
+    _emit(report.to_text())
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,9 +268,9 @@ def _run_audit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "audit-findings.json"
     out_path.write_text(text)
-    print(f"paper audit: {len(findings)} findings -> {out_path}")
+    _emit(f"paper audit: {len(findings)} findings -> {out_path}")
     for finding in findings:
-        print(f"  [{finding.verdict:11s}] {finding.id}: {finding.claim}")
+        _emit(f"  [{finding.verdict:11s}] {finding.id}: {finding.claim}")
     return 0
 
 
@@ -273,7 +286,7 @@ def main(argv=None) -> int:
                 out_dir = Path(args.out)
                 out_dir.mkdir(parents=True, exist_ok=True)
                 (out_dir / "example-r3.json").write_text(text + "\n")
-            print(text)
+            _emit(text)
             return 0
         if args.command == "audit-paper":
             return _run_audit(args)

@@ -24,6 +24,11 @@ antisymmetric in (m, n).  Two Ricci contractions are supported: LAST
 (``R_jm = R^a_{jma}``, the default) and MIDDLE (``R_jm = R^a_{jam}``).  The
 shipped default is the one under which the geodesic-mapping invariance of the
 projective Weyl tensor verifies numerically.
+
+Every evaluator and array kernel takes one point or a ``tensor.PointBatch``
+and then carries a leading batch axis (``L[..., i, j, k]``), with each
+point's result bit-identical to its evaluation alone (see ``tensor``).  A
+space remembers its connection jet for the last point or batch only.
 """
 
 from __future__ import annotations
@@ -31,7 +36,16 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Chart
-from .tensor import LastPointMemo, PointField, TensorField, add_fields, zero_field
+from .tensor import (
+    LastPointMemo,
+    PointField,
+    TensorField,
+    add_fields,
+    batch_shape,
+    contract,
+    identity,
+    zero_field,
+)
 
 __all__ = [
     "SingularMetricError",
@@ -66,12 +80,27 @@ class SingularMetricError(Exception):
         )
 
 
-class _MetricConnection:
-    """Christoffel symbols of the second kind, assembled pointwise.
+def _inverse(g: np.ndarray):
+    """Inverse and 1-norm condition number of a metric, or of each metric in
+    a stack (inf where one is singular; the inverse is then None)."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        if g.ndim == 2:
+            return None, np.inf
+        return None, np.array([_inverse(matrix)[1] for matrix in g])
+    # the condition number comes from the inverse needed anyway
+    cond = np.linalg.norm(g, 1, axis=(-2, -1)) * np.linalg.norm(ginv, 1, axis=(-2, -1))
+    return ginv, cond
 
-    The inverse metric is computed numerically per point (LU with partial
-    pivoting via numpy.linalg); entries stay symbolic, jets are taken only
-    at requested points.
+
+class _MetricConnection:
+    """Christoffel symbols of the second kind, assembled at a point or a
+    batch of points.
+
+    The inverse metric is computed numerically (LU with partial pivoting via
+    numpy.linalg, one matrix at a time in a batch); entries stay symbolic,
+    jets are taken only at requested points.
     """
 
     def __init__(self, metric: TensorField):
@@ -79,23 +108,21 @@ class _MetricConnection:
 
     def jets(self, point):
         g, dg, d2g = self.metric.jet2(point)
-        try:
-            ginv = np.linalg.inv(g)
-            # 1-norm condition number, from the inverse needed anyway
-            cond = np.linalg.norm(g, 1) * np.linalg.norm(ginv, 1)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if not cond <= _COND_MAX:
-            raise SingularMetricError(point, cond)
+        ginv, cond = _inverse(g)
+        singular = np.logical_not(cond <= _COND_MAX)  # NaN is singular too
+        if np.any(singular):
+            if not batch_shape(point):
+                raise SingularMetricError(point, cond)
+            first = int(np.argmax(singular))
+            raise SingularMetricError(point.array[first].tolist(), cond[first])
         # dginv[a,b,n] = -ginv dg ginv
-        dginv = -np.einsum("ac,cdn,db->abn", ginv, dg, ginv)
+        dginv = -contract("adn,db->abn", contract("ac,cdn->adn", ginv, dg), ginv)
         # bracket[l,j,k] = dg[l,k,j] + dg[l,j,k] - dg[j,k,l]
-        bracket = dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1)
-        gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, bracket)
-        dbracket = d2g.transpose(0, 2, 1, 3) + d2g - d2g.transpose(2, 0, 1, 3)
+        bracket = np.swapaxes(dg, -2, -1) + dg - np.moveaxis(dg, -1, -3)
+        gamma = 0.5 * contract("il,ljk->ijk", ginv, bracket)
+        dbracket = np.swapaxes(d2g, -3, -2) + d2g - np.moveaxis(d2g, -2, -4)
         dgamma = 0.5 * (
-            np.einsum("iln,ljk->ijkn", dginv, bracket)
-            + np.einsum("il,ljkn->ijkn", ginv, dbracket)
+            contract("iln,ljk->ijkn", dginv, bracket) + contract("il,ljkn->ijkn", ginv, dbracket)
         )
         return gamma, dgamma
 
@@ -115,10 +142,10 @@ class _SumConnection:
 
 class Space:
     """Chart plus connection; immutable, with the connection jet of the last
-    point remembered.
+    point or batch remembered.
 
-    `provider` maps a point to the symmetric coefficients and their first
-    partials there.
+    `provider` maps a point (or a ``tensor.PointBatch``) to the symmetric
+    coefficients and their first partials there.
     """
 
     def __init__(self, chart: Chart, provider, torsion=None, origin: str = "given-connection"):
@@ -129,7 +156,7 @@ class Space:
 
     @property
     def _cache(self) -> dict:
-        """Point -> (coefficients, partials); holds the last point only."""
+        """Point or batch -> (coefficients, partials); holds the last one only."""
         return self._connection_jet.cache
 
     @classmethod
@@ -170,7 +197,7 @@ class Space:
     def torsion(self, point) -> np.ndarray:
         n = self.dim
         if self._torsion is None:
-            return np.zeros((n, n, n))
+            return np.zeros(batch_shape(point) + (n, n, n))
         return self._torsion.value(point)
 
     def deformed(self, deformation, torsion_delta=None, origin: str = "mapped") -> "Space":
@@ -197,15 +224,15 @@ def symmetrize_connection(coefficients) -> tuple[PointField, PointField]:
     def sym_fn(point):
         value, grad = coefficients.jet(point)
         return (
-            0.5 * (value + value.transpose(0, 2, 1)),
-            0.5 * (grad + grad.transpose(0, 2, 1, 3)),
+            0.5 * (value + np.swapaxes(value, -2, -1)),
+            0.5 * (grad + np.swapaxes(grad, -3, -2)),
         )
 
     def torsion_fn(point):
         value, grad = coefficients.jet(point)
         return (
-            0.5 * (value - value.transpose(0, 2, 1)),
-            0.5 * (grad - grad.transpose(0, 2, 1, 3)),
+            0.5 * (value - np.swapaxes(value, -2, -1)),
+            0.5 * (grad - np.swapaxes(grad, -3, -2)),
         )
 
     return PointField(chart, "ull", sym_fn), PointField(chart, "ull", torsion_fn)
@@ -214,16 +241,16 @@ def symmetrize_connection(coefficients) -> tuple[PointField, PointField]:
 def covariant_derivative_arrays(
     value: np.ndarray, grad: np.ndarray, variance: str, conn: np.ndarray
 ) -> np.ndarray:
-    """t_{...|n} from entry values, entry partials and connection values."""
-    rank = value.ndim
-    letters = _LETTERS[:rank]
+    """t_{...|n} from entry values, entry partials and connection values
+    (one slot per variance flag after any batch axes)."""
+    letters = _LETTERS[: len(variance)]
     out = grad.copy()
     for slot, flag in enumerate(variance):
         inner = letters[:slot] + "z" + letters[slot + 1 :]
         if flag == "u":
-            out += np.einsum(f"{letters[slot]}zn,{inner}->{letters}n", conn, value)
+            out += contract(f"{letters[slot]}zn,{inner}->{letters}n", conn, value)
         else:
-            out -= np.einsum(f"z{letters[slot]}n,{inner}->{letters}n", conn, value)
+            out -= contract(f"z{letters[slot]}n,{inner}->{letters}n", conn, value)
     return out
 
 
@@ -243,9 +270,14 @@ def cov_deriv(field, space: Space):
     return evaluate
 
 
+def _alt(t: np.ndarray) -> np.ndarray:
+    """t minus t with its last two slots swapped."""
+    return t - np.swapaxes(t, -1, -2)
+
+
 def curvature_arrays(conn: np.ndarray, dconn: np.ndarray) -> np.ndarray:
-    quad = np.einsum("ajm,ian->ijmn", conn, conn)
-    return dconn - dconn.transpose(0, 1, 3, 2) + quad - quad.transpose(0, 1, 3, 2)
+    quad = np.einsum("...ajm,...ian->...ijmn", conn, conn)
+    return _alt(dconn) + _alt(quad)
 
 
 def curvature(space: Space):
@@ -260,9 +292,9 @@ def curvature(space: Space):
 
 def ricci_arrays(riemann: np.ndarray, convention: str = RICCI_LAST) -> np.ndarray:
     if convention == RICCI_LAST:
-        return np.einsum("ajma->jm", riemann)
+        return np.einsum("...ajma->...jm", riemann)
     if convention == RICCI_MIDDLE:
-        return np.einsum("ajam->jm", riemann)
+        return np.einsum("...ajam->...jm", riemann)
     raise ValueError(f"unknown Ricci convention {convention!r}")
 
 
@@ -272,16 +304,16 @@ def ricci(space: Space, convention: str = RICCI_LAST):
 
     def evaluate(point):
         ric = ricci_arrays(riemann(point), convention)
-        return ric, ric - ric.T
+        return ric, _alt(ric)
 
     return evaluate
 
 
 def thomas_arrays(conn: np.ndarray) -> np.ndarray:
-    n = conn.shape[0]
-    trace = np.einsum("aja->j", conn)
-    delta = np.eye(n)
-    correction = np.einsum("ik,j->ijk", delta, trace) + np.einsum("ij,k->ijk", delta, trace)
+    n = conn.shape[-1]
+    trace = np.einsum("...aja->...j", conn)
+    delta = identity(n)
+    correction = contract("ik,j->ijk", delta, trace) + contract("ij,k->ijk", delta, trace)
     return conn - correction / (n + 1)
 
 
@@ -294,13 +326,17 @@ def thomas(space: Space):
     return evaluate
 
 
+def delta_bracket(t: np.ndarray) -> np.ndarray:
+    """delta^i_m t_jn - delta^i_n t_jm, for a 2-tensor t (batch axes first)."""
+    delta = identity(t.shape[-1])
+    return contract("im,jn->ijmn", delta, t) - contract("in,jm->ijmn", delta, t)
+
+
 def weyl_arrays(riemann: np.ndarray, ric: np.ndarray) -> np.ndarray:
-    n = riemann.shape[0]
-    delta = np.eye(n)
-    ric_alt = ric - ric.T
-    out = riemann + np.einsum("ij,mn->ijmn", delta, ric_alt) / (n + 1)
-    bracket_a = np.einsum("im,jn->ijmn", delta, ric) - np.einsum("in,jm->ijmn", delta, ric)
-    bracket_b = np.einsum("im,nj->ijmn", delta, ric) - np.einsum("in,mj->ijmn", delta, ric)
+    n = riemann.shape[-1]
+    out = riemann + contract("ij,mn->ijmn", identity(n), _alt(ric)) / (n + 1)
+    bracket_a = delta_bracket(ric)
+    bracket_b = delta_bracket(np.swapaxes(ric, -1, -2))
     return out + (n * bracket_a + bracket_b) / (n * n - 1)
 
 
@@ -321,10 +357,6 @@ def riemannian_weyl(space: Space, convention: str = RICCI_LAST):
 
     def evaluate(point) -> np.ndarray:
         r = riemann(point)
-        ric = ricci_arrays(r, convention)
-        n = r.shape[0]
-        delta = np.eye(n)
-        bracket = np.einsum("im,jn->ijmn", delta, ric) - np.einsum("in,jm->ijmn", delta, ric)
-        return r + bracket / (n - 1)
+        return r + delta_bracket(ricci_arrays(r, convention)) / (r.shape[-1] - 1)
 
     return evaluate

@@ -21,6 +21,10 @@ conventionally printed (``first_printed``) and a re-derived variant
 two differ by 2/(N^2-1) times delta-weighted traces D^a_{a[..]}; the
 invariance verifier and the audit report measure which of the two is actually
 invariant under general mappings.
+
+Every builder and evaluator takes one point or a ``tensor.PointBatch`` and
+then gives arrays with a leading batch axis, each point's entries
+bit-identical to its evaluation alone (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -33,13 +37,15 @@ from .expr import Chart
 from .geometry import (
     RICCI_LAST,
     Space,
+    _alt,
     covariant_derivative_arrays,
     curvature_arrays,
+    delta_bracket,
     ricci_arrays,
     thomas_arrays,
     weyl_arrays,
 )
-from .tensor import LastPointMemo, zero_field
+from .tensor import LastPointMemo, batch_shape, contract, identity, zero_field
 
 __all__ = [
     "SValues",
@@ -131,13 +137,13 @@ class OmegaSpec:
 
 def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A^i_j v_k + A^i_k v_j; calF is _pair(F, sigma)."""
-    half = np.einsum("ij,k->ijk", A, v)
-    return half + half.transpose(0, 2, 1)
+    half = contract("ij,k->ijk", A, v)
+    return half + np.swapaxes(half, -1, -2)
 
 
 def _nu(F: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """nu_j = calF^a_{ja} = tr(F) sigma_j + F^a_j sigma_a."""
-    return np.trace(F) * sigma + F.T @ sigma
+    return contract(",j->j", contract("aa->", F), sigma) + contract("aj,a->j", F, sigma)
 
 
 def calF_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +151,8 @@ def calF_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
     from an affinor field and a 1-form field."""
     Fv, dF = F.jet(point)
     sv, ds = sigma.jet(point)
-    half = np.einsum("ijn,k->ijkn", dF, sv) + np.einsum("ij,kn->ijkn", Fv, ds)
-    return _pair(Fv, sv), half + half.transpose(0, 2, 1, 3)
+    half = contract("ijn,k->ijkn", dF, sv) + contract("ij,kn->ijkn", Fv, ds)
+    return _pair(Fv, sv), half + np.swapaxes(half, -3, -2)
 
 
 def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
@@ -155,19 +161,19 @@ def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
     Fv, dF = F.jet(point)
     sv, ds = sigma.jet(point)
     grad = (
-        np.einsum("aan,j->jn", dF, sv)
-        + np.trace(Fv) * ds
-        + np.einsum("ajn,a->jn", dF, sv)
-        + np.einsum("aj,an->jn", Fv, ds)
+        contract("aan,j->jn", dF, sv)
+        + contract(",jn->jn", contract("aa->", Fv), ds)
+        + contract("ajn,a->jn", dF, sv)
+        + contract("aj,an->jn", Fv, ds)
     )
     return _nu(Fv, sv), grad
 
 
 def _omega_value(s: SValues, rho, calF, phi, sigma2) -> np.ndarray:
     s1, s2, s3 = s.as_tuple()
-    out = s1 * _pair(np.eye(len(rho)), rho)
+    out = s1 * _pair(identity(rho.shape[-1]), rho)
     out += s2 * calF
-    out += s3 * np.einsum("jk,i->ijk", sigma2, phi)
+    out += s3 * contract("jk,i->ijk", sigma2, phi)
     return out
 
 
@@ -183,12 +189,12 @@ def omega_jet(spec: OmegaSpec, point) -> tuple[np.ndarray, np.ndarray]:
     phi, dphi = spec.phi.jet(point)
     sigma2, dsigma2 = spec.sigma2.jet(point)
     calF, dcalF = calF_jet(spec.F, spec.sigma, point)
-    delta = np.eye(spec.chart.dim)
+    delta = identity(spec.chart.dim)
     value = _omega_value(spec.s, rho, calF, phi, sigma2)
-    grad = s1 * (np.einsum("ij,kn->ijkn", delta, drho) + np.einsum("ik,jn->ijkn", delta, drho))
+    grad = s1 * (contract("ij,kn->ijkn", delta, drho) + contract("ik,jn->ijkn", delta, drho))
     grad += s2 * dcalF
     grad += s3 * (
-        np.einsum("jkn,i->ijkn", dsigma2, phi) + np.einsum("jk,in->ijkn", sigma2, dphi)
+        contract("jkn,i->ijkn", dsigma2, phi) + contract("jk,in->ijkn", sigma2, dphi)
     )
     return value, grad
 
@@ -201,48 +207,47 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     """
     s1, s2, s3 = spec.s.as_tuple()
     rho, sigma, F, phi, sigma2 = spec.values(point)
-    n = spec.chart.dim
-    delta = np.eye(n)
-    F2 = F @ F
-    FTr = F.T @ rho  # F^a_j rho_a
-    FTs = F.T @ sigma  # F^a_j sigma_a
-    Sp = sigma2 @ phi  # sigma_{ja} phi^a
-    FS = np.einsum("am,an->mn", F, sigma2)  # F^a_m sigma_{an}
-    rho_phi = float(rho @ phi)
-    sigma_phi = float(sigma @ phi)
-    Fphi = F @ phi
+    delta = identity(spec.chart.dim)
+    F2 = contract("ia,aj->ij", F, F)
+    FTr = contract("aj,a->j", F, rho)  # F^a_j rho_a
+    FTs = contract("aj,a->j", F, sigma)  # F^a_j sigma_a
+    Sp = contract("ja,a->j", sigma2, phi)  # sigma_{ja} phi^a
+    FS = contract("am,an->mn", F, sigma2)  # F^a_m sigma_{an}
+    rho_phi = contract("a,a->", rho, phi)
+    sigma_phi = contract("a,a->", sigma, phi)
+    Fphi = contract("ia,a->i", F, phi)
 
-    out = s1 * s1 * np.einsum("ij,m,n->ijmn", delta, rho, rho)
-    out += s1 * s1 * np.einsum("im,j,n->ijmn", delta, rho, rho)
-    coeff_n = 2.0 * s1 * s1 * np.einsum("j,m->jm", rho, rho)
-    coeff_n += s1 * s2 * (np.einsum("m,j->jm", FTr, sigma) + np.einsum("j,m->jm", FTr, sigma))
-    coeff_n += s1 * s3 * sigma2 * rho_phi
-    out += np.einsum("in,jm->ijmn", delta, coeff_n)
+    out = s1 * s1 * contract("ij,m,n->ijmn", delta, rho, rho)
+    out += s1 * s1 * contract("im,j,n->ijmn", delta, rho, rho)
+    coeff_n = 2.0 * s1 * s1 * contract("j,m->jm", rho, rho)
+    coeff_n += s1 * s2 * (contract("m,j->jm", FTr, sigma) + contract("j,m->jm", FTr, sigma))
+    coeff_n += s1 * s3 * contract("jm,->jm", sigma2, rho_phi)
+    out += contract("in,jm->ijmn", delta, coeff_n)
     out += s2 * s2 * (
-        np.einsum("in,m,j->ijmn", F, FTs, sigma)
-        + np.einsum("in,j,m->ijmn", F, FTs, sigma)
-        + np.einsum("im,j,n->ijmn", F2, sigma, sigma)
-        + np.einsum("ij,m,n->ijmn", F2, sigma, sigma)
+        contract("in,m,j->ijmn", F, FTs, sigma)
+        + contract("in,j,m->ijmn", F, FTs, sigma)
+        + contract("im,j,n->ijmn", F2, sigma, sigma)
+        + contract("ij,m,n->ijmn", F2, sigma, sigma)
     )
-    out += s3 * s3 * np.einsum("jm,n,i->ijmn", sigma2, Sp, phi)
+    out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
     out += s1 * s2 * (
-        np.einsum("in,j,m->ijmn", F, rho, sigma)
-        + np.einsum("in,m,j->ijmn", F, rho, sigma)
-        + np.einsum("im,j,n->ijmn", F, rho, sigma)
-        + np.einsum("im,n,j->ijmn", F, rho, sigma)
-        + np.einsum("ij,m,n->ijmn", F, rho, sigma)
-        + np.einsum("ij,n,m->ijmn", F, rho, sigma)
+        contract("in,j,m->ijmn", F, rho, sigma)
+        + contract("in,m,j->ijmn", F, rho, sigma)
+        + contract("im,j,n->ijmn", F, rho, sigma)
+        + contract("im,n,j->ijmn", F, rho, sigma)
+        + contract("ij,m,n->ijmn", F, rho, sigma)
+        + contract("ij,n,m->ijmn", F, rho, sigma)
     )
     out += s1 * s3 * (
-        np.einsum("mn,j,i->ijmn", sigma2, rho, phi)
-        + np.einsum("jn,m,i->ijmn", sigma2, rho, phi)
-        + np.einsum("jm,n,i->ijmn", sigma2, rho, phi)
+        contract("mn,j,i->ijmn", sigma2, rho, phi)
+        + contract("jn,m,i->ijmn", sigma2, rho, phi)
+        + contract("jm,n,i->ijmn", sigma2, rho, phi)
     )
     out += s2 * s3 * (
-        np.einsum("j,mn,i->ijmn", sigma, FS, phi)
-        + np.einsum("m,jn,i->ijmn", sigma, FS, phi)
-        + sigma_phi * np.einsum("in,jm->ijmn", F, sigma2)
-        + np.einsum("i,n,jm->ijmn", Fphi, sigma, sigma2)
+        contract("j,mn,i->ijmn", sigma, FS, phi)
+        + contract("m,jn,i->ijmn", sigma, FS, phi)
+        + contract(",in,jm->ijmn", sigma_phi, F, sigma2)
+        + contract("i,n,jm->ijmn", Fphi, sigma, sigma2)
     )
     return out
 
@@ -264,7 +269,7 @@ def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
     def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         if s1 == 0.0:
-            return np.zeros((spec.chart.dim,) * 2)
+            return np.zeros(batch_shape(point) + (spec.chart.dim,) * 2)
         rho, drho = spec.rho.jet(point)
         sigma = spec.sigma.value(point)
         F = spec.F.value(point)
@@ -272,10 +277,10 @@ def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
         sigma2 = spec.sigma2.value(point)
         conn = conn_space.connection(point)
         rho_cov = covariant_derivative_arrays(rho, drho, "l", conn)
-        FTr = F.T @ rho
-        out = s1 * rho_cov + s1 * s1 * np.outer(rho, rho)
-        out += s1 * s2 * (np.outer(FTr, sigma) + np.outer(sigma, FTr))
-        out += s1 * s3 * sigma2 * float(rho @ phi)
+        FTr = contract("ai,a->i", F, rho)
+        out = s1 * rho_cov + s1 * s1 * contract("i,j->ij", rho, rho)
+        out += s1 * s2 * (contract("i,j->ij", FTr, sigma) + contract("i,j->ij", sigma, FTr))
+        out += s1 * s3 * contract("ij,->ij", sigma2, contract("a,a->", rho, phi))
         return out
 
     return LastPointMemo(evaluate)
@@ -288,43 +293,40 @@ def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
     def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
+        out = np.zeros(batch_shape(point) + (n,) * 4)
         if s2 == 0.0 and s3 == 0.0:
-            return np.zeros((n,) * 4)
+            return out
         sigma = spec.sigma.value(point)
         F = spec.F.value(point)
         conn = conn_space.connection(point)
-        out = np.zeros((n,) * 4)
         if s2 != 0.0:
-            FTs = F.T @ sigma
-            F2 = F @ F
+            FTs = contract("aj,a->j", F, sigma)
+            F2 = contract("ia,aj->ij", F, F)
             out += s2 * s2 * (
-                np.einsum("in,m,j->ijmn", F, FTs, sigma)
-                + np.einsum("in,j,m->ijmn", F, FTs, sigma)
-                + np.einsum("im,j,n->ijmn", F2, sigma, sigma)
+                contract("in,m,j->ijmn", F, FTs, sigma)
+                + contract("in,j,m->ijmn", F, FTs, sigma)
+                + contract("im,j,n->ijmn", F2, sigma, sigma)
             )
             calF, dcalF = calF_jet(spec.F, spec.sigma, point)
             out -= s2 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
         if s3 != 0.0:
             phi, dphi = spec.phi.jet(point)
             sigma2, dsigma2 = spec.sigma2.jet(point)
-            Sp = sigma2 @ phi
-            out += s3 * s3 * np.einsum("jm,n,i->ijmn", sigma2, Sp, phi)
-            sphi = np.einsum("jm,i->ijm", sigma2, phi)
-            dsphi = np.einsum("jmn,i->ijmn", dsigma2, phi) + np.einsum(
-                "jm,in->ijmn", sigma2, dphi
-            )
+            Sp = contract("ja,a->j", sigma2, phi)
+            out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
+            sphi = contract("jm,i->ijm", sigma2, phi)
+            dsphi = contract("jmn,i->ijmn", dsigma2, phi) + contract("jm,in->ijmn", sigma2, dphi)
             out -= s3 * covariant_derivative_arrays(sphi, dsphi, "ull", conn)
         if s2 != 0.0 and s3 != 0.0:
             phi = spec.phi.value(point)
             sigma2 = spec.sigma2.value(point)
-            FS = np.einsum("am,an->mn", F, sigma2)
-            sigma_phi = float(sigma @ phi)
-            Fphi = F @ phi
+            FS = contract("am,an->mn", F, sigma2)
+            Fphi = contract("ia,a->i", F, phi)
             out += s2 * s3 * (
-                np.einsum("j,mn,i->ijmn", sigma, FS, phi)
-                + np.einsum("m,jn,i->ijmn", sigma, FS, phi)
-                - sigma_phi * np.einsum("im,jn->ijmn", F, sigma2)
-                - np.einsum("i,m,jn->ijmn", Fphi, sigma, sigma2)
+                contract("j,mn,i->ijmn", sigma, FS, phi)
+                + contract("m,jn,i->ijmn", sigma, FS, phi)
+                - contract(",im,jn->ijmn", contract("a,a->", sigma, phi), F, sigma2)
+                - contract("i,m,jn->ijmn", Fphi, sigma, sigma2)
             )
         return out
 
@@ -354,20 +356,15 @@ def basic_weyl(
     def evaluate(point) -> np.ndarray:
         conn, dconn = space.connection_jet(point)
         riemann = curvature_arrays(conn, dconn)
-        n = conn.shape[0]
-        delta = np.eye(n)
         if mode == MODE_DIRECT:
             w, dw = omega_jet(spec, point)
             w_cov = covariant_derivative_arrays(w, dw, "ull", conn_space.connection(point))
-            quad = np.einsum("ajm,ian->ijmn", w, w)
-            out = riemann - w_cov + w_cov.transpose(0, 1, 3, 2)
-            return out + quad - quad.transpose(0, 1, 3, 2)
+            quad = np.einsum("...ajm,...ian->...ijmn", w, w)
+            return riemann - _alt(w_cov) + _alt(quad)
         z = zeta_eval(point)
-        d = dee_eval(point)
-        out = riemann - np.einsum("ij,mn->ijmn", delta, z - z.T)
-        out -= np.einsum("im,jn->ijmn", delta, z)
-        out += np.einsum("in,jm->ijmn", delta, z)
-        return out + d - d.transpose(0, 1, 3, 2)
+        out = riemann - contract("ij,mn->ijmn", identity(conn.shape[-1]), _alt(z))
+        out -= delta_bracket(z)
+        return out + _alt(dee_eval(point))
 
     return evaluate
 
@@ -376,7 +373,7 @@ def _thomas_trace_term(spec: OmegaSpec, point) -> np.ndarray:
     """s2 nu_k + s3 sigma_{ka} phi^a."""
     _, s2, s3 = spec.s.as_tuple()
     nu = _nu(spec.F.value(point), spec.sigma.value(point))
-    return s2 * nu + s3 * (spec.sigma2.value(point) @ spec.phi.value(point))
+    return s2 * nu + s3 * contract("ka,a->k", spec.sigma2.value(point), spec.phi.value(point))
 
 
 def derived_thomas(space: Space, spec: OmegaSpec):
@@ -391,15 +388,15 @@ def derived_thomas(space: Space, spec: OmegaSpec):
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
         conn = space.connection(point)
-        trace = np.einsum("aja->j", conn)
+        trace = np.einsum("...aja->...j", conn)
         reduced = trace - _thomas_trace_term(spec, point)
         sigma = spec.sigma.value(point)
         F = spec.F.value(point)
         phi = spec.phi.value(point)
         sigma2 = spec.sigma2.value(point)
-        out = conn - (s1 / (n + 1)) * _pair(np.eye(n), reduced)
+        out = conn - (s1 / (n + 1)) * _pair(identity(n), reduced)
         out -= s2 * _pair(F, sigma)
-        out -= s3 * np.einsum("jk,i->ijk", sigma2, phi)
+        out -= s3 * contract("jk,i->ijk", sigma2, phi)
         return out
 
     return evaluate
@@ -422,8 +419,8 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
         bterm = _thomas_trace_term(spec, point)
         rhs = s1 * t_classical + (1.0 - s1) * conn
         rhs -= s2 * _pair(F, sigma)
-        rhs -= s3 * np.einsum("jk,i->ijk", sigma2, phi)
-        rhs += (s1 / (n + 1)) * _pair(np.eye(n), bterm)
+        rhs -= s3 * contract("jk,i->ijk", sigma2, phi)
+        rhs += (s1 / (n + 1)) * _pair(identity(n), bterm)
         return derived(point) - rhs
 
     return evaluate
@@ -461,26 +458,21 @@ def derived_weyl_chain(
         ric = ricci_arrays(riemann, convention)
         classical = weyl_arrays(riemann, ric)
         d = dee_eval(point)
-        d_alt = d - d.transpose(0, 1, 3, 2)
         # D^a_{a[mn]} and D^a_{j[ma]}
-        dtrace = np.einsum("aamn->mn", d)
-        dtrace_alt = dtrace - dtrace.T
-        dmix = np.einsum("ajma->jm", d) - np.einsum("ajam->jm", d)
-        return classical, d_alt, dtrace_alt, dmix
+        dtrace_alt = _alt(np.einsum("...aamn->...mn", d))
+        dmix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
+        return classical, _alt(d), dtrace_alt, dmix
 
-    # shared by the four stages, so each point assembles them once
+    # shared by the four stages, so each point or batch assembles them once
     pieces = LastPointMemo(pieces_at)
 
     def first(point, trace_sign: float) -> np.ndarray:
         classical, d_alt, dtrace_alt, dmix = pieces(point)
-        n = classical.shape[0]
-        delta = np.eye(n)
+        n = classical.shape[-1]
         out = classical + d_alt
-        out -= np.einsum("ij,mn->ijmn", delta, dtrace_alt) / (n + 1)
+        out -= contract("ij,mn->ijmn", identity(n), dtrace_alt) / (n + 1)
         bracket_m = (n + 1) * dmix + trace_sign * dtrace_alt
-        out += np.einsum("im,jn->ijmn", delta, bracket_m) / (n * n - 1)
-        out -= np.einsum("in,jm->ijmn", delta, bracket_m) / (n * n - 1)
-        return out
+        return out + delta_bracket(bracket_m) / (n * n - 1)
 
     def first_printed(point) -> np.ndarray:
         return first(point, trace_sign=-1.0)
@@ -490,13 +482,7 @@ def derived_weyl_chain(
 
     def second(point) -> np.ndarray:
         classical, d_alt, _, dmix = pieces(point)
-        n = classical.shape[0]
-        delta = np.eye(n)
-        out = classical + d_alt
-        out += (
-            np.einsum("im,jn->ijmn", delta, dmix) - np.einsum("in,jm->ijmn", delta, dmix)
-        ) / (n - 1)
-        return out
+        return classical + d_alt + delta_bracket(dmix) / (classical.shape[-1] - 1)
 
     def final(point) -> np.ndarray:
         classical, d_alt, _, _ = pieces(point)
@@ -506,7 +492,6 @@ def derived_weyl_chain(
         conn, dconn = space.connection_jet(point)
         riemann = curvature_arrays(conn, dconn)
         classical = weyl_arrays(riemann, ricci_arrays(riemann, convention))
-        d = dee_eval(point)
-        return final(point) - (classical + d - d.transpose(0, 1, 3, 2))
+        return final(point) - (classical + _alt(dee_eval(point)))
 
     return WeylChain(first_printed, first_corrected, second, final, correlation_residual)

@@ -13,6 +13,13 @@ carried as None and cost no array work.  Order 2 is the most the library
 needs (second partials of a metric give the first partials of its
 Christoffel symbols); every other field is jetted to order 1.
 
+The same interpreter runs a program over a ``(P, N)`` array of points, the
+Taylor arithmetic vectorised over a leading point axis: values ``(P,)``,
+gradients ``(P, N)``, Hessians ``(P, N, N)``.  Scalar maps keep their float
+rules, applied to each point in turn (numpy's ``exp``/``log``/``power`` can
+differ from ``math`` by an ulp), so each point's channels are bit-identical
+to a run at that point alone.
+
 Derivatives of a scalar map are formed only up to the requested order, so a
 lower-order jet never fails on a derivative it does not carry (the order-1
 jet of ``u^1.5`` at u = 0 is fine; its order-2 jet is singular).  Floats
@@ -60,36 +67,60 @@ def compile_program(node: Expr) -> tuple:
 
 def run_program(program: tuple, point, order: int):
     """Run `program` at `point`: the value at order 0, else the channels up
-    to the order, ``(value, grad)`` or ``(value, grad, hess)``."""
+    to the order, ``(value, grad)`` or ``(value, grad, hess)``.
+
+    `point` is one point (N coordinates), or a ``(P, N)`` array of points;
+    then the channels are ``(P,)``, ``(P, N)`` and ``(P, N, N)`` arrays, each
+    row bit-identical to a run at that row alone: the Taylor arithmetic is
+    elementwise, and scalar maps (and the reciprocal inside ``div``) apply
+    the float rules below to each row in turn.  A batch that fails raises
+    the ``DomainError`` of its first failing row, as a run at that row does.
+    """
+    if not (isinstance(point, np.ndarray) and point.ndim == 2):
+        return _run(program, point, order, ())
+    try:
+        return _run(program, point, order, point.shape[:1])
+    except DomainError:
+        for row in point.tolist():
+            _run(program, row, order, ())
+        raise
+
+
+def _run(program: tuple, point, order: int, batch: tuple):
     stack: list = []
     if order == 0:
         for code, arg, node in program:
             if code == "const":
                 stack.append(arg)
             elif code == "var":
-                stack.append(float(point[arg]))
+                stack.append(point[:, arg] if batch else float(point[arg]))
             elif code == "map":
-                stack[-1] = arg(stack[-1], node, 0)[0]
+                stack[-1] = _each(arg, stack[-1], node, 0)[0]
             elif code == "neg":
                 stack[-1] = -stack[-1]
             else:
                 b = stack.pop()
-                stack[-1] = _apply_binary(code, stack[-1], b, node)
-        return stack[0]
+                if code != "div":
+                    stack[-1] = _apply_binary(code, stack[-1], b, node)
+                elif np.any(b == 0.0):
+                    raise DomainError("division by zero", node)
+                else:
+                    stack[-1] = stack[-1] / b
+        return np.broadcast_to(stack[0], batch) if batch else stack[0]
 
     push, pop = stack.append, stack.pop
-    n = len(point)
+    n = point.shape[1] if batch else len(point)
     second = order == 2
     for code, arg, node in program:
         if code == "var":
-            grad = np.zeros(n)
-            grad[arg] = 1.0
-            push((float(point[arg]), grad, None))
+            grad = np.zeros(batch + (n,))
+            grad[..., arg] = 1.0
+            push((point[:, arg] if batch else float(point[arg]), grad, None))
         elif code == "const":
             push((arg, None, None))
         elif code == "map":
             a, ga, ha = pop()
-            push(_chain(arg(a, node, order), ga, ha, second))
+            push(_chain(_each(arg, a, node, order), ga, ha, second))
         elif code == "mul":
             b, a = pop(), pop()
             push(_product(a, b, a[0] * b[0], second))
@@ -101,9 +132,9 @@ def run_program(program: tuple, point, order: int):
             push((a - b, _minus(ga, gb), _minus(ha, hb)))
         elif code == "div":
             (b, gb, hb), a = pop(), pop()
-            if b == 0.0:
+            if np.any(b == 0.0):
                 raise DomainError("division by zero", node)
-            reciprocal = _chain(_pow_derivatives(-1.0, b, node, order), gb, hb, second)
+            reciprocal = _chain(_each(_reciprocal, b, node, order), gb, hb, second)
             push(_product(a, reciprocal, a[0] / b, second))
         elif code == "neg":
             a, ga, ha = pop()
@@ -111,14 +142,38 @@ def run_program(program: tuple, point, order: int):
         else:
             raise ValueError(f"unknown binary op {code!r}")
     value, grad, hess = stack[0]
+    if batch and not isinstance(value, np.ndarray):
+        value = np.full(batch, value)
     if grad is None:
-        grad = np.zeros(n)
+        grad = np.zeros(batch + (n,))
     if not second:
         return value, grad
-    return value, grad, np.zeros((n, n)) if hess is None else hess
+    return value, grad, np.zeros(batch + (n, n)) if hess is None else hess
+
+
+def _each(rule, x, node: Expr, order: int):
+    """A scalar map's value and derivatives at `x`: a float, or each entry
+    of an array in turn (then one array per derivative)."""
+    if not isinstance(x, np.ndarray):
+        return rule(x, node, order)
+    return [np.array(c) for c in zip(*[rule(v, node, order) for v in x.tolist()])]
 
 
 # -- Taylor arithmetic on (value, grad, hess), None for a zero channel ---------
+# A value is a float or a (P,) array; _col and _sq line it up with the
+# derivative axes of (P, N) gradients and (P, N, N) Hessians.
+
+def _col(value):
+    return value[..., None] if isinstance(value, np.ndarray) else value
+
+
+def _sq(value):
+    return value[..., None, None] if isinstance(value, np.ndarray) else value
+
+
+def _outer(x, y):
+    return x[..., :, None] * y[..., None, :]
+
 
 def _plus(x, y):
     if x is None:
@@ -132,17 +187,17 @@ def _minus(x, y):
     return -y if x is None else x - y
 
 
-def _product(left, right, value: float, second: bool) -> tuple:
+def _product(left, right, value, second: bool) -> tuple:
     """Leibniz product; the caller gives the value channel."""
     (a, ga, ha), (b, gb, hb) = left, right
-    grad = _plus(None if ga is None else ga * b, None if gb is None else a * gb)
+    grad = _plus(None if ga is None else ga * _col(b), None if gb is None else _col(a) * gb)
     hess = None
     if second:
-        hess = None if ha is None else ha * b
+        hess = None if ha is None else ha * _sq(b)
         if ga is not None and gb is not None:
-            cross = ga[:, None] * gb
-            hess = _plus(hess, cross) + cross.T
-        hess = _plus(hess, None if hb is None else a * hb)
+            cross = _outer(ga, gb)
+            hess = _plus(hess, cross) + np.swapaxes(cross, -1, -2)
+        hess = _plus(hess, None if hb is None else _sq(a) * hb)
     return value, grad, hess
 
 
@@ -152,8 +207,8 @@ def _chain(f, grad, hess, second: bool) -> tuple:
         return f[0], None, None
     out = None
     if second:
-        out = _plus(f[2] * (grad[:, None] * grad), None if hess is None else f[1] * hess)
-    return f[0], f[1] * grad, out
+        out = _plus(_sq(f[2]) * _outer(grad, grad), None if hess is None else _sq(f[1]) * hess)
+    return f[0], _col(f[1]) * grad, out
 
 
 def _pow_derivatives(p: float, x: float, node: Expr, order: int) -> list[float]:
@@ -193,6 +248,9 @@ def _unary_derivatives(op: str, x: float, node: Expr, order: int) -> tuple[float
         inv = 0.5 / value
         derivs = (value, inv, -0.5 * inv / x)
     return derivs[: order + 1]
+
+
+_reciprocal = partial(_pow_derivatives, -1.0)
 
 
 def eval_jet(node: Expr, point, order: int = 2) -> Jet:

@@ -23,7 +23,10 @@ readings.
 
 Verification is pointwise-numeric at seeded pseudorandom points inside a box
 that avoids coordinate singularities; jet-exact derivatives make random-point
-sampling a sound falsifier of the field identities.
+sampling a sound falsifier of the field identities.  The verifier evaluates
+the points in blocks (``tensor.PointBatch``) whose size follows from a byte
+budget, and each point's discrepancy is bit-identical to its evaluation
+alone.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Chart
+from .expr import Chart, ExprError
 from .geometry import (
     RICCI_LAST,
+    SingularMetricError,
     Space,
+    _alt,
     covariant_derivative_arrays,
     curvature_arrays,
+    delta_bracket,
     ricci_arrays,
     thomas,
     weyl,
@@ -58,7 +64,15 @@ from .invariants import (
     nu_jet,
     omega_jet,
 )
-from .tensor import LastPointMemo, PointField, add_fields, scale_field
+from .tensor import (
+    LastPointMemo,
+    PointBatch,
+    PointField,
+    add_fields,
+    contract,
+    identity,
+    scale_field,
+)
 
 __all__ = [
     "MappingSpec",
@@ -149,9 +163,9 @@ def _fplanar_deformation(f: FPlanarSpec, chart: Chart) -> PointField:
     def fn(point):
         psi, dpsi = f.psi.jet(point)
         calF, dcalF = calF_jet(f.F, f.sigma, point)
-        delta = np.eye(n)
-        value = np.einsum("ik,j->ijk", delta, psi) + np.einsum("ij,k->ijk", delta, psi)
-        grad = np.einsum("ik,jn->ijkn", delta, dpsi) + np.einsum("ij,kn->ijkn", delta, dpsi)
+        delta = identity(n)
+        value = contract("ik,j->ijk", delta, psi) + contract("ij,k->ijk", delta, psi)
+        grad = contract("ik,jn->ijkn", delta, dpsi) + contract("ij,kn->ijkn", delta, dpsi)
         return value + calF, grad + dcalF
 
     return PointField(chart, "ull", fn)
@@ -178,8 +192,8 @@ def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
 
     def fn(point):
         conn, dconn = space.connection_jet(point)
-        trace = np.einsum("aja->j", conn)
-        dtrace = np.einsum("ajan->jn", dconn)
+        trace = np.einsum("...aja->...j", conn)
+        dtrace = np.einsum("...ajan->...jn", dconn)
         nu, dnu = nu_jet(F, sigma, point)
         value = (trace + 0.5 * sign * nu) / (n + 1)
         grad = (dtrace + 0.5 * sign * dnu) / (n + 1)
@@ -214,10 +228,12 @@ def fplanar_recover(source: Space, target: Space, F, sigma, points, tol: float =
         conn_s, dconn_s = source.connection_jet(point)
         conn_t, dconn_t = target.connection_jet(point)
         nu, dnu = nu_jet(F, sigma, point)
-        value = (np.einsum("aja->j", conn_t) - np.einsum("aja->j", conn_s) - nu) / (n + 1)
-        grad = (np.einsum("ajan->jn", dconn_t) - np.einsum("ajan->jn", dconn_s) - dnu) / (
-            n + 1
-        )
+        value = (
+            np.einsum("...aja->...j", conn_t) - np.einsum("...aja->...j", conn_s) - nu
+        ) / (n + 1)
+        grad = (
+            np.einsum("...ajan->...jn", dconn_t) - np.einsum("...ajan->...jn", dconn_s) - dnu
+        ) / (n + 1)
         return value, grad
 
     psi = PointField(chart, "l", psi_fn)
@@ -254,17 +270,17 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     evaluated with its own sigma-field from the omega split.
     """
     n = space.dim
-    delta = np.eye(n)
-    # shared by the evaluators below, so each point assembles them once
+    delta = identity(n)
+    # shared by the evaluators below, so each point or batch assembles them once
     pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
 
     def thomas_eval(point) -> np.ndarray:
         conn, _, _, _, calF, _, nu, _ = pieces(point)
-        trace = np.einsum("aja->j", conn)
+        trace = np.einsum("...aja->...j", conn)
         reduced = trace - 0.5 * nu
         out = conn - 0.5 * calF
         out -= (
-            np.einsum("ij,k->ijk", delta, reduced) + np.einsum("ik,j->ijk", delta, reduced)
+            contract("ij,k->ijk", delta, reduced) + contract("ik,j->ijk", delta, reduced)
         ) / (n + 1)
         return out
 
@@ -274,15 +290,17 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
 
     def zeta_eval(point) -> np.ndarray:
         conn, dconn, Fv, sv, _, _, nu, dnu = pieces(point)
-        trace = np.einsum("aja->j", conn)
-        dtrace = np.einsum("ajan->jn", dconn)
+        trace = np.einsum("...aja->...j", conn)
+        dtrace = np.einsum("...ajan->...jn", dconn)
         trace_cov = covariant_derivative_arrays(trace, dtrace, "l", conn)
         nu_cov = covariant_derivative_arrays(nu, dnu, "l", conn)
-        FTA = Fv.T @ trace  # L^b_{ab} F^a_i
+        FTA = contract("ai,a->i", Fv, trace)  # L^b_{ab} F^a_i
         out = trace_cov / (n + 1)
-        out += np.outer(trace, trace) / ((n + 1) * (n + 1))
-        out += (np.outer(FTA, sv) + np.outer(sv, FTA)) / (2 * (n + 1))
-        out += (nu_cov + np.outer(trace, nu) + np.outer(nu, trace)) / (2 * (n + 1))
+        out += contract("i,j->ij", trace, trace) / ((n + 1) * (n + 1))
+        out += (contract("i,j->ij", FTA, sv) + contract("i,j->ij", sv, FTA)) / (2 * (n + 1))
+        out += (
+            nu_cov + contract("i,j->ij", trace, nu) + contract("i,j->ij", nu, trace)
+        ) / (2 * (n + 1))
         return out
 
     def wbasic_eval(point) -> np.ndarray:
@@ -290,10 +308,9 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         riemann = curvature_arrays(conn, dconn)
         ric = ricci_arrays(riemann, convention)
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
-        z = zeta_eval(point)
-        out = riemann + np.einsum("ij,mn->ijmn", delta, ric - ric.T) / (n + 1)
-        out -= 0.5 * (calF_cov - calF_cov.transpose(0, 1, 3, 2))
-        out -= np.einsum("im,jn->ijmn", delta, z) - np.einsum("in,jm->ijmn", delta, z)
+        out = riemann + contract("ij,mn->ijmn", delta, _alt(ric)) / (n + 1)
+        out -= 0.5 * _alt(calF_cov)
+        out -= delta_bracket(zeta_eval(point))
         return out
 
     def wderived_eval(point) -> np.ndarray:
@@ -301,7 +318,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         riemann = curvature_arrays(conn, dconn)
         w = weyl_arrays(riemann, ricci_arrays(riemann, convention))
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
-        return w - 0.5 * (calF_cov - calF_cov.transpose(0, 1, 3, 2))
+        return w - 0.5 * _alt(calF_cov)
 
     return {
         "thomas": thomas_eval,
@@ -466,15 +483,47 @@ def verify_invariance(
             raise ValueError(f"unknown invariants: {unknown}")
         names = list(invariants)
 
-    # point-major: every requested invariant at one point before the next
-    # point, so the last-point memos of fields, spaces and evaluators hit
+    # block-major: every requested invariant on one block of points before
+    # the next block, so the last-batch memos of fields, spaces and
+    # evaluators hit
     evaluators = [pairs[name] for name in names]
     per_row: list[list] = [[] for _ in names]
-    for point in points:
-        key = tuple(point)
-        for (eval_src, eval_tgt), rows in zip(evaluators, per_row):
-            disc = float(np.max(np.abs(eval_src(point) - eval_tgt(point))))
-            rows.append((key, disc))
+    size = block_size(source.dim)
+    for start in range(0, len(points), size):
+        block = points[start : start + size]
+        batch = PointBatch(block)
+        try:
+            discs = [_discrepancies(pair, batch) for pair in evaluators]
+        except (ExprError, SingularMetricError):
+            # one point at a time, so the error is the one the first failing
+            # point raises on its own
+            discs = [[] for _ in evaluators]
+            for point in block:
+                for pair, found in zip(evaluators, discs):
+                    found.extend(_discrepancies(pair, point))
+        for rows, found in zip(per_row, discs):
+            rows.extend((tuple(point), disc) for point, disc in zip(block, found))
     return InvarianceReport(
         [InvarianceRow(name, rows, tol) for name, rows in zip(names, per_row)], tol
     )
+
+
+# bytes that one block may give an array of N^4 doubles (a curvature-sized
+# array); the many such arrays alive at once during a block make up the
+# extra memory verify holds
+BLOCK_BYTES = 64 * 1024
+
+
+def block_size(dim: int) -> int:
+    """Points per verify block at chart dimension `dim`."""
+    return max(1, BLOCK_BYTES // (8 * dim**4))
+
+
+def _discrepancies(pair, point) -> list[float]:
+    """Per-point maximum absolute difference of the two evaluators at a
+    point or batch."""
+    eval_src, eval_tgt = pair
+    gap = np.abs(eval_src(point) - eval_tgt(point))
+    if isinstance(point, PointBatch):
+        return np.max(gap.reshape(len(point.array), -1), axis=1).tolist()
+    return [float(np.max(gap))]

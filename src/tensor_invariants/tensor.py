@@ -1,9 +1,19 @@
-"""Tensor fields over a chart: expression fields, point-function fields and
-the last-point memo they share.
+"""Tensor fields over a chart: expression fields, point-function fields, the
+last-batch memo they share and the batch-invariant contraction of their
+arrays.
 
 Storage is row-major with the index order as written in the formulas this
 package implements (contravariant slot first), derivative axes last.
 Variance is a string of ``'u'``/``'l'`` flags, one per slot.
+
+Every field, connection and invariant evaluator takes either one point (a
+sequence of N coordinates) or a :class:`PointBatch` of P points, and gives
+its arrays with a leading axis of length P in the second case: ``value`` is
+``(P, *shape)``, ``jet`` adds ``(P, *shape, N)`` and ``jet2`` ``(P, *shape,
+N, N)``.  The kernels are written so that a point's result is bit-identical
+whether it is evaluated alone or inside any batch: elementwise arithmetic,
+broadcasts for Kronecker-delta products, and sums over a contracted index
+taken in index order (:func:`contract`).
 
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
@@ -18,7 +28,7 @@ N/(N^2-1) + 1/(N^2-1) = 1/(N-1).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -28,6 +38,9 @@ from .jets import compile_program, run_program
 __all__ = [
     "TensorField",
     "PointField",
+    "PointBatch",
+    "batch_shape",
+    "contract",
     "zero_field",
     "scale_field",
     "add_fields",
@@ -36,36 +49,78 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# per-point memo
+# point batches and the last-batch memo
 # ---------------------------------------------------------------------------
 
-class LastPointMemo:
-    """A point function that remembers its result at the last point only.
+class PointBatch(tuple):
+    """P points of an N-dimensional chart, passed where one point would go.
 
-    The key is the point as an exact tuple of floats.  ``cache`` is a dict
-    holding at most that one entry, so memory stays bounded however many
-    points a run visits; a call at another point replaces the entry.  A
-    point-major loop evaluates everything it needs at one point before it
-    moves on, so one slot is enough for each object to be computed once per
-    point.  Arrays in a result (or in a result tuple) are made read-only:
-    a caller cannot alter what a later call at the same point returns.
+    It iterates as its P*N coordinates, row-major, so anything that reads a
+    point as a tuple of floats (the memo key below, a trace hook) reads a
+    batch the same way; ``array`` holds the coordinates as a read-only
+    ``(P, N)`` array.
     """
 
-    __slots__ = ("fn", "cache")
+    def __new__(cls, points):
+        array = np.array(points, dtype=float)
+        if array.ndim != 2:
+            raise ValueError("a point batch is a (P, N) array of coordinates")
+        self = super().__new__(cls, array.ravel().tolist())
+        array.flags.writeable = False
+        self.array = array
+        return self
+
+
+def batch_shape(point) -> tuple:
+    """``(P,)`` for a batch of P points, ``()`` for one point."""
+    return point.array.shape[:1] if isinstance(point, PointBatch) else ()
+
+
+def _memo_key(point):
+    if isinstance(point, PointBatch):
+        return point, point.array.shape
+    return tuple(map(float, point)), ()
+
+
+class LastPointMemo:
+    """A point function that remembers its result at the last point or
+    batch only.
+
+    The key is the point as an exact tuple of floats (a batch already is
+    one), and a batch is told from a single point by its shape, so one point
+    and a batch of one never share an entry.  ``cache`` is a dict holding at
+    most that one entry, so memory stays bounded however many points a run
+    visits; a call at another point or batch replaces the entry.  A loop
+    that evaluates everything it needs at one point or block before it moves
+    on needs no more than that one slot.  Arrays in a result (or in a result
+    tuple) are made read-only: a caller cannot alter what a later call at the
+    same point returns.
+    """
+
+    __slots__ = ("fn", "cache", "shape")
 
     def __init__(self, fn):
         self.fn = fn
         self.cache: dict = {}
+        self.shape = None
 
     def __call__(self, point):
-        key = tuple(map(float, point))
+        key, shape = _memo_key(point)
         cache = self.cache
-        if key in cache:
+        if shape == self.shape and key in cache:
             return cache[key]
         value = _read_only(self.fn(point))
         cache.clear()
         cache[key] = value
+        self.shape = shape
         return value
+
+    def held(self, point):
+        """The remembered result if it is for `point`, else None."""
+        if not self.cache:
+            return None
+        key, shape = _memo_key(point)
+        return self.cache.get(key) if shape == self.shape else None
 
 
 def _read_only(value):
@@ -75,6 +130,69 @@ def _read_only(value):
         for item in value:
             _read_only(item)
     return value
+
+
+# ---------------------------------------------------------------------------
+# batch-invariant contraction
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _contraction_plan(spec: str, ndims: tuple, size: int):
+    """Per operand, the axis order that puts its kept letters in output
+    order (summed letters last), and per term of the sum, the index that
+    takes each operand's slice and lines it up with the output."""
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    summed = set("".join(inputs)) - set(output)
+    if len(summed) > 1:
+        raise ValueError(f"contract sums over one index at most: {spec!r}")
+    letter = summed.pop() if summed else None
+    axes, expands, repeats = [], [], []
+    for letters, ndim in zip(inputs, ndims):
+        kept = sorted((c for c in letters if c != letter), key=output.index)
+        order = [letters.index(c) for c in kept] + [k for k, c in enumerate(letters) if c == letter]
+        lead = ndim - len(letters)
+        axis_order = tuple(range(lead)) + tuple(lead + k for k in order)
+        axes.append(None if axis_order == tuple(range(ndim)) else axis_order)
+        expands.append((Ellipsis,) + tuple(slice(None) if c in kept else None for c in output))
+        repeats.append(letters.count(letter) if letter else 0)
+    terms = range(size) if letter else (0,)
+    steps = tuple(
+        tuple(expand + (k,) * count for expand, count in zip(expands, repeats)) for k in terms
+    )
+    return tuple(axes), steps
+
+
+def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
+    """``einsum``-like product with at most one summed index, such as
+    ``contract("il,ljk->ijk", a, b)``.
+
+    The letters name each operand's trailing axes, all of the chart's
+    length; leading (batch) axes broadcast.  Products are formed left to
+    right by broadcasting and the summed index is accumulated in index
+    order, so every entry is the same sequence of float operations whatever
+    the batch around it.  A letter repeated in one operand takes the
+    diagonal (``"aa->"`` is the trace).
+    """
+    ndims = tuple([op.ndim for op in operands])
+    size = (operands[0] if ndims[0] else operands[1]).shape[-1]
+    axes, steps = _contraction_plan(spec, ndims, size)
+    ops = [op if order is None else op.transpose(order) for op, order in zip(operands, axes)]
+    out = None
+    for index in steps:
+        term = ops[0][index[0]]
+        for op, at in zip(ops[1:], index[1:]):
+            term = term * op[at]
+        out = term if out is None else out + term
+    return out
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The read-only N x N Kronecker delta."""
+    delta = np.eye(n)
+    delta.flags.writeable = False
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +239,13 @@ class TensorField:
         return self.entries[flat]
 
     def value(self, point) -> np.ndarray:
-        """Entry values (read-only, computed once per point)."""
+        """Entry values (read-only, computed once per point or batch).  When
+        the order-1 or order-2 memo holds the same point or batch, its value
+        channel, bit-identical to an order-0 run, is returned."""
+        for memo in (self._jet_memo, self._jet2_memo):
+            held = memo.held(point)
+            if held is not None:
+                return held[0]
         return self._value_memo(point)
 
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
@@ -144,21 +268,27 @@ class TensorField:
 
 
 def _entry_arrays(programs, shape, order, point):
-    """Entry values at order 0, else (value, grad[, hess]) with derivative
-    axes last.  Floats overflow to inf/NaN without raising, so a non-finite
-    value or derivative is caught here, naming its entry."""
-    if order:
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = [run_program(program, point, order) for program in programs]
-        channels = [np.array(c) for c in zip(*results)]
-    else:  # plain floats: no numpy warnings to silence
-        channels = [np.array([run_program(program, point, 0) for program in programs])]
+    """Entry values at order 0, else (value, grad[, hess]), with the batch
+    axis first and derivative axes last.  Floats overflow to inf/NaN without
+    raising, so a non-finite value or derivative is caught here, naming its
+    entry (at the first point of a batch that has one)."""
+    lead = batch_shape(point)
+    coords = point.array if lead else point
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [run_program(program, coords, order) for program in programs]
+    channels = [np.array(c) for c in (zip(*results) if order else [results])]
     if not all(np.isfinite(c).all() for c in channels):
-        for program, entry in zip(programs, zip(*channels)):
-            if not all(np.isfinite(c).all() for c in entry):
-                # the last op of a program is its entry's root node
-                raise ex.DomainError("non-finite value or derivative", program[-1][2])
-    out = tuple(c.reshape(shape + c.shape[1:]) for c in channels)
+        finite = np.logical_and.reduce(
+            [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
+        )
+        bad = ~finite
+        entry = int(np.argmax(bad[:, np.argmax(bad.any(0))] if lead else bad))
+        # the last op of a program is its entry's root node
+        raise ex.DomainError("non-finite value or derivative", programs[entry][-1][2])
+    out = tuple(
+        (c.swapaxes(0, 1) if lead else c).reshape(lead + shape + c.shape[1 + len(lead) :])
+        for c in channels
+    )
     return out if order else out[0]
 
 
@@ -182,7 +312,8 @@ def zero_field(chart: ex.Chart, variance: str) -> PointField:
     shape = (n,) * len(variance)
 
     def fn(point):
-        return np.zeros(shape), np.zeros(shape + (n,))
+        lead = batch_shape(point)
+        return np.zeros(lead + shape), np.zeros(lead + shape + (n,))
 
     return PointField(chart, variance, fn)
 

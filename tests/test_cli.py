@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ import pytest
 from tensor_invariants import cli, geometry
 from tensor_invariants.cli import main
 from tensor_invariants.configs import BUILTIN_CONFIGS, ConfigError, JobConfig, builtin_config
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -375,3 +382,26 @@ def test_config_rejects_asymmetric_sigma2():
     }
     with pytest.raises(ConfigError, match="symmetric"):
         JobConfig.from_dict(base)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["example-r3"], 0), (["verify", "--config", "fplanar-demo"], 3)],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # a reader that has gone before the first write, as with `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tensor_invariants.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert done.stderr == ""

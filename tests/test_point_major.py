@@ -1,10 +1,11 @@
-"""Point-major verification with last-point memos.
+"""Block-major verification with last-batch memos.
 
-The verifier evaluates every invariant at one point before moving on, and
-fields, spaces and evaluators each remember their result at the last point.
-These tests pin the two things that can go wrong with that: a stale or
-shared memo entry (checked against a memo-free oracle, bit for bit) and
-work done more than once per point (checked by counting).
+The verifier evaluates every invariant on one block of points before moving
+on, and fields, spaces and evaluators each remember their result for the
+last point or block.  These tests pin the two things that can go wrong with
+that: a stale or shared memo entry (checked against a memo-free oracle, one
+point at a time, bit for bit) and work done more than once per point
+(checked by counting).
 """
 
 from collections import Counter
@@ -12,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tensor_invariants import geometry, tensor
+from tensor_invariants import geometry, mappings, tensor
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import thomas, weyl
@@ -109,16 +110,29 @@ def test_general_omega_verify_matches_memo_free_oracle(monkeypatch):
     _check_against_oracle(_omega_world, points, monkeypatch)
 
 
+def _rows(point):
+    """The points a call covers: the rows of a batch, or the one point."""
+    if isinstance(point, tensor.PointBatch):
+        return [tuple(row) for row in point.array.tolist()]
+    if isinstance(point, np.ndarray) and point.ndim == 2:
+        return [tuple(row) for row in point.tolist()]
+    return [tuple(point)]
+
+
 def test_verify_fplanar_work_counts(monkeypatch):
     job = builtin_config("fplanar-demo")
     points = job.points()
     assert len(points) == 20
+    # blocks of 8, 8 and 4 points
+    monkeypatch.setattr(mappings, "BLOCK_BYTES", 8 * 3**4 * 8)
+    assert mappings.block_size(3) == 8
 
     runs = Counter()
     run_program = tensor.run_program
 
     def counting_run(program, point, order):
-        runs[(id(program), tuple(point), order)] += 1
+        for row in _rows(point):
+            runs[(id(program), row, order)] += 1
         return run_program(program, point, order)
 
     # the interpreter as TensorField calls it
@@ -129,12 +143,18 @@ def test_verify_fplanar_work_counts(monkeypatch):
     metric_jets = geometry._MetricConnection.jets
     sum_jets = geometry._SumConnection.jets
 
+    calls = Counter()
+
     def counting_metric(self, point):
-        provided[tuple(point)] += 1
+        calls["metric"] += 1
+        for row in _rows(point):
+            provided[row] += 1
         return metric_jets(self, point)
 
     def counting_sum(self, point):
-        summed[tuple(point)] += 1
+        calls["sum"] += 1
+        for row in _rows(point):
+            summed[row] += 1
         return sum_jets(self, point)
 
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
@@ -146,8 +166,10 @@ def test_verify_fplanar_work_counts(monkeypatch):
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) == 13
 
-    # each (entry program, point, order) is run at most once
+    # each (entry program, point, order) is run at most once, and no value
+    # is run at order 0: each is read from the order-1 run of its block
     assert runs and max(runs.values()) == 1
+    assert {order for _, _, order in runs} == {1, 2}
     # every entry of the metric (order 2) and of F and sigma (order 1) was
     # run at every point, so the count above measured real work
     for field, order in ((job.metric, 2), (mapping.F, 1), (mapping.sigma, 1)):
@@ -156,10 +178,11 @@ def test_verify_fplanar_work_counts(monkeypatch):
                 assert runs[(id(program), tuple(point), order)] == 1
     # each space computes its connection once per point, and the target's
     # sum reads the source's memoised connection: the metric provider runs
-    # once per point
+    # once per point, in one call per block
     assert set(provided) == {tuple(p) for p in points}
     assert set(provided.values()) == {1}
     assert set(summed.values()) == {1}
+    assert calls == {"metric": 3, "sum": 3}
 
 
 def test_connection_cache_holds_last_point_only():
