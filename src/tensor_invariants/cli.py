@@ -171,10 +171,14 @@ def _emit_tables(args, job, objects, points) -> None:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for name, variance, evaluate in objects:
-        # one evaluation per (object, point): a second sweep would miss the
-        # last-point memos and recompute the connection
-        arrays = [np.asarray(evaluate(point)) for point in points]
+    # point-major, one evaluation per (object, point): every object at one
+    # point before the next, so the objects share the last-point memos and
+    # the connection is computed once per point
+    per_object = [[] for _ in objects]
+    for point in points:
+        for arrays, (_, _, evaluate) in zip(per_object, objects):
+            arrays.append(np.asarray(evaluate(point)))
+    for (name, variance, _), arrays in zip(objects, per_object):
         rows = _rows(points, arrays)
         if out_dir:
             (out_dir / f"{name}.csv").write_text(_csv_text(job, len(variance), rows))

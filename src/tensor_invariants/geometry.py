@@ -276,7 +276,7 @@ def _alt(t: np.ndarray) -> np.ndarray:
 
 
 def curvature_arrays(conn: np.ndarray, dconn: np.ndarray) -> np.ndarray:
-    quad = np.einsum("...ajm,...ian->...ijmn", conn, conn)
+    quad = contract("ajm,ian->ijmn", conn, conn)
     return _alt(dconn) + _alt(quad)
 
 

@@ -359,7 +359,7 @@ def basic_weyl(
         if mode == MODE_DIRECT:
             w, dw = omega_jet(spec, point)
             w_cov = covariant_derivative_arrays(w, dw, "ull", conn_space.connection(point))
-            quad = np.einsum("...ajm,...ian->...ijmn", w, w)
+            quad = contract("ajm,ian->ijmn", w, w)
             return riemann - _alt(w_cov) + _alt(quad)
         z = zeta_eval(point)
         out = riemann - contract("ij,mn->ijmn", identity(conn.shape[-1]), _alt(z))

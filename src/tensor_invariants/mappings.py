@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -339,10 +340,11 @@ class InvarianceRow:
     discrepancies: list[tuple[tuple, float]]
     tol: float
 
-    @property
+    @cached_property
     def max_discrepancy(self) -> float:
-        """Largest per-point discrepancy; NaN if any point gave NaN (np.max
-        propagates it, where the builtin max drops it after the first item)."""
+        """Largest per-point discrepancy, computed once per row; NaN if any
+        point gave NaN (np.max propagates it, where the builtin max drops it
+        after the first item)."""
         if not self.discrepancies:
             return 0.0
         return float(np.max([d for _, d in self.discrepancies]))
@@ -379,7 +381,37 @@ class InvarianceReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The text of ``json.dumps(self.to_dict(), indent=2)``, written
+        directly: ``indent`` selects json's pure-Python encoder, which costs
+        more than the verdict on a report of a few thousand points.  The rows
+        of a verify report share their point tuples, so each point's text is
+        formatted once; it is keyed by identity, since equal points may print
+        differently (0.0 and -0.0, 1 and 1.0)."""
+        point_text: dict = {}
+        rows = []
+        for row in self.rows:
+            head = [
+                f'      "name": {json.dumps(row.name)}',
+                f'      "max_discrepancy": {_json_number(row.max_discrepancy)}',
+                f'      "passed": {_json_number(row.passed)}',
+            ]
+            if not row.finite:
+                head.append('      "non_finite": true')
+            entries = []
+            for point, disc in row.discrepancies:
+                text = point_text.get(id(point))
+                if text is None:
+                    text = point_text[id(point)] = _json_list(point, " " * 10)
+                entries.append(
+                    f'        {{\n          "point": {text},\n'
+                    f'          "discrepancy": {_json_number(disc)}\n        }}'
+                )
+            head.append('      "points": ' + _json_block(entries, "      "))
+            rows.append("    {\n" + ",\n".join(head) + "\n    }")
+        return (
+            f'{{\n  "tol": {_json_number(self.tol)},\n  "passed": {_json_number(self.passed)},\n'
+            f'  "invariants": {_json_block(rows, "  ")}\n}}'
+        )
 
     def to_text(self) -> str:
         width = max((len(row.name) for row in self.rows), default=10)
@@ -390,6 +422,30 @@ class InvarianceReport:
             lines.append(f"{row.name.ljust(width)}  {worst}  {verdict}")
         lines.append(f"tolerance {self.tol:g}; overall {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+def _json_number(x) -> str:
+    """`x` as json writes it: a float by ``float.__repr__`` (a float
+    subclass such as np.float64 too), NaN and the infinities by name."""
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def _json_block(items: list, indent: str) -> str:
+    """A JSON list of already indented item texts, closed at `indent`."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _json_list(values, indent: str) -> str:
+    """A JSON list of numbers whose bracket opens at `indent`."""
+    return _json_block([indent + "  " + _json_number(x) for x in values], indent)
 
 
 def _row_dict(row: InvarianceRow) -> dict:
@@ -490,7 +546,7 @@ def verify_invariance(
     per_row: list[list] = [[] for _ in names]
     size = block_size(source.dim)
     for start in range(0, len(points), size):
-        block = points[start : start + size]
+        block = [tuple(point) for point in points[start : start + size]]
         batch = PointBatch(block)
         try:
             discs = [_discrepancies(pair, batch) for pair in evaluators]
@@ -502,7 +558,7 @@ def verify_invariance(
                 for pair, found in zip(evaluators, discs):
                     found.extend(_discrepancies(pair, point))
         for rows, found in zip(per_row, discs):
-            rows.extend((tuple(point), disc) for point, disc in zip(block, found))
+            rows.extend(zip(block, found))
     return InvarianceReport(
         [InvarianceRow(name, rows, tol) for name, rows in zip(names, per_row)], tol
     )

@@ -12,8 +12,10 @@ its arrays with a leading axis of length P in the second case: ``value`` is
 ``(P, *shape)``, ``jet`` adds ``(P, *shape, N)`` and ``jet2`` ``(P, *shape,
 N, N)``.  The kernels are written so that a point's result is bit-identical
 whether it is evaluated alone or inside any batch: elementwise arithmetic,
-broadcasts for Kronecker-delta products, and sums over a contracted index
-taken in index order (:func:`contract`).
+broadcasts for Kronecker-delta products, traces summed in index order, and
+for a contraction of two operands one BLAS call per point, of the same
+shape on C-contiguous operands, whether the point is alone or a row of a
+stacked ``np.matmul`` (:func:`contract`).
 
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
@@ -138,29 +140,63 @@ def _read_only(value):
 
 @lru_cache(maxsize=None)
 def _contraction_plan(spec: str, ndims: tuple, size: int):
-    """Per operand, the axis order that puts its kept letters in output
-    order (summed letters last), and per term of the sum, the index that
-    takes each operand's slice and lines it up with the output."""
+    """How :func:`contract` forms `spec` for operands of `ndims` dimensions.
+
+    A sum over a letter that appears once in each of two operands, with no
+    other letter repeated, is a matrix product: ``("matmul", axis order and
+    batch rank of the first operand, the same of the second, output rank,
+    output axis order)``.  The axis orders take the first operand to (batch,
+    kept, summed), the second to (batch, summed, kept), and the product's
+    (batch, kept of the first, kept of the second) to the output letters.
+
+    Anything else is ``("broadcast", axis orders, steps)``: per operand, the
+    axis order that puts its kept letters in output order (summed letters
+    last), and per term of the sum, the index that takes each operand's
+    slice and lines it up with the output.
+
+    An axis order that changes nothing is None."""
     inputs, output = spec.split("->")
     inputs = inputs.split(",")
     summed = set("".join(inputs)) - set(output)
     if len(summed) > 1:
         raise ValueError(f"contract sums over one index at most: {spec!r}")
     letter = summed.pop() if summed else None
+    leads = [ndim - len(letters) for letters, ndim in zip(inputs, ndims)]
+    kept = [sorted((c for c in letters if c != letter), key=output.index) for letters in inputs]
+
+    def order(lead, axes):
+        axes = tuple(range(lead)) + tuple(lead + k for k in axes)
+        return None if axes == tuple(range(len(axes))) else axes
+
+    joined = "".join(inputs)
+    if (
+        letter
+        and len(inputs) == 2
+        and all(letters.count(letter) == 1 for letters in inputs)
+        and len(set(joined)) == len(joined) - 1
+    ):
+        (first, second), (lead1, lead2) = inputs, leads
+        product = kept[0] + kept[1]
+        return (
+            "matmul",
+            order(lead1, [first.index(c) for c in kept[0] + [letter]]),
+            lead1,
+            order(lead2, [second.index(c) for c in [letter] + kept[1]]),
+            lead2,
+            len(output),
+            order(max(leads), [product.index(c) for c in output]),
+        )
     axes, expands, repeats = [], [], []
-    for letters, ndim in zip(inputs, ndims):
-        kept = sorted((c for c in letters if c != letter), key=output.index)
-        order = [letters.index(c) for c in kept] + [k for k, c in enumerate(letters) if c == letter]
-        lead = ndim - len(letters)
-        axis_order = tuple(range(lead)) + tuple(lead + k for k in order)
-        axes.append(None if axis_order == tuple(range(ndim)) else axis_order)
-        expands.append((Ellipsis,) + tuple(slice(None) if c in kept else None for c in output))
-        repeats.append(letters.count(letter) if letter else 0)
+    for letters, lead, keep in zip(inputs, leads, kept):
+        summed_axes = [k for k, c in enumerate(letters) if c == letter]
+        axes.append(order(lead, [letters.index(c) for c in keep] + summed_axes))
+        expands.append((Ellipsis,) + tuple(slice(None) if c in keep else None for c in output))
+        repeats.append(len(summed_axes))
     terms = range(size) if letter else (0,)
     steps = tuple(
         tuple(expand + (k,) * count for expand, count in zip(expands, repeats)) for k in terms
     )
-    return tuple(axes), steps
+    return "broadcast", tuple(axes), steps
 
 
 def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
@@ -168,15 +204,32 @@ def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
     ``contract("il,ljk->ijk", a, b)``.
 
     The letters name each operand's trailing axes, all of the chart's
-    length; leading (batch) axes broadcast.  Products are formed left to
-    right by broadcasting and the summed index is accumulated in index
-    order, so every entry is the same sequence of float operations whatever
-    the batch around it.  A letter repeated in one operand takes the
-    diagonal (``"aa->"`` is the trace).
+    length; leading (batch) axes broadcast.  A sum over a letter that
+    appears once in each of two operands is one ``np.matmul`` of stacked
+    matrices ``(..., X, z) @ (..., z, Y)``, X the first operand's kept
+    letters and Y the second's.  Both are made C-contiguous first, so a
+    point on its own and every row of a batch reach the same BLAS call with
+    the same shape and strides, and a point's entries are the same bits
+    whatever the batch around it.  Other specs (outer products, and a letter
+    repeated in one operand, which takes the diagonal: ``"aa->"`` is the
+    trace) are formed left to right by broadcasting, any sum accumulated in
+    index order.
     """
     ndims = tuple([op.ndim for op in operands])
     size = (operands[0] if ndims[0] else operands[1]).shape[-1]
-    axes, steps = _contraction_plan(spec, ndims, size)
+    kind, *plan = _contraction_plan(spec, ndims, size)
+    if kind == "matmul":
+        axes1, lead1, axes2, lead2, rank, out_axes = plan
+        first, second = operands
+        first = np.ascontiguousarray(first if axes1 is None else first.transpose(axes1))
+        second = np.ascontiguousarray(second if axes2 is None else second.transpose(axes2))
+        out = np.matmul(
+            first.reshape(first.shape[:lead1] + (-1, size)),
+            second.reshape(second.shape[:lead2] + (size, -1)),
+        )
+        out = out.reshape(out.shape[:-2] + (size,) * rank)
+        return out if out_axes is None else out.transpose(out_axes)
+    axes, steps = plan
     ops = [op if order is None else op.transpose(order) for op, order in zip(operands, axes)]
     out = None
     for index in steps:

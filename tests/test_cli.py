@@ -186,20 +186,23 @@ def test_csv_and_json_outputs_identical_values(tmp_path):
 
 
 def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
-    # text, CSV and JSON come from one evaluation per (object, point), so the
+    # text, CSV and JSON come from one evaluation per (object, point), and
+    # every object is evaluated at a point before the next point, so the
     # metric provider runs once per point
     evaluated = Counter()
-    tensor_objects = cli._tensor_objects
 
-    def counting_objects(args, job, command):
-        def counted(name, evaluate):
-            def wrapper(point):
-                evaluated[(name, tuple(point))] += 1
-                return evaluate(point)
+    def counting(make_objects):
+        def counting_objects(*args):
+            def counted(name, evaluate):
+                def wrapper(point):
+                    evaluated[(name, tuple(point))] += 1
+                    return evaluate(point)
 
-            return wrapper
+                return wrapper
 
-        return [(name, var, counted(name, ev)) for name, var, ev in tensor_objects(args, job, command)]
+            return [(name, var, counted(name, ev)) for name, var, ev in make_objects(*args)]
+
+        return counting_objects
 
     provided = Counter()
     metric_jets = geometry._MetricConnection.jets
@@ -208,19 +211,31 @@ def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
         provided[tuple(point)] += 1
         return metric_jets(self, point)
 
-    monkeypatch.setattr(cli, "_tensor_objects", counting_objects)
+    monkeypatch.setattr(cli, "_tensor_objects", counting(cli._tensor_objects))
+    monkeypatch.setattr(cli, "_invariant_objects", counting(cli._invariant_objects))
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
-    config = dict(BUILTIN_CONFIGS["example-r3"])
-    config["points"] = {"list": [[1.0, 2.0, 3.0], [1.5, 1.25, 2.0], [2.0, 1.0, 1.5]]}
-    path = tmp_path / "three.json"
-    path.write_text(json.dumps(config))
-    for fmt in ("text", "csv", "json"):
-        evaluated.clear()
-        provided.clear()
-        out = str(tmp_path / fmt)
-        assert run_cli("curvature", "--config", str(path), "--format", fmt, "--out", out) == 0
-        assert len(evaluated) == 3 and set(evaluated.values()) == {1}
-        assert len(provided) == 3 and set(provided.values()) == {1}
+    points = {"list": [[1.0, 2.0, 3.0], [1.5, 1.25, 2.0], [2.0, 1.0, 1.5]]}
+    paths = {}
+    for name in ("example-r3", "geodesic-demo"):
+        config = dict(BUILTIN_CONFIGS[name])
+        config["points"] = points
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
+    # command, config, objects per point
+    cases = [
+        ("curvature", "example-r3", 1),
+        ("ricci", "example-r3", 2),
+        ("invariants", "geodesic-demo", 7),
+    ]
+    for command, name, count in cases:
+        for fmt in ("text", "csv", "json"):
+            evaluated.clear()
+            provided.clear()
+            out = str(tmp_path / f"{command}-{fmt}")
+            argv = ("--config", str(paths[name]), "--format", fmt, "--out", out)
+            assert run_cli(command, *argv) == 0
+            assert len(evaluated) == 3 * count and set(evaluated.values()) == {1}, command
+            assert len(provided) == 3 and set(provided.values()) == {1}, command
 
 
 def test_ricci_emits_antisymmetric_part(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -312,6 +313,36 @@ def test_infinite_discrepancy_fails():
     assert not row.passed
     finite = InvarianceReport([InvarianceRow("y", [((0,), 0.0)], 1e-8)]).to_dict()
     assert "non_finite" not in finite["invariants"][0]
+
+
+def test_max_discrepancy_is_computed_once_per_row(monkeypatch):
+    calls = []
+    np_max = np.max
+    monkeypatch.setattr(np, "max", lambda *a, **k: calls.append(1) or np_max(*a, **k))
+    row = InvarianceRow("x", [((0,), 1e-9), ((1,), math.nan)], 1e-8)
+    report = InvarianceReport([row], 1e-8)
+    assert not row.passed and not row.finite
+    report.to_text(), report.to_dict(), report.to_json()
+    assert len(calls) == 1
+
+
+def test_report_json_is_json_dumps_of_the_dict(example_space, chart):
+    # NaN, both infinities and -0.0 among the discrepancies; int, float and
+    # np.float64 coordinates, and two equal points that print differently
+    shared = (1, np.float64(2.5), -0.0)
+    points = [shared, (0.0, 1.0, 3.0), (-0.0, 1.0, 3.0), (1.0, 1e-300, 2.5e20)]
+    rows = [
+        InvarianceRow("nan", list(zip(points, [math.nan, 0.0, -0.0, 1e-9])), 1e-8),
+        InvarianceRow("inf", list(zip(points, [math.inf, -math.inf, 3.0, 0.1])), 1e-8),
+        InvarianceRow('quoted "name" \u00e9', list(zip(points, [0.0, 1e-12, 2e-9, -0.0])), 1e-8),
+        InvarianceRow("empty", [], 1e-8),
+    ]
+    for report in (InvarianceReport(rows), InvarianceReport([], 1), InvarianceReport(rows[2:])):
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    mapping = geodesic_mapping(chart, ["1", "0", "0"])
+    target = apply_mapping(example_space, mapping)
+    report = verify_invariance(example_space, target, mapping, sample_points([[1, 2]] * 3, 5, 3))
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 
 def test_unknown_invariant_name_rejected(example_space, chart):

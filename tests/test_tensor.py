@@ -1,9 +1,14 @@
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tensor_invariants import geometry, tensor
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import weyl_arrays
-from tensor_invariants.tensor import TensorField
+from tensor_invariants.tensor import TensorField, contract
 
 CHART = Chart(("u", "v", "w"))
 
@@ -28,3 +33,119 @@ def test_field_entries_share_chart():
     assert np.allclose(field.value((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
     with pytest.raises(Exception):
         TensorField(CHART, "l", ["u", "q", "w"])
+
+
+# --- the contraction kernel --------------------------------------------------
+
+
+def _is_single_sum(spec):
+    """Two operands and one summed letter, once in each, no other letter
+    repeated: the specs that contract forms as one matrix product."""
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    joined = "".join(inputs)
+    summed = set(joined) - set(output)
+    return (
+        len(inputs) == 2
+        and len(summed) == 1
+        and all(letters.count(c) == 1 for letters in inputs for c in summed)
+        and len(set(joined)) == len(joined) - 1
+    )
+
+
+def _specs_used_in_src():
+    """Every single-sum spec that the package passes to contract: the literal
+    ones, and those covariant_derivative_arrays builds for ranks 1 to 3."""
+    package = Path(tensor.__file__).parent
+    specs = {
+        spec
+        for path in package.glob("*.py")
+        for spec in re.findall(r'contract\("([^"]+)"', path.read_text())
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            geometry, "contract", lambda spec, *ops: specs.add(spec) or contract(spec, *ops)
+        )
+        for rank in (1, 2, 3):
+            for flags in itertools.product("ul", repeat=rank):
+                shape = (2,) * rank
+                geometry.covariant_derivative_arrays(
+                    np.zeros(shape), np.zeros(shape + (2,)), "".join(flags), np.zeros((2, 2, 2))
+                )
+    return sorted(spec for spec in specs if _is_single_sum(spec))
+
+
+SINGLE_SUM_SPECS = _specs_used_in_src()
+
+
+def _laid_out(array, layout):
+    """The same values in C order, in reversed (Fortran) axis order, or as a
+    strided view into a larger buffer."""
+    if layout == "c":
+        return np.ascontiguousarray(array)
+    if layout == "f":
+        return np.asfortranarray(array)
+    wide = np.zeros(array.shape[:-1] + (2 * array.shape[-1],), dtype=array.dtype)
+    wide[..., ::2] = array
+    return wide[..., ::2]
+
+
+def _einsum_spec(spec):
+    inputs, output = spec.split("->")
+    return ",".join("..." + letters for letters in inputs.split(",")) + "->..." + output
+
+
+def test_single_sum_specs_found():
+    # the rank-3 covariant derivative and the quadratic curvature term among them
+    for spec in ("azn,zbc->abcn", "zbn,azc->abcn", "zcn,abz->abcn", "ajm,ian->ijmn"):
+        assert spec in SINGLE_SUM_SPECS
+    assert len(SINGLE_SUM_SPECS) >= 25
+
+
+@pytest.mark.parametrize("spec", SINGLE_SUM_SPECS)
+def test_contract_rows_are_lone_points_bit_for_bit(spec):
+    # each row of a batch gives the bits of the same point contracted alone,
+    # whatever the memory layout of either, and the values agree with einsum
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    letters = spec.split("->")[0].split(",")
+    layouts = ("c", "f", "sliced")
+    for n in range(2, 7):
+        for case, batch in enumerate((None, 1, 2, 7, 101)):
+            # which operand, if any, has no batch axis
+            bare = None if batch is None else (case + n) % 3
+            operands = []
+            for k, own in enumerate(letters):
+                lead = () if batch is None or bare == k else (batch,)
+                values = rng.standard_normal(lead + (n,) * len(own))
+                operands.append(_laid_out(values, layouts[(case + n + k) % 3]))
+            got = contract(spec, *operands)
+            want = np.einsum(_einsum_spec(spec), *operands)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(
+                1.0, np.max(np.abs(want), initial=0.0)
+            ), (n, batch)
+            if batch is None:
+                continue
+            for row in range(batch):
+                alone = [
+                    _laid_out(op if bare == k else op[row], layouts[(case + n + k + 1) % 3])
+                    for k, op in enumerate(operands)
+                ]
+                single = contract(spec, *alone)
+                assert single.shape == got.shape[1:]
+                assert single.tobytes() == got[row].tobytes(), (n, batch, row)
+
+
+@pytest.mark.parametrize("spec", SINGLE_SUM_SPECS)
+def test_contract_keeps_longdouble(spec):
+    rng = np.random.default_rng(5)
+    operands = [
+        rng.standard_normal((2,) + (3,) * len(own)).astype(np.longdouble)
+        for own in spec.split("->")[0].split(",")
+    ]
+    got = contract(spec, *operands)
+    assert got.dtype == np.longdouble
+    want = np.einsum(_einsum_spec(spec), *operands)
+    # summed in extended precision where longdouble has it, not in float64
+    tol = 64 * np.finfo(np.longdouble).eps
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
