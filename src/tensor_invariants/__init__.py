@@ -8,7 +8,6 @@ from .geometry import (
     SingularMetricError,
     Space,
     christoffel,
-    cov_deriv,
     curvature,
     ricci,
     riemannian_weyl,
@@ -30,6 +29,7 @@ from .invariants import (
     derived_weyl_chain,
     omega,
     omega_square_expanded,
+    reduced_space,
     zeta,
 )
 from .jets import Jet, eval_jet
@@ -40,9 +40,7 @@ from .mappings import (
     apply_mapping,
     fplanar_as_omega,
     fplanar_build,
-    fplanar_inverse,
     fplanar_invariants,
-    fplanar_recover,
     sample_points,
     verify_invariance,
 )

@@ -33,6 +33,8 @@ space remembers its connection jet for the last point or batch only.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .expr import Chart
@@ -52,7 +54,6 @@ __all__ = [
     "Space",
     "christoffel",
     "symmetrize_connection",
-    "cov_deriv",
     "covariant_derivative_arrays",
     "curvature",
     "ricci",
@@ -145,7 +146,9 @@ class Space:
     point or batch remembered.
 
     `provider` maps a point (or a ``tensor.PointBatch``) to the symmetric
-    coefficients and their first partials there.
+    coefficients and their first partials there.  `shared` holds spaces
+    built from this one under a key their builder chooses, only while
+    something else keeps them alive (see ``invariants.reduced_space``).
     """
 
     def __init__(self, chart: Chart, provider, torsion=None, origin: str = "given-connection"):
@@ -153,6 +156,7 @@ class Space:
         self.origin = origin
         self._torsion = torsion
         self._connection_jet = LastPointMemo(provider)
+        self.shared = weakref.WeakValueDictionary()
 
     @property
     def _cache(self) -> dict:
@@ -252,22 +256,6 @@ def covariant_derivative_arrays(
         else:
             out -= contract(f"z{letters[slot]}n,{inner}->{letters}n", conn, value)
     return out
-
-
-def cov_deriv(field, space: Space):
-    """Evaluator for the covariant derivative of a tensor field (rank + 1).
-
-    The new covariant slot is the last index of the returned array.
-    """
-    if field.chart is not space.chart and field.chart != space.chart:
-        raise ValueError("field and space charts differ")
-    variance = field.variance
-
-    def evaluate(point) -> np.ndarray:
-        value, grad = field.jet(point)
-        return covariant_derivative_arrays(value, grad, variance, space.connection(point))
-
-    return evaluate
 
 
 def _alt(t: np.ndarray) -> np.ndarray:

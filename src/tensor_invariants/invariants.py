@@ -11,9 +11,16 @@ invariants of Thomas and Weyl type, the zeta and D building blocks, the
 derived (trace-reduced) invariants, and the correlation identities tying the
 derived objects back to the classical Thomas parameter and Weyl tensor.
 
-Every covariant derivative inside a space's invariant uses that space's own
-symmetric connection; pass ``deriv_space`` to evaluate the audit alternative
-(derivatives taken in another space).
+Several of these are classical objects of a reduced connection
+(:func:`reduced_space`).  The basic Thomas invariant is Lambda = L - omega
+itself and the direct basic Weyl invariant is its curvature: Lambda is the
+same in both spaces of a mapping.  The derived Thomas invariant is built
+from the Thomas parameter of Lambda' = L - s2 calF - s3 sigma_{jk} phi^i
+(omega without its rho term), which changes projectively across a mapping
+(T. Y. Thomas, PNAS 11, 1925; H. Weyl, Gottinger Nachrichten 1921).  The
+zeta / D regrouping and the printed chain stages are assembled from their
+formulas: they are the claims under audit.  Every covariant derivative
+inside a space's invariant uses that space's own symmetric connection.
 
 The derived Weyl chain ships two versions of its first stage: the formula as
 conventionally printed (``first_printed``) and a re-derived variant
@@ -29,7 +36,7 @@ bit-identical to its evaluation alone (see ``tensor``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,13 +46,14 @@ from .geometry import (
     Space,
     _alt,
     covariant_derivative_arrays,
+    curvature,
     curvature_arrays,
     delta_bracket,
     ricci_arrays,
     thomas_arrays,
     weyl_arrays,
 )
-from .tensor import LastPointMemo, batch_shape, contract, identity, zero_field
+from .tensor import LastPointMemo, PointField, batch_shape, contract, identity, zero_field
 
 __all__ = [
     "SValues",
@@ -55,6 +63,7 @@ __all__ = [
     "omega",
     "omega_jet",
     "omega_square_expanded",
+    "reduced_space",
     "basic_thomas",
     "zeta",
     "dee",
@@ -125,15 +134,6 @@ class OmegaSpec:
             self.sigma2.value(point),
         )
 
-    def jets(self, point):
-        return (
-            self.rho.jet(point),
-            self.sigma.jet(point),
-            self.F.jet(point),
-            self.phi.jet(point),
-            self.sigma2.jet(point),
-        )
-
 
 def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A^i_j v_k + A^i_k v_j; calF is _pair(F, sigma)."""
@@ -144,6 +144,16 @@ def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _nu(F: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """nu_j = calF^a_{ja} = tr(F) sigma_j + F^a_j sigma_a."""
     return contract(",j->j", contract("aa->", F), sigma) + contract("aj,a->j", F, sigma)
+
+
+def _delta_pair_jet(v, point) -> tuple[np.ndarray, np.ndarray]:
+    """d^i_j v_k + d^i_k v_j with its first partials, from a 1-form field."""
+    value, grad = v.jet(point)
+    delta = identity(value.shape[-1])
+    return (
+        _pair(delta, value),
+        contract("ij,kn->ijkn", delta, grad) + contract("ik,jn->ijkn", delta, grad),
+    )
 
 
 def calF_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +179,9 @@ def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
     return _nu(Fv, sv), grad
 
 
-def _omega_value(s: SValues, rho, calF, phi, sigma2) -> np.ndarray:
+def _omega_value(s: SValues, rho_pair, calF, phi, sigma2) -> np.ndarray:
     s1, s2, s3 = s.as_tuple()
-    out = s1 * _pair(identity(rho.shape[-1]), rho)
+    out = s1 * rho_pair
     out += s2 * calF
     out += s3 * contract("jk,i->ijk", sigma2, phi)
     return out
@@ -180,18 +190,18 @@ def _omega_value(s: SValues, rho, calF, phi, sigma2) -> np.ndarray:
 def omega(spec: OmegaSpec, point) -> np.ndarray:
     """omega^i_{jk}; symmetric in (j, k) by construction."""
     rho, sigma, F, phi, sigma2 = spec.values(point)
-    return _omega_value(spec.s, rho, _pair(F, sigma), phi, sigma2)
+    rho_pair = _pair(identity(rho.shape[-1]), rho)
+    return _omega_value(spec.s, rho_pair, _pair(F, sigma), phi, sigma2)
 
 
 def omega_jet(spec: OmegaSpec, point) -> tuple[np.ndarray, np.ndarray]:
     s1, s2, s3 = spec.s.as_tuple()
-    rho, drho = spec.rho.jet(point)
+    rho_pair, drho_pair = _delta_pair_jet(spec.rho, point)
     phi, dphi = spec.phi.jet(point)
     sigma2, dsigma2 = spec.sigma2.jet(point)
     calF, dcalF = calF_jet(spec.F, spec.sigma, point)
-    delta = identity(spec.chart.dim)
-    value = _omega_value(spec.s, rho, calF, phi, sigma2)
-    grad = s1 * (contract("ij,kn->ijkn", delta, drho) + contract("ik,jn->ijkn", delta, drho))
+    value = _omega_value(spec.s, rho_pair, calF, phi, sigma2)
+    grad = s1 * drho_pair
     grad += s2 * dcalF
     grad += s3 * (
         contract("jkn,i->ijkn", dsigma2, phi) + contract("jk,in->ijkn", sigma2, dphi)
@@ -252,19 +262,54 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     return out
 
 
+def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
+    """The space of the reduced connection Lambda = L - omega, or with
+    ``rho=False`` of Lambda' = L - s2 calF - s3 sigma_{jk} phi^i.
+
+    Lambda is Lambda' deformed by -s1 (d^i_j rho_k + d^i_k rho_j).  Across a
+    mapping with this omega pair Lambda is unchanged and Lambda' changes
+    projectively, by s1 (d^i_j (rhobar - rho)_k + d^i_k (rhobar - rho)_j).
+    A reduced space is memoised like any space, and while it is alive every
+    builder asking for it gets the same one: the key is the s-values and the
+    identities of the fields that enter, which its provider holds.
+    """
+    s1, s2, s3 = spec.s.as_tuple()
+    s1 = s1 if rho else 0.0
+    weights = (s1, s2, s2, s3, s3)
+    fields = (spec.rho, spec.F, spec.sigma, spec.phi, spec.sigma2)
+    key = (rho, s1, s2, s3) + tuple(id(f) if w else None for w, f in zip(weights, fields))
+    found = space.shared.get(key)
+    if found is not None:
+        return found
+    if rho:
+        base = reduced_space(space, spec, rho=False)
+        rho_field = spec.rho
+
+        def fn(point):
+            value, grad = _delta_pair_jet(rho_field, point)
+            return -s1 * value, -s1 * grad
+
+    else:
+        base = space
+        part = replace(spec, s=SValues(0.0, s2, s3), rho=None)
+
+        def fn(point):
+            value, grad = omega_jet(part, point)
+            return -value, -grad
+
+    reduced = base.deformed(PointField(spec.chart, "ull", fn), origin="reduced")
+    space.shared[key] = reduced
+    return reduced
+
+
 def basic_thomas(space: Space, spec: OmegaSpec):
-    """Basic invariant of the Thomas type: Lsym - omega."""
-
-    def evaluate(point) -> np.ndarray:
-        return space.connection(point) - omega(spec, point)
-
-    return evaluate
+    """Basic invariant of the Thomas type: Lambda = Lsym - omega."""
+    return reduced_space(space, spec).connection
 
 
-def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
+def zeta(space: Space, spec: OmegaSpec):
     """zeta_{ij} = s1 rho_{i|j} + s1^2 rho_i rho_j
     + s1 s2 (F^a_i sigma_j + F^a_j sigma_i) rho_a + s1 s3 sigma_{ij} rho_a phi^a."""
-    conn_space = deriv_space or space
 
     def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
@@ -275,7 +320,7 @@ def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
         F = spec.F.value(point)
         phi = spec.phi.value(point)
         sigma2 = spec.sigma2.value(point)
-        conn = conn_space.connection(point)
+        conn = space.connection(point)
         rho_cov = covariant_derivative_arrays(rho, drho, "l", conn)
         FTr = contract("ai,a->i", F, rho)
         out = s1 * rho_cov + s1 * s1 * contract("i,j->ij", rho, rho)
@@ -286,9 +331,8 @@ def zeta(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
     return LastPointMemo(evaluate)
 
 
-def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
+def dee(space: Space, spec: OmegaSpec):
     """The four-group D^{(s2).(s3).i}_{jmn} building block."""
-    conn_space = deriv_space or space
 
     def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
@@ -298,7 +342,7 @@ def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
             return out
         sigma = spec.sigma.value(point)
         F = spec.F.value(point)
-        conn = conn_space.connection(point)
+        conn = space.connection(point)
         if s2 != 0.0:
             FTs = contract("aj,a->j", F, sigma)
             F2 = contract("ia,aj->ij", F, F)
@@ -333,15 +377,10 @@ def dee(space: Space, spec: OmegaSpec, deriv_space: Space | None = None):
     return LastPointMemo(evaluate)
 
 
-def basic_weyl(
-    space: Space,
-    spec: OmegaSpec,
-    mode: str = MODE_DIRECT,
-    deriv_space: Space | None = None,
-):
+def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
     """Basic invariant of the Weyl type, in either assembly.
 
-    DIRECT substitutes omega as a whole:
+    DIRECT is the curvature of Lambda = L - omega, which equals
         R - omega_{jm|n} + omega_{jn|m} + omega^a_{jm} omega^i_{an} - (m<->n).
     STRUCTURED uses the zeta / D regrouping:
         R - d^i_j zeta_[mn] - d^i_m zeta_{jn} + d^i_n zeta_{jm} + D_{j[mn]}.
@@ -349,18 +388,14 @@ def basic_weyl(
     """
     if mode not in (MODE_DIRECT, MODE_STRUCTURED):
         raise ValueError(f"unknown mode {mode!r}")
-    conn_space = deriv_space or space
-    zeta_eval = zeta(space, spec, deriv_space)
-    dee_eval = dee(space, spec, deriv_space)
+    if mode == MODE_DIRECT:
+        return curvature(reduced_space(space, spec))
+    zeta_eval = zeta(space, spec)
+    dee_eval = dee(space, spec)
 
     def evaluate(point) -> np.ndarray:
         conn, dconn = space.connection_jet(point)
         riemann = curvature_arrays(conn, dconn)
-        if mode == MODE_DIRECT:
-            w, dw = omega_jet(spec, point)
-            w_cov = covariant_derivative_arrays(w, dw, "ull", conn_space.connection(point))
-            quad = contract("ajm,ian->ijmn", w, w)
-            return riemann - _alt(w_cov) + _alt(quad)
         z = zeta_eval(point)
         out = riemann - contract("ij,mn->ijmn", identity(conn.shape[-1]), _alt(z))
         out -= delta_bracket(z)
@@ -369,35 +404,19 @@ def basic_weyl(
     return evaluate
 
 
-def _thomas_trace_term(spec: OmegaSpec, point) -> np.ndarray:
-    """s2 nu_k + s3 sigma_{ka} phi^a."""
-    _, s2, s3 = spec.s.as_tuple()
-    nu = _nu(spec.F.value(point), spec.sigma.value(point))
-    return s2 * nu + s3 * contract("ka,a->k", spec.sigma2.value(point), spec.phi.value(point))
-
-
 def derived_thomas(space: Space, spec: OmegaSpec):
     """Derived associated invariant of the Thomas type (rho eliminated).
 
-    With s = (1, 0, 0) this reduces exactly to the classical Thomas
-    projective parameter.  s1 enters only through the coefficient s1/(N+1)
-    of the delta-trace correction.
+    Lambda' minus s1 times its Thomas correction, so s1 enters only through
+    the coefficient s1/(N+1) of the delta-trace term.  With s = (1, 0, 0)
+    this is the classical Thomas projective parameter.
     """
+    reduced = reduced_space(space, spec, rho=False)
+    s1 = spec.s.s1
 
     def evaluate(point) -> np.ndarray:
-        s1, s2, s3 = spec.s.as_tuple()
-        n = spec.chart.dim
-        conn = space.connection(point)
-        trace = np.einsum("...aja->...j", conn)
-        reduced = trace - _thomas_trace_term(spec, point)
-        sigma = spec.sigma.value(point)
-        F = spec.F.value(point)
-        phi = spec.phi.value(point)
-        sigma2 = spec.sigma2.value(point)
-        out = conn - (s1 / (n + 1)) * _pair(identity(n), reduced)
-        out -= s2 * _pair(F, sigma)
-        out -= s3 * contract("jk,i->ijk", sigma2, phi)
-        return out
+        conn = reduced.connection(point)
+        return conn - s1 * (conn - thomas_arrays(conn))
 
     return evaluate
 
@@ -416,7 +435,8 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
         F = spec.F.value(point)
         phi = spec.phi.value(point)
         sigma2 = spec.sigma2.value(point)
-        bterm = _thomas_trace_term(spec, point)
+        # s2 nu_k + s3 sigma_{ka} phi^a
+        bterm = s2 * _nu(F, sigma) + s3 * contract("ka,a->k", sigma2, phi)
         rhs = s1 * t_classical + (1.0 - s1) * conn
         rhs -= s2 * _pair(F, sigma)
         rhs -= s3 * contract("jk,i->ijk", sigma2, phi)
@@ -444,13 +464,8 @@ class WeylChain:
     correlation_residual: object
 
 
-def derived_weyl_chain(
-    space: Space,
-    spec: OmegaSpec,
-    convention: str = RICCI_LAST,
-    deriv_space: Space | None = None,
-) -> WeylChain:
-    dee_eval = dee(space, spec, deriv_space)
+def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LAST) -> WeylChain:
+    dee_eval = dee(space, spec)
 
     def pieces_at(point):
         conn, dconn = space.connection_jet(point)

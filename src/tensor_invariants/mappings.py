@@ -18,8 +18,10 @@ The tripled target sigma is forced by (omega_bar - omega) having to equal the
 deformation; with the target carrying -sigma instead, no s = (1, 1/2, 0)
 split exists because the delta-psi and F-sigma blocks are linearly
 independent.  The -sigma relation remains the defining data of the inverse
-mapping (see :func:`fplanar_inverse`), and the audit report measures both
-readings.
+mapping, (F, -sigma, -psi), and the audit report measures both readings.
+The F-planar Thomas object is the Thomas parameter of the reduced
+connection L - calF/2 (``invariants.reduced_space`` at this split); the
+printed Weyl-type reductions are assembled from their formulas.
 
 Verification is pointwise-numeric at seeded pseudorandom points inside a box
 that avoids coordinate singularities; jet-exact derivatives make random-point
@@ -38,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Chart, ExprError
+from .expr import ExprError
 from .geometry import (
     RICCI_LAST,
     SingularMetricError,
@@ -57,6 +59,7 @@ from .invariants import (
     MODE_STRUCTURED,
     OmegaSpec,
     SValues,
+    _delta_pair_jet,
     basic_thomas,
     basic_weyl,
     calF_jet,
@@ -64,6 +67,7 @@ from .invariants import (
     derived_weyl_chain,
     nu_jet,
     omega_jet,
+    reduced_space,
 )
 from .tensor import (
     LastPointMemo,
@@ -80,10 +84,8 @@ __all__ = [
     "FPlanarSpec",
     "apply_mapping",
     "fplanar_build",
-    "fplanar_inverse",
     "fplanar_as_omega",
     "fplanar_rho_field",
-    "fplanar_recover",
     "fplanar_invariants",
     "InvarianceReport",
     "verify_invariance",
@@ -124,12 +126,6 @@ class MappingSpec:
         if self.omega_src.s != self.omega_tgt.s:
             raise ValueError("source and target omega must share s1, s2, s3")
 
-    def swapped(self) -> "MappingSpec":
-        delta = None
-        if self.torsion_delta is not None:
-            delta = scale_field(self.torsion_delta, -1.0)
-        return MappingSpec(self.omega_tgt, self.omega_src, delta)
-
 
 @dataclass
 class FPlanarSpec:
@@ -158,32 +154,15 @@ def apply_mapping(source: Space, mapping: MappingSpec) -> Space:
     return source.deformed(_deformation_field(mapping), mapping.torsion_delta)
 
 
-def _fplanar_deformation(f: FPlanarSpec, chart: Chart) -> PointField:
-    n = chart.dim
-
-    def fn(point):
-        psi, dpsi = f.psi.jet(point)
-        calF, dcalF = calF_jet(f.F, f.sigma, point)
-        delta = identity(n)
-        value = contract("ik,j->ijk", delta, psi) + contract("ij,k->ijk", delta, psi)
-        grad = contract("ik,jn->ijkn", delta, dpsi) + contract("ij,kn->ijkn", delta, dpsi)
-        return value + calF, grad + dcalF
-
-    return PointField(chart, "ull", fn)
-
-
 def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
     """Target space of the F-planar mapping with the given defining data."""
-    return source.deformed(_fplanar_deformation(f, source.chart))
 
+    def fn(point):
+        psi_pair, dpsi_pair = _delta_pair_jet(f.psi, point)
+        calF, dcalF = calF_jet(f.F, f.sigma, point)
+        return psi_pair + calF, dpsi_pair + dcalF
 
-def fplanar_inverse(f: FPlanarSpec) -> FPlanarSpec:
-    """Defining data of the inverse mapping: (F, -sigma, -psi)."""
-    return FPlanarSpec(
-        psi=scale_field(f.psi, -1.0),
-        sigma=scale_field(f.sigma, -1.0),
-        F=f.F,
-    )
+    return source.deformed(PointField(source.chart, "ull", fn))
 
 
 def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
@@ -214,44 +193,6 @@ def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
     return MappingSpec(spec_src, spec_tgt)
 
 
-def fplanar_recover(source: Space, target: Space, F, sigma, points, tol: float = 1e-8):
-    """Recover the psi 1-form (and the trace-gauge rho) from two spaces.
-
-    psi_j = (Lbar^a_{ja} - L^a_{ja} - F sigma_j - F^a_j sigma_a) / (N + 1),
-    obtained from the trace of the defining equation with the inverse data
-    (F, -sigma) on the barred side.  Raises if the recovered psi fails to
-    reproduce the target connection within `tol` (not F-planar-related).
-    """
-    chart = source.chart
-    n = chart.dim
-
-    def psi_fn(point):
-        conn_s, dconn_s = source.connection_jet(point)
-        conn_t, dconn_t = target.connection_jet(point)
-        nu, dnu = nu_jet(F, sigma, point)
-        value = (
-            np.einsum("...aja->...j", conn_t) - np.einsum("...aja->...j", conn_s) - nu
-        ) / (n + 1)
-        grad = (
-            np.einsum("...ajan->...jn", dconn_t) - np.einsum("...ajan->...jn", dconn_s) - dnu
-        ) / (n + 1)
-        return value, grad
-
-    psi = PointField(chart, "l", psi_fn)
-    rho = fplanar_rho_field(source, F, sigma)
-    rebuilt = fplanar_build(source, FPlanarSpec(psi=psi, sigma=sigma, F=F))
-    worst = 0.0
-    for point in points:
-        residual = np.max(np.abs(rebuilt.connection(point) - target.connection(point)))
-        worst = max(worst, residual)
-    if worst > tol:
-        raise ValueError(
-            f"target is not F-planar-related to source with the given F, sigma "
-            f"(max connection residual {worst:.3e})"
-        )
-    return psi, rho
-
-
 # ---------------------------------------------------------------------------
 # specialized F-planar invariant assemblies (printed single-mapping formulas)
 # ---------------------------------------------------------------------------
@@ -267,23 +208,14 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     """Per-space evaluators for the specialized F-planar assemblies.
 
     Returns a dict with keys 'thomas', 'zeta', 'dee', 'wbasic', 'wderived'.
-    These follow the printed reductions; for the verifier, each space is
-    evaluated with its own sigma-field from the omega split.
+    'thomas' is the Thomas parameter of L - calF/2, the others follow the
+    printed reductions; for the verifier, each space is evaluated with its
+    own sigma-field from the omega split.
     """
     n = space.dim
     delta = identity(n)
     # shared by the evaluators below, so each point or batch assembles them once
     pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
-
-    def thomas_eval(point) -> np.ndarray:
-        conn, _, _, _, calF, _, nu, _ = pieces(point)
-        trace = np.einsum("...aja->...j", conn)
-        reduced = trace - 0.5 * nu
-        out = conn - 0.5 * calF
-        out -= (
-            contract("ij,k->ijk", delta, reduced) + contract("ik,j->ijk", delta, reduced)
-        ) / (n + 1)
-        return out
 
     def dee_eval(point) -> np.ndarray:
         conn, _, _, _, calF, dcalF, _, _ = pieces(point)
@@ -321,8 +253,9 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
         return w - 0.5 * _alt(calF_cov)
 
+    split = OmegaSpec(space.chart, SValues(1.0, 0.5, 0.0), sigma=sigma, F=F)
     return {
-        "thomas": thomas_eval,
+        "thomas": thomas(reduced_space(space, split, rho=False)),
         "zeta": zeta_eval,
         "dee": dee_eval,
         "wbasic": wbasic_eval,

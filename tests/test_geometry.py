@@ -10,7 +10,7 @@ from tensor_invariants.geometry import (
     SingularMetricError,
     Space,
     christoffel,
-    cov_deriv,
+    covariant_derivative_arrays,
     curvature,
     ricci,
     riemannian_weyl,
@@ -121,22 +121,26 @@ def test_space_from_connection_stores_torsion(chart):
 
 # --- covariant derivative ---------------------------------------------------
 
+def _cov_deriv(field, space, point):
+    value, grad = field.jet(point)
+    return covariant_derivative_arrays(value, grad, field.variance, space.connection(point))
+
+
 def test_cov_deriv_constant_scalar(chart, example_space):
     field = TensorField(chart, "", "4.0")
-    assert np.max(np.abs(cov_deriv(field, example_space)(P0))) == 0.0
+    assert np.max(np.abs(_cov_deriv(field, example_space, P0))) == 0.0
 
 
 def test_cov_deriv_kronecker_vanishes(chart, example_space):
     field = TensorField(chart, "ul", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    assert np.max(np.abs(cov_deriv(field, example_space)(P0))) < 1e-15
+    assert np.max(np.abs(_cov_deriv(field, example_space, P0))) < 1e-15
 
 
 def test_cov_deriv_flat_space_equals_partials(chart):
     flat = Space.flat(chart)
     field = TensorField(chart, "l", ["u*v", "w^2", "sin(u)"])
-    evaluator = cov_deriv(field, flat)
     point = np.array([1.2, 0.7, 1.9])
-    got = evaluator(point)
+    got = _cov_deriv(field, flat, point)
     h = 1e-5
     nodes = [parse(s, chart) for s in ("u*v", "w^2", "sin(u)")]
     for j, node in enumerate(nodes):

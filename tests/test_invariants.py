@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tensor_invariants.expr import Chart
-from tensor_invariants.geometry import Space, curvature, thomas, weyl
+from tensor_invariants.geometry import RICCI_LAST, RICCI_MIDDLE, Space, curvature, thomas, weyl
 from tensor_invariants.invariants import (
     MODE_DIRECT,
     MODE_STRUCTURED,
@@ -21,6 +22,7 @@ from tensor_invariants.invariants import (
     omega,
     omega_jet,
     omega_square_expanded,
+    reduced_space,
     zeta,
 )
 from tensor_invariants.mappings import fplanar_invariants, sample_points
@@ -29,7 +31,7 @@ from tensor_invariants.sampling import (
     random_metric_space,
     random_omega_spec,
 )
-from tensor_invariants.tensor import TensorField
+from tensor_invariants.tensor import PointBatch, TensorField
 
 P0 = (1.0, 2.0, 3.0)
 LN15 = math.log(15.0)
@@ -323,3 +325,68 @@ def test_weyl_chain_trace_audit_regression(chart):
         dtrace = np.einsum("aamn->mn", d)
         dtrace_alt = dtrace - dtrace.T
         assert np.max(np.abs(contracted - 2.0 * dtrace_alt / 4.0)) < 1e-12
+
+
+# --- reduced-connection identities ------------------------------------------------
+
+IDENTITY_S = (SValues(1.0, -0.6, 0.8), SValues(0.7, -0.6, 0.8), SValues(1.0, 0.5, 0.0))
+
+
+def _identity_cases():
+    """A seeded space, omega spec and 3-point batch per N, space kind and s."""
+    for n in range(2, 7):
+        chart = Chart(tuple(f"x{k}" for k in range(1, n + 1)))
+        kinds = (("metric", random_metric_space), ("connection", random_connection_space))
+        for k, (kind, build) in enumerate(kinds):
+            for index, s in enumerate(IDENTITY_S):
+                rng = np.random.default_rng([n, k, index])
+                space = build(chart, rng)
+                spec = random_omega_spec(chart, rng, s)
+                batch = PointBatch(sample_points([[1.0, 2.0]] * n, 3, seed=n))
+                s_text = ",".join(f"{x:g}" for x in s.as_tuple())
+                yield pytest.param(space, spec, batch, id=f"N{n}-{kind}-s{s_text}")
+
+
+def _assert_close(got, want, tol=1e-12):
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("space, spec, batch", _identity_cases())
+def test_reduced_connection_identities(space, spec, batch):
+    direct = basic_weyl(space, spec, MODE_DIRECT)(batch)
+    _assert_close(direct, basic_weyl(space, spec, MODE_STRUCTURED)(batch))
+    full = reduced_space(space, spec)
+    assert np.array_equal(basic_thomas(space, spec)(batch), full.connection(batch))
+    _assert_close(derived_thomas_correlation_residual(space, spec)(batch), 0.0)
+    # the corrected first chain stage is the projective Weyl tensor of
+    # L - omega without rho under the shipped Ricci convention, and so
+    # vanishes at N = 2; under the other convention it is not, which is why
+    # the stage keeps its own assembly
+    no_rho = reduced_space(space, spec, rho=False)
+    corrected = derived_weyl_chain(space, spec, RICCI_LAST).first_corrected(batch)
+    _assert_close(corrected, weyl(no_rho, RICCI_LAST)(batch))
+    if space.dim == 2:
+        _assert_close(corrected, 0.0)
+    middle = derived_weyl_chain(space, spec, RICCI_MIDDLE).first_corrected(batch)
+    assert np.max(np.abs(middle - weyl(no_rho, RICCI_MIDDLE)(batch))) > 1e-3
+
+
+def test_reduced_spaces_are_shared_by_s_and_fields(chart):
+    rng = np.random.default_rng(18)
+    space = random_connection_space(chart, rng)
+    s = SValues(0.7, -0.6, 0.8)
+    spec_a, spec_b = random_omega_spec(chart, rng, s), random_omega_spec(chart, rng, s)
+    other_rho = replace(spec_a, rho=spec_b.rho)
+    other_s1 = replace(spec_a, s=SValues(1.0, -0.6, 0.8))
+    for rho in (True, False):
+        a = reduced_space(space, spec_a, rho)
+        b = reduced_space(space, spec_b, rho)
+        assert b is not a
+        assert reduced_space(space, replace(spec_a), rho) is a
+        # rho and s1 enter L - omega only, not L - omega without rho
+        for variant in (other_rho, other_s1):
+            assert (reduced_space(space, variant, rho) is a) == (not rho)
+        for spec, reduced in ((spec_a, a), (spec_b, b)):
+            if not rho:
+                spec = replace(spec, s=SValues(0.0, s.s2, s.s3))
+            _assert_close(reduced.connection(P0), space.connection(P0) - omega(spec, P0))

@@ -15,9 +15,7 @@ from tensor_invariants.mappings import (
     apply_mapping,
     fplanar_as_omega,
     fplanar_build,
-    fplanar_inverse,
     fplanar_invariants,
-    fplanar_recover,
     fplanar_rho_field,
     sample_points,
     verify_invariance,
@@ -63,7 +61,7 @@ def test_swapped_mapping_restores_connection(example_space, chart):
     rng = np.random.default_rng(2)
     mapping = random_mapping(chart, rng)
     there = apply_mapping(example_space, mapping)
-    back = apply_mapping(there, mapping.swapped())
+    back = apply_mapping(there, MappingSpec(mapping.omega_tgt, mapping.omega_src))
     for point in sample_points([[1.0, 2.0]] * 3, 4, seed=3):
         assert np.max(np.abs(back.connection(point) - example_space.connection(point))) < 1e-15
 
@@ -129,9 +127,14 @@ def test_fplanar_build_example_entry(example_space, example_fspec):
     assert target.connection(P0)[2, 2, 2] == pytest.approx(16.5816, abs=1e-4)
 
 
+def _inverse_fspec(f):
+    """Defining data of the inverse F-planar mapping: (F, -sigma, -psi)."""
+    return FPlanarSpec(psi=scale_field(f.psi, -1.0), sigma=scale_field(f.sigma, -1.0), F=f.F)
+
+
 def test_fplanar_roundtrip_through_inverse(example_space, example_fspec):
     target = fplanar_build(example_space, example_fspec)
-    back = fplanar_build(target, fplanar_inverse(example_fspec))
+    back = fplanar_build(target, _inverse_fspec(example_fspec))
     for point in sample_points([[1.0, 2.0]] * 3, 6, seed=4):
         assert np.max(np.abs(back.connection(point) - example_space.connection(point))) < 1e-15
 
@@ -146,7 +149,7 @@ def test_fplanar_as_omega_matches_direct_build(example_space, example_fspec):
 
 def test_fplanar_inverse_pair_preserves_sigma_even_products(example_fspec):
     # the reduction premise: Fbar Fbar sigmabar sigmabar == F F sigma sigma
-    inverse = fplanar_inverse(example_fspec)
+    inverse = _inverse_fspec(example_fspec)
     for point in sample_points([[1.0, 2.0]] * 3, 4, seed=6):
         F = example_fspec.F.value(point)
         sigma = example_fspec.sigma.value(point)
@@ -157,26 +160,7 @@ def test_fplanar_inverse_pair_preserves_sigma_even_products(example_fspec):
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
-# --- recovery ---------------------------------------------------------------------
-
-def test_fplanar_recover_identity(example_space, chart):
-    points = sample_points([[1.0, 2.0]] * 3, 5, seed=7)
-    psi, rho = fplanar_recover(
-        example_space, example_space, zero_field(chart, "ul"), zero_field(chart, "l"), points
-    )
-    for point in points:
-        assert np.max(np.abs(psi.value(point))) < 1e-14
-
-
-def test_fplanar_recover_roundtrip(example_space, chart, affinor, sigma_form):
-    psi_true = TensorField(chart, "l", ["v", "u", "0"])  # d(uv)
-    fspec = FPlanarSpec(psi=psi_true, sigma=sigma_form, F=affinor)
-    target = fplanar_build(example_space, fspec)
-    points = sample_points([[1.0, 2.0]] * 3, 10, seed=8)
-    psi, rho = fplanar_recover(example_space, target, affinor, sigma_form, points)
-    for point in points:
-        assert np.max(np.abs(psi.value(point) - psi_true.value(point))) < 1e-10
-
+# --- trace-gauge rho --------------------------------------------------------------
 
 def test_fplanar_recover_rho_value(example_space, affinor, sigma_form):
     rho = fplanar_rho_field(example_space, affinor, sigma_form)
@@ -184,14 +168,6 @@ def test_fplanar_recover_rho_value(example_space, affinor, sigma_form):
     expected = (1.0 / 3.0 + 0.5 * (math.sin(1) + math.cos(2) + 3.0) * LN15 + 0.5 * 3.0 * LN15) / 4.0
     assert rho.value(P0)[2] == pytest.approx(expected, abs=1e-14)
     assert rho.value(P0)[2] == pytest.approx(2.258346, abs=1e-6)
-
-
-def test_fplanar_recover_rejects_unrelated_target(example_space, chart, affinor, sigma_form):
-    mapping = random_mapping(chart, np.random.default_rng(9))
-    target = apply_mapping(example_space, mapping)
-    points = sample_points([[1.0, 2.0]] * 3, 5, seed=10)
-    with pytest.raises(ValueError, match="not F-planar-related"):
-        fplanar_recover(example_space, target, affinor, sigma_form, points)
 
 
 # --- specialized invariants --------------------------------------------------------
@@ -374,25 +350,3 @@ def test_fplanar_invariance_on_curved_source(chart, affinor, sigma_form):
         "fplanar_thomas",
     ):
         assert report.row(name).passed, report.to_text()
-
-
-def test_own_connection_derivative_is_what_makes_basic_weyl_invariant(example_space, chart):
-    # the deriv_space switch evaluates the audit alternative: taking the
-    # target's covariant derivatives in the source space breaks invariance
-    from tensor_invariants.invariants import MODE_DIRECT, basic_weyl
-
-    rng = np.random.default_rng(17)
-    mapping = random_mapping(chart, rng)
-    target = apply_mapping(example_space, mapping)
-    own = basic_weyl(target, mapping.omega_tgt, MODE_DIRECT)
-    borrowed = basic_weyl(target, mapping.omega_tgt, MODE_DIRECT, deriv_space=example_space)
-    reference = basic_weyl(example_space, mapping.omega_src, MODE_DIRECT)
-    worst_own = 0.0
-    worst_borrowed = 0.0
-    for point in sample_points([[1.0, 2.0]] * 3, 5, seed=18):
-        worst_own = max(worst_own, float(np.max(np.abs(own(point) - reference(point)))))
-        worst_borrowed = max(
-            worst_borrowed, float(np.max(np.abs(borrowed(point) - reference(point))))
-        )
-    assert worst_own < 1e-12
-    assert worst_borrowed > 1e-3

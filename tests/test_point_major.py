@@ -8,6 +8,8 @@ point at a time, bit for bit) and work done more than once per point
 (checked by counting).
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -24,6 +26,7 @@ from tensor_invariants.invariants import (
     basic_weyl,
     derived_thomas,
     derived_weyl_chain,
+    reduced_space,
 )
 from tensor_invariants.mappings import (
     apply_mapping,
@@ -154,7 +157,7 @@ def test_verify_fplanar_work_counts(monkeypatch):
     def counting_sum(self, point):
         calls["sum"] += 1
         for row in _rows(point):
-            summed[row] += 1
+            summed[(id(self), row)] += 1
         return sum_jets(self, point)
 
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
@@ -176,13 +179,42 @@ def test_verify_fplanar_work_counts(monkeypatch):
         for program in field.programs:
             for point in points:
                 assert runs[(id(program), tuple(point), order)] == 1
-    # each space computes its connection once per point, and the target's
-    # sum reads the source's memoised connection: the metric provider runs
-    # once per point, in one call per block
+    # each space computes its connection once per point, and every sum
+    # reads its base's memoised connection: the metric provider runs once
+    # per point, in one call per block.  There are five sums: the target,
+    # and in each space the reduced connections L - omega and L - omega
+    # without rho, which the Thomas and Weyl rows share
     assert set(provided) == {tuple(p) for p in points}
     assert set(provided.values()) == {1}
     assert set(summed.values()) == {1}
-    assert calls == {"metric": 3, "sum": 3}
+    assert len({key for key, _ in summed}) == 5
+    assert calls == {"metric": 3, "sum": 15}
+
+
+def test_reduced_spaces_die_with_the_evaluators():
+    # the source space holds its reduced spaces weakly and nothing refers
+    # back to them, so they go by reference counting alone, with no cycle
+    source, target, _, mspec = _fplanar_world()
+    point = (1.25, 1.5, 1.75)
+    gc.disable()
+    try:
+        pairs = mappings._evaluator_pairs(source, target, mspec, geometry.RICCI_LAST)
+        pairs.update(mappings._fplanar_pairs(source, target, mspec, geometry.RICCI_LAST))
+        for eval_src, eval_tgt in pairs.values():
+            eval_src(point)
+            eval_tgt(point)
+        reduced = [
+            weakref.ref(reduced_space(space, spec, rho))
+            for space, spec in ((source, mspec.omega_src), (target, mspec.omega_tgt))
+            for rho in (True, False)
+        ]
+        assert all(ref() is not None for ref in reduced)
+        assert len(source.shared) == 2 and len(target.shared) == 2
+        del pairs, eval_src, eval_tgt
+        assert all(ref() is None for ref in reduced)
+        assert len(source.shared) == 0 and len(target.shared) == 0
+    finally:
+        gc.enable()
 
 
 def test_connection_cache_holds_last_point_only():
