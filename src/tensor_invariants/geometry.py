@@ -28,7 +28,9 @@ projective Weyl tensor verifies numerically.
 Every evaluator and array kernel takes one point or a ``tensor.PointBatch``
 and then carries a leading batch axis (``L[..., i, j, k]``), with each
 point's result bit-identical to its evaluation alone (see ``tensor``).  A
-space remembers its connection jet for the last point or batch only.
+space remembers its connection jet for the last point or batch only, and
+``curvature``, ``ricci``, ``weyl`` and ``thomas`` return its one shared
+last-batch evaluator of each, so every reader computes each object once.
 """
 
 from __future__ import annotations
@@ -146,14 +148,16 @@ class Space:
     point or batch remembered.
 
     `provider` maps a point (or a ``tensor.PointBatch``) to the symmetric
-    coefficients and their first partials there.  `shared` holds spaces
-    built from this one under a key their builder chooses, only while
-    something else keeps them alive (see ``invariants.reduced_space``).
+    coefficients and their first partials there.  `shared` holds, under keys
+    naming what they are, the objects built from this space that its readers
+    share: the curvature, Ricci, Weyl and Thomas evaluators, and the reduced
+    spaces, zeta and D of ``invariants``.  It holds them weakly, so each lives
+    only while a reader does, and one that refers back to the space makes no
+    reference cycle; :meth:`share` is its one lookup.
     """
 
-    def __init__(self, chart: Chart, provider, torsion=None, origin: str = "given-connection"):
+    def __init__(self, chart: Chart, provider, torsion=None):
         self.chart = chart
-        self.origin = origin
         self._torsion = torsion
         self._connection_jet = LastPointMemo(provider)
         self.shared = weakref.WeakValueDictionary()
@@ -170,21 +174,23 @@ class Space:
             for k in range(j + 1, n):
                 if metric.entry(j, k) != metric.entry(k, j):
                     raise ValueError(f"metric entries ({j + 1},{k + 1}) and ({k + 1},{j + 1}) differ")
-        return cls(metric.chart, _MetricConnection(metric).jets, origin="from-metric")
+        return cls(metric.chart, _MetricConnection(metric).jets)
 
     @classmethod
     def from_connection(cls, coefficients) -> "Space":
         sym_field, torsion_field = symmetrize_connection(coefficients)
-        return cls(
-            coefficients.chart,
-            sym_field.jet,
-            torsion=torsion_field,
-            origin="given-connection",
-        )
+        return cls(coefficients.chart, sym_field.jet, torsion=torsion_field)
 
     @classmethod
     def flat(cls, chart: Chart) -> "Space":
         return cls.from_connection(zero_field(chart, "ull"))
+
+    def share(self, key, build):
+        """The object shared under `key`, else a new one from ``build()``."""
+        found = self.shared.get(key)
+        if found is None:
+            found = self.shared[key] = build()
+        return found
 
     @property
     def dim(self) -> int:
@@ -204,12 +210,12 @@ class Space:
             return np.zeros(batch_shape(point) + (n, n, n))
         return self._torsion.value(point)
 
-    def deformed(self, deformation, torsion_delta=None, origin: str = "mapped") -> "Space":
+    def deformed(self, deformation, torsion_delta=None) -> "Space":
         """New space with coefficients L + deformation (deformation symmetric)."""
         torsion = self._torsion
         if torsion_delta is not None:
             torsion = torsion_delta if torsion is None else add_fields(torsion, torsion_delta)
-        return Space(self.chart, _SumConnection(self, deformation).jets, torsion, origin)
+        return Space(self.chart, _SumConnection(self, deformation).jets, torsion)
 
 
 def christoffel(metric: TensorField) -> Space:
@@ -268,14 +274,14 @@ def curvature_arrays(conn: np.ndarray, dconn: np.ndarray) -> np.ndarray:
     return _alt(dconn) + _alt(quad)
 
 
-def curvature(space: Space):
-    """Evaluator for R^i_{jmn} of the symmetrized connection."""
+def curvature(space: Space) -> LastPointMemo:
+    """The space's evaluator for R^i_{jmn} of the symmetrized connection."""
 
     def evaluate(point) -> np.ndarray:
         conn, dconn = space.connection_jet(point)
         return curvature_arrays(conn, dconn)
 
-    return evaluate
+    return space.share(("curvature",), lambda: LastPointMemo(evaluate))
 
 
 def ricci_arrays(riemann: np.ndarray, convention: str = RICCI_LAST) -> np.ndarray:
@@ -286,15 +292,15 @@ def ricci_arrays(riemann: np.ndarray, convention: str = RICCI_LAST) -> np.ndarra
     raise ValueError(f"unknown Ricci convention {convention!r}")
 
 
-def ricci(space: Space, convention: str = RICCI_LAST):
-    """Evaluator returning (Ricci, antisymmetric part R_[mn])."""
+def ricci(space: Space, convention: str = RICCI_LAST) -> LastPointMemo:
+    """The space's evaluator returning (Ricci, antisymmetric part R_[mn])."""
     riemann = curvature(space)
 
     def evaluate(point):
         ric = ricci_arrays(riemann(point), convention)
         return ric, _alt(ric)
 
-    return evaluate
+    return space.share(("ricci", convention), lambda: LastPointMemo(evaluate))
 
 
 def thomas_arrays(conn: np.ndarray) -> np.ndarray:
@@ -305,13 +311,13 @@ def thomas_arrays(conn: np.ndarray) -> np.ndarray:
     return conn - correction / (n + 1)
 
 
-def thomas(space: Space):
-    """Evaluator for the generalized Thomas projective parameter T^i_{jk}."""
+def thomas(space: Space) -> LastPointMemo:
+    """The space's evaluator for the generalized Thomas projective parameter T^i_{jk}."""
 
     def evaluate(point) -> np.ndarray:
         return thomas_arrays(space.connection(point))
 
-    return evaluate
+    return space.share(("thomas",), lambda: LastPointMemo(evaluate))
 
 
 def delta_bracket(t: np.ndarray) -> np.ndarray:
@@ -328,15 +334,14 @@ def weyl_arrays(riemann: np.ndarray, ric: np.ndarray) -> np.ndarray:
     return out + (n * bracket_a + bracket_b) / (n * n - 1)
 
 
-def weyl(space: Space, convention: str = RICCI_LAST):
-    """Evaluator for the projective Weyl tensor W^i_{jmn}."""
-    riemann = curvature(space)
+def weyl(space: Space, convention: str = RICCI_LAST) -> LastPointMemo:
+    """The space's evaluator for the projective Weyl tensor W^i_{jmn}."""
+    riemann, ric = curvature(space), ricci(space, convention)
 
     def evaluate(point) -> np.ndarray:
-        r = riemann(point)
-        return weyl_arrays(r, ricci_arrays(r, convention))
+        return weyl_arrays(riemann(point), ric(point)[0])
 
-    return evaluate
+    return space.share(("weyl", convention), lambda: LastPointMemo(evaluate))
 
 
 def riemannian_weyl(space: Space, convention: str = RICCI_LAST):

@@ -21,13 +21,16 @@ from the Thomas parameter of Lambda' = L - s2 calF - s3 sigma_{jk} phi^i
 zeta / D regrouping and the printed chain stages are assembled from their
 formulas: they are the claims under audit.  Every covariant derivative
 inside a space's invariant uses that space's own symmetric connection.
+Zeta, D and the reduced spaces are shared per space like its curvature
+(``geometry.Space.share``), so each is computed once per point or batch.
 
 The derived Weyl chain ships two versions of its first stage: the formula as
 conventionally printed (``first_printed``) and a re-derived variant
 (``first_corrected``) whose D-trace terms enter with the opposite sign.  The
 two differ by 2/(N^2-1) times delta-weighted traces D^a_{a[..]}; the
 invariance verifier and the audit report measure which of the two is actually
-invariant under general mappings.
+invariant under general mappings.  The paper audit checks ``final``
+against W(Lambda') and the D traces.
 
 Every builder and evaluator takes one point or a ``tensor.PointBatch`` and
 then gives arrays with a leading batch axis, each point's entries
@@ -37,6 +40,7 @@ bit-identical to its evaluation alone (see ``tensor``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,11 +51,10 @@ from .geometry import (
     _alt,
     covariant_derivative_arrays,
     curvature,
-    curvature_arrays,
     delta_bracket,
-    ricci_arrays,
+    thomas,
     thomas_arrays,
-    weyl_arrays,
+    weyl,
 )
 from .tensor import LastPointMemo, PointField, batch_shape, contract, identity, zero_field
 
@@ -179,33 +182,38 @@ def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
     return _nu(Fv, sv), grad
 
 
-def _omega_value(s: SValues, rho_pair, calF, phi, sigma2) -> np.ndarray:
-    s1, s2, s3 = s.as_tuple()
-    out = s1 * rho_pair
-    out += s2 * calF
+def omega(spec: OmegaSpec, point) -> np.ndarray:
+    """omega^i_{jk}; symmetric in (j, k) by construction."""
+    s1, s2, s3 = spec.s.as_tuple()
+    rho, sigma, F, phi, sigma2 = spec.values(point)
+    out = s1 * _pair(identity(rho.shape[-1]), rho)
+    out += s2 * _pair(F, sigma)
     out += s3 * contract("jk,i->ijk", sigma2, phi)
     return out
 
 
-def omega(spec: OmegaSpec, point) -> np.ndarray:
-    """omega^i_{jk}; symmetric in (j, k) by construction."""
-    rho, sigma, F, phi, sigma2 = spec.values(point)
-    rho_pair = _pair(identity(rho.shape[-1]), rho)
-    return _omega_value(spec.s, rho_pair, _pair(F, sigma), phi, sigma2)
-
-
 def omega_jet(spec: OmegaSpec, point) -> tuple[np.ndarray, np.ndarray]:
+    """omega with its first partials, from the term groups whose s-value is
+    nonzero: the fields of the other groups are not evaluated."""
     s1, s2, s3 = spec.s.as_tuple()
-    rho_pair, drho_pair = _delta_pair_jet(spec.rho, point)
-    phi, dphi = spec.phi.jet(point)
-    sigma2, dsigma2 = spec.sigma2.jet(point)
-    calF, dcalF = calF_jet(spec.F, spec.sigma, point)
-    value = _omega_value(spec.s, rho_pair, calF, phi, sigma2)
-    grad = s1 * drho_pair
-    grad += s2 * dcalF
-    grad += s3 * (
-        contract("jkn,i->ijkn", dsigma2, phi) + contract("jk,in->ijkn", sigma2, dphi)
-    )
+    n = spec.chart.dim
+    value = np.zeros(batch_shape(point) + (n,) * 3)
+    grad = np.zeros(value.shape + (n,))
+    if s1 != 0.0:
+        rho_pair, drho_pair = _delta_pair_jet(spec.rho, point)
+        value += s1 * rho_pair
+        grad += s1 * drho_pair
+    if s2 != 0.0:
+        calF, dcalF = calF_jet(spec.F, spec.sigma, point)
+        value += s2 * calF
+        grad += s2 * dcalF
+    if s3 != 0.0:
+        phi, dphi = spec.phi.jet(point)
+        sigma2, dsigma2 = spec.sigma2.jet(point)
+        value += s3 * contract("jk,i->ijk", sigma2, phi)
+        grad += s3 * (
+            contract("jkn,i->ijkn", dsigma2, phi) + contract("jk,in->ijkn", sigma2, dphi)
+        )
     return value, grad
 
 
@@ -262,6 +270,18 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     return out
 
 
+def _share(space: Space, kind: str, spec: OmegaSpec, rho: bool, build):
+    """``space.share`` of an object built from `spec`'s omega (without its rho
+    term if not `rho`), keyed by the s-values and the ids of the fields that
+    enter; `build` gets a private copy of `spec`, so the object holds them."""
+    s1, s2, s3 = spec.s.as_tuple()
+    s1 = s1 if rho else 0.0
+    weights = (s1, s2, s2, s3, s3)
+    fields = (spec.rho, spec.F, spec.sigma, spec.phi, spec.sigma2)
+    key = (kind, rho, s1, s2, s3) + tuple(id(f) if w else None for w, f in zip(weights, fields))
+    return space.share(key, lambda: build(replace(spec, s=SValues(s1, s2, s3))))
+
+
 def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     """The space of the reduced connection Lambda = L - omega, or with
     ``rho=False`` of Lambda' = L - s2 calF - s3 sigma_{jk} phi^i.
@@ -269,37 +289,20 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     Lambda is Lambda' deformed by -s1 (d^i_j rho_k + d^i_k rho_j).  Across a
     mapping with this omega pair Lambda is unchanged and Lambda' changes
     projectively, by s1 (d^i_j (rhobar - rho)_k + d^i_k (rhobar - rho)_j).
-    A reduced space is memoised like any space, and while it is alive every
-    builder asking for it gets the same one: the key is the s-values and the
-    identities of the fields that enter, which its provider holds.
+    A reduced space is memoised like any space and shared while it is alive.
     """
-    s1, s2, s3 = spec.s.as_tuple()
-    s1 = s1 if rho else 0.0
-    weights = (s1, s2, s2, s3, s3)
-    fields = (spec.rho, spec.F, spec.sigma, spec.phi, spec.sigma2)
-    key = (rho, s1, s2, s3) + tuple(id(f) if w else None for w, f in zip(weights, fields))
-    found = space.shared.get(key)
-    if found is not None:
-        return found
-    if rho:
-        base = reduced_space(space, spec, rho=False)
-        rho_field = spec.rho
+
+    def build(part: OmegaSpec) -> Space:
+        base = reduced_space(space, part, rho=False) if rho else space
 
         def fn(point):
-            value, grad = _delta_pair_jet(rho_field, point)
-            return -s1 * value, -s1 * grad
+            if rho:
+                return tuple(-part.s.s1 * x for x in _delta_pair_jet(part.rho, point))
+            return tuple(-x for x in omega_jet(part, point))
 
-    else:
-        base = space
-        part = replace(spec, s=SValues(0.0, s2, s3), rho=None)
+        return base.deformed(PointField(part.chart, "ull", fn))
 
-        def fn(point):
-            value, grad = omega_jet(part, point)
-            return -value, -grad
-
-    reduced = base.deformed(PointField(spec.chart, "ull", fn), origin="reduced")
-    space.shared[key] = reduced
-    return reduced
+    return _share(space, "reduced", spec, rho, build)
 
 
 def basic_thomas(space: Space, spec: OmegaSpec):
@@ -307,43 +310,45 @@ def basic_thomas(space: Space, spec: OmegaSpec):
     return reduced_space(space, spec).connection
 
 
-def zeta(space: Space, spec: OmegaSpec):
+def zeta(space: Space, spec: OmegaSpec) -> LastPointMemo:
     """zeta_{ij} = s1 rho_{i|j} + s1^2 rho_i rho_j
-    + s1 s2 (F^a_i sigma_j + F^a_j sigma_i) rho_a + s1 s3 sigma_{ij} rho_a phi^a."""
+    + s1 s2 (F^a_i sigma_j + F^a_j sigma_i) rho_a + s1 s3 sigma_{ij} rho_a phi^a;
+    shared like Lambda, whose omega it reads."""
 
-    def evaluate(point) -> np.ndarray:
+    def evaluate(spec, point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         if s1 == 0.0:
             return np.zeros(batch_shape(point) + (spec.chart.dim,) * 2)
         rho, drho = spec.rho.jet(point)
-        sigma = spec.sigma.value(point)
-        F = spec.F.value(point)
-        phi = spec.phi.value(point)
-        sigma2 = spec.sigma2.value(point)
         conn = space.connection(point)
         rho_cov = covariant_derivative_arrays(rho, drho, "l", conn)
-        FTr = contract("ai,a->i", F, rho)
         out = s1 * rho_cov + s1 * s1 * contract("i,j->ij", rho, rho)
-        out += s1 * s2 * (contract("i,j->ij", FTr, sigma) + contract("i,j->ij", sigma, FTr))
-        out += s1 * s3 * contract("ij,->ij", sigma2, contract("a,a->", rho, phi))
+        if s2 != 0.0:
+            sigma = spec.sigma.value(point)
+            FTr = contract("ai,a->i", spec.F.value(point), rho)
+            out += s1 * s2 * (contract("i,j->ij", FTr, sigma) + contract("i,j->ij", sigma, FTr))
+        if s3 != 0.0:
+            rho_phi = contract("a,a->", rho, spec.phi.value(point))
+            out += s1 * s3 * contract("ij,->ij", spec.sigma2.value(point), rho_phi)
         return out
 
-    return LastPointMemo(evaluate)
+    return _share(space, "zeta", spec, True, lambda part: LastPointMemo(partial(evaluate, part)))
 
 
-def dee(space: Space, spec: OmegaSpec):
-    """The four-group D^{(s2).(s3).i}_{jmn} building block."""
+def dee(space: Space, spec: OmegaSpec) -> LastPointMemo:
+    """The four-group D^{(s2).(s3).i}_{jmn} building block; shared like
+    Lambda', whose omega it reads."""
 
-    def evaluate(point) -> np.ndarray:
+    def evaluate(spec, point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
         out = np.zeros(batch_shape(point) + (n,) * 4)
         if s2 == 0.0 and s3 == 0.0:
             return out
-        sigma = spec.sigma.value(point)
-        F = spec.F.value(point)
         conn = space.connection(point)
         if s2 != 0.0:
+            sigma = spec.sigma.value(point)
+            F = spec.F.value(point)
             FTs = contract("aj,a->j", F, sigma)
             F2 = contract("ia,aj->ij", F, F)
             out += s2 * s2 * (
@@ -374,7 +379,7 @@ def dee(space: Space, spec: OmegaSpec):
             )
         return out
 
-    return LastPointMemo(evaluate)
+    return _share(space, "dee", spec, False, lambda part: LastPointMemo(partial(evaluate, part)))
 
 
 def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
@@ -390,14 +395,14 @@ def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_DIRECT:
         return curvature(reduced_space(space, spec))
+    riemann = curvature(space)
     zeta_eval = zeta(space, spec)
     dee_eval = dee(space, spec)
 
     def evaluate(point) -> np.ndarray:
-        conn, dconn = space.connection_jet(point)
-        riemann = curvature_arrays(conn, dconn)
+        r = riemann(point)
         z = zeta_eval(point)
-        out = riemann - contract("ij,mn->ijmn", identity(conn.shape[-1]), _alt(z))
+        out = r - contract("ij,mn->ijmn", identity(r.shape[-1]), _alt(z))
         out -= delta_bracket(z)
         return out + _alt(dee_eval(point))
 
@@ -412,11 +417,12 @@ def derived_thomas(space: Space, spec: OmegaSpec):
     this is the classical Thomas projective parameter.
     """
     reduced = reduced_space(space, spec, rho=False)
+    reduced_thomas = thomas(reduced)
     s1 = spec.s.s1
 
     def evaluate(point) -> np.ndarray:
         conn = reduced.connection(point)
-        return conn - s1 * (conn - thomas_arrays(conn))
+        return conn - s1 * (conn - reduced_thomas(point))
 
     return evaluate
 
@@ -453,30 +459,26 @@ class WeylChain:
     ``first_printed`` follows the printed first-stage formula;
     ``first_corrected`` flips the sign of its D^a_{a[..]} trace terms per an
     independent re-derivation.  ``second`` and ``final`` are the successive
-    trace-dropped stages; ``correlation_residual`` measures final minus
-    (classical Weyl + D_{j[mn]}), an identity.
+    trace-dropped stages; ``final`` is the classical Weyl tensor plus
+    D_{j[mn]}.
     """
 
     first_printed: object
     first_corrected: object
     second: object
     final: object
-    correlation_residual: object
 
 
 def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LAST) -> WeylChain:
+    classical_eval = weyl(space, convention)
     dee_eval = dee(space, spec)
 
     def pieces_at(point):
-        conn, dconn = space.connection_jet(point)
-        riemann = curvature_arrays(conn, dconn)
-        ric = ricci_arrays(riemann, convention)
-        classical = weyl_arrays(riemann, ric)
         d = dee_eval(point)
         # D^a_{a[mn]} and D^a_{j[ma]}
         dtrace_alt = _alt(np.einsum("...aamn->...mn", d))
         dmix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
-        return classical, _alt(d), dtrace_alt, dmix
+        return classical_eval(point), _alt(d), dtrace_alt, dmix
 
     # shared by the four stages, so each point or batch assembles them once
     pieces = LastPointMemo(pieces_at)
@@ -503,10 +505,4 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
         classical, d_alt, _, _ = pieces(point)
         return classical + d_alt
 
-    def correlation_residual(point) -> np.ndarray:
-        conn, dconn = space.connection_jet(point)
-        riemann = curvature_arrays(conn, dconn)
-        classical = weyl_arrays(riemann, ricci_arrays(riemann, convention))
-        return final(point) - (classical + _alt(dee_eval(point)))
-
-    return WeylChain(first_printed, first_corrected, second, final, correlation_residual)
+    return WeylChain(first_printed, first_corrected, second, final)

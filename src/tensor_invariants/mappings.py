@@ -47,12 +47,11 @@ from .geometry import (
     Space,
     _alt,
     covariant_derivative_arrays,
-    curvature_arrays,
+    curvature,
     delta_bracket,
-    ricci_arrays,
+    ricci,
     thomas,
     weyl,
-    weyl_arrays,
 )
 from .invariants import (
     MODE_DIRECT,
@@ -200,8 +199,9 @@ def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
 def _fplanar_pieces(space: Space, F, sigma, point):
     conn, dconn = space.connection_jet(point)
     calF, dcalF = calF_jet(F, sigma, point)
+    calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
     nu, dnu = nu_jet(F, sigma, point)
-    return conn, dconn, F.jet(point)[0], sigma.jet(point)[0], calF, dcalF, nu, dnu
+    return conn, dconn, F.jet(point)[0], sigma.jet(point)[0], calF_cov, nu, dnu
 
 
 def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
@@ -210,19 +210,20 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     Returns a dict with keys 'thomas', 'zeta', 'dee', 'wbasic', 'wderived'.
     'thomas' is the Thomas parameter of L - calF/2, the others follow the
     printed reductions; for the verifier, each space is evaluated with its
-    own sigma-field from the omega split.
+    own sigma-field from the omega split.  The curvature, Ricci and Weyl
+    tensors are the space's shared evaluators.
     """
     n = space.dim
     delta = identity(n)
+    riemann, ric, classical = curvature(space), ricci(space, convention), weyl(space, convention)
     # shared by the evaluators below, so each point or batch assembles them once
     pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
 
     def dee_eval(point) -> np.ndarray:
-        conn, _, _, _, calF, dcalF, _, _ = pieces(point)
-        return -0.5 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
+        return -0.5 * pieces(point)[4]
 
     def zeta_eval(point) -> np.ndarray:
-        conn, dconn, Fv, sv, _, _, nu, dnu = pieces(point)
+        conn, dconn, Fv, sv, _, nu, dnu = pieces(point)
         trace = np.einsum("...aja->...j", conn)
         dtrace = np.einsum("...ajan->...jn", dconn)
         trace_cov = covariant_derivative_arrays(trace, dtrace, "l", conn)
@@ -237,21 +238,13 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wbasic_eval(point) -> np.ndarray:
-        conn, dconn, _, _, calF, dcalF, _, _ = pieces(point)
-        riemann = curvature_arrays(conn, dconn)
-        ric = ricci_arrays(riemann, convention)
-        calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
-        out = riemann + contract("ij,mn->ijmn", delta, _alt(ric)) / (n + 1)
-        out -= 0.5 * _alt(calF_cov)
+        out = riemann(point) + contract("ij,mn->ijmn", delta, ric(point)[1]) / (n + 1)
+        out -= 0.5 * _alt(pieces(point)[4])
         out -= delta_bracket(zeta_eval(point))
         return out
 
     def wderived_eval(point) -> np.ndarray:
-        conn, dconn, _, _, calF, dcalF, _, _ = pieces(point)
-        riemann = curvature_arrays(conn, dconn)
-        w = weyl_arrays(riemann, ricci_arrays(riemann, convention))
-        calF_cov = covariant_derivative_arrays(calF, dcalF, "ull", conn)
-        return w - 0.5 * _alt(calF_cov)
+        return classical(point) - 0.5 * _alt(pieces(point)[4])
 
     split = OmegaSpec(space.chart, SValues(1.0, 0.5, 0.0), sigma=sigma, F=F)
     return {
@@ -405,22 +398,15 @@ def _evaluator_pairs(source, target, mapping, convention):
     pairs["classical_thomas"] = (thomas(source), thomas(target))
     pairs["classical_weyl"] = (weyl(source, convention), weyl(target, convention))
     if mapping is not None:
-        w_src, w_tgt = mapping.omega_src, mapping.omega_tgt
-        pairs["basic_thomas"] = (basic_thomas(source, w_src), basic_thomas(target, w_tgt))
-        pairs["basic_weyl_direct"] = (
-            basic_weyl(source, w_src, MODE_DIRECT),
-            basic_weyl(target, w_tgt, MODE_DIRECT),
-        )
-        pairs["basic_weyl_structured"] = (
-            basic_weyl(source, w_src, MODE_STRUCTURED),
-            basic_weyl(target, w_tgt, MODE_STRUCTURED),
-        )
-        pairs["derived_thomas"] = (
-            derived_thomas(source, w_src),
-            derived_thomas(target, w_tgt),
-        )
-        chain_src = derived_weyl_chain(source, w_src, convention)
-        chain_tgt = derived_weyl_chain(target, w_tgt, convention)
+
+        def both(build, *args):
+            return build(source, mapping.omega_src, *args), build(target, mapping.omega_tgt, *args)
+
+        pairs["basic_thomas"] = both(basic_thomas)
+        pairs["basic_weyl_direct"] = both(basic_weyl, MODE_DIRECT)
+        pairs["basic_weyl_structured"] = both(basic_weyl, MODE_STRUCTURED)
+        pairs["derived_thomas"] = both(derived_thomas)
+        chain_src, chain_tgt = both(derived_weyl_chain, convention)
         pairs["weyl_first_printed"] = (chain_src.first_printed, chain_tgt.first_printed)
         pairs["weyl_first_corrected"] = (chain_src.first_corrected, chain_tgt.first_corrected)
         pairs["weyl_second"] = (chain_src.second, chain_tgt.second)
@@ -429,16 +415,12 @@ def _evaluator_pairs(source, target, mapping, convention):
 
 
 def _fplanar_pairs(source, target, mapping: MappingSpec, convention):
-    src_set = fplanar_invariants(
-        source, mapping.omega_src.F, mapping.omega_src.sigma, convention
-    )
-    tgt_set = fplanar_invariants(
-        target, mapping.omega_tgt.F, mapping.omega_tgt.sigma, convention
+    src_set, tgt_set = (
+        fplanar_invariants(space, spec.F, spec.sigma, convention)
+        for space, spec in ((source, mapping.omega_src), (target, mapping.omega_tgt))
     )
     return {
-        "fplanar_thomas": (src_set["thomas"], tgt_set["thomas"]),
-        "fplanar_wbasic": (src_set["wbasic"], tgt_set["wbasic"]),
-        "fplanar_wderived": (src_set["wderived"], tgt_set["wderived"]),
+        f"fplanar_{key}": (src_set[key], tgt_set[key]) for key in ("thomas", "wbasic", "wderived")
     }
 
 

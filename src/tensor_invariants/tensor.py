@@ -96,10 +96,10 @@ class LastPointMemo:
     that evaluates everything it needs at one point or block before it moves
     on needs no more than that one slot.  Arrays in a result (or in a result
     tuple) are made read-only: a caller cannot alter what a later call at the
-    same point returns.
+    same point returns.  A memo can be held weakly (``geometry.Space.share``).
     """
 
-    __slots__ = ("fn", "cache", "shape")
+    __slots__ = ("fn", "cache", "shape", "__weakref__")
 
     def __init__(self, fn):
         self.fn = fn

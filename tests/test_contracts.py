@@ -66,3 +66,8 @@ def test_traced_verify_reaches_every_verify_span():
         if name not in AUDIT_ONLY_SPANS and counts.get(f"{name}.{kind}", 0) < 1
     ]
     assert not empty, f"verify-path spans with no call: {empty}"
+    # one point is one block: each space's curvature, Ricci and Weyl tensor is
+    # computed once, whichever rows read it (source, target and L - omega in
+    # each for the curvature)
+    shared = [counts[f"geometry.{name}.calls"] for name in ("curvature", "ricci", "weyl")]
+    assert shared == [4, 2, 2]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tensor_invariants.audit import _weyl_correlation_residual
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import RICCI_LAST, RICCI_MIDDLE, Space, curvature, thomas, weyl
 from tensor_invariants.invariants import (
@@ -28,10 +29,11 @@ from tensor_invariants.invariants import (
 from tensor_invariants.mappings import fplanar_invariants, sample_points
 from tensor_invariants.sampling import (
     random_connection_space,
+    random_field,
     random_metric_space,
     random_omega_spec,
 )
-from tensor_invariants.tensor import PointBatch, TensorField
+from tensor_invariants.tensor import PointBatch, PointField, TensorField
 
 P0 = (1.0, 2.0, 3.0)
 LN15 = math.log(15.0)
@@ -59,6 +61,37 @@ def test_omega_jet_value_matches_omega(chart):
     spec = random_omega_spec(chart, rng)
     for point in sample_points([[1.0, 2.0]] * 3, 3, seed=15):
         assert np.array_equal(omega_jet(spec, point)[0], omega(spec, point))
+
+
+def test_zero_coefficient_fields_are_not_evaluated(chart):
+    # omega, zeta and D read no field of a term group whose s-value is 0, so
+    # the key they are shared under (the ids of the fields that enter) names
+    # every field they read
+    def untouchable(variance):
+        def fn(point):
+            raise AssertionError("a field with a zero coefficient was evaluated")
+
+        return PointField(chart, variance, fn)
+
+    rng = np.random.default_rng(19)
+    coefficients = random_field(chart, "ull", rng, 0.3)
+    full = random_omega_spec(chart, rng)
+    cases = [SValues(0.0, -0.6, 0.8), SValues(0.7, 0.0, 0.8), SValues(0.7, -0.6, 0.0)]
+    for s in cases + [SValues(0.0, 0.5, 0.0), SValues(1.0, 0.0, 0.0), SValues(0.0, 0.0, 0.0)]:
+        weights = {"rho": s.s1, "F": s.s2, "sigma": s.s2, "phi": s.s3, "sigma2": s.s3}
+        zero = {
+            name: untouchable(getattr(full, name).variance)
+            for name, weight in weights.items()
+            if weight == 0.0
+        }
+        spec, reference = replace(full, s=s, **zero), replace(full, s=s)
+        value, grad = omega_jet(spec, P0)
+        assert np.array_equal(value, omega(reference, P0))
+        assert np.array_equal(grad, omega_jet(reference, P0)[1])
+        # a space each, so that nothing is shared between the two sides
+        space, other = (Space.from_connection(coefficients) for _ in range(2))
+        for build in (zeta, dee):
+            assert np.array_equal(build(space, spec)(P0), build(other, reference)(P0))
 
 
 # --- omega -------------------------------------------------------------------
@@ -300,14 +333,22 @@ def test_weyl_chain_collapses_without_s2_s3(example_space, chart):
                 assert np.max(np.abs(stage(point) - w)) < 1e-12
 
 
-def test_weyl_chain_correlation_residual(chart):
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        space = random_connection_space(chart, rng)
-        spec = random_omega_spec(chart, rng)
-        chain = derived_weyl_chain(space, spec)
-        for point in sample_points([[1.0, 2.0]] * 3, 2, seed=int(rng.integers(1000))):
-            assert np.max(np.abs(chain.correlation_residual(point))) < 1e-12
+def test_weyl_chain_correlation_residual():
+    # final = classical Weyl + D_{j[mn]}, measured against W(L - omega without
+    # rho) and the D traces, which the chain's stages never compute
+    for n in range(2, 7):
+        chart = Chart(tuple(f"x{k}" for k in range(1, n + 1)))
+        rng = np.random.default_rng([16, n])
+        batch = PointBatch(sample_points([[1.0, 2.0]] * n, 2, seed=n))
+        for build in (random_connection_space, random_metric_space):
+            space = build(chart, rng)
+            spec = random_omega_spec(chart, rng)
+            final = derived_weyl_chain(space, spec).final(batch)
+            residual = _weyl_correlation_residual(space, spec, batch)
+            assert np.all(np.abs(residual) <= 1e-12 * np.maximum(1.0, np.abs(final)))
+            # the trace terms are far from rounding, so their signs are checked
+            w = weyl(reduced_space(space, spec, rho=False))(batch)
+            assert np.max(np.abs(final - w)) > 1e-3
 
 
 def test_weyl_chain_trace_audit_regression(chart):

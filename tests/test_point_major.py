@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tensor_invariants import geometry, mappings, tensor
+from tensor_invariants import geometry, invariants, mappings, tensor
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import thomas, weyl
@@ -122,6 +122,27 @@ def _rows(point):
     return [tuple(point)]
 
 
+def _count_calls(monkeypatch, calls, name, key=None):
+    """Count the calls of geometry function `name` from every module that
+    binds it, in `calls` under `name` or ``key(*args)``."""
+    original = getattr(geometry, name)
+
+    def counted(*args):
+        calls[name if key is None else key(*args)] += 1
+        return original(*args)
+
+    for module in (geometry, invariants, mappings):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def _count_kernels(monkeypatch) -> Counter:
+    kernels = Counter()
+    for name in ("curvature_arrays", "ricci_arrays", "weyl_arrays"):
+        _count_calls(monkeypatch, kernels, name)
+    return kernels
+
+
 def test_verify_fplanar_work_counts(monkeypatch):
     job = builtin_config("fplanar-demo")
     points = job.points()
@@ -162,6 +183,7 @@ def test_verify_fplanar_work_counts(monkeypatch):
 
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
     monkeypatch.setattr(geometry._SumConnection, "jets", counting_sum)
+    kernels = _count_kernels(monkeypatch)
 
     source = job.build_space()
     mapping = job.mapping()
@@ -189,11 +211,38 @@ def test_verify_fplanar_work_counts(monkeypatch):
     assert set(summed.values()) == {1}
     assert len({key for key, _ in summed}) == 5
     assert calls == {"metric": 3, "sum": 15}
+    # every row reads its space's one curvature, Ricci and Weyl evaluator:
+    # per block, four curvatures (source, target and L - omega in each) and
+    # the Ricci and Weyl tensors of source and target
+    assert kernels == {"curvature_arrays": 4 * 3, "ricci_arrays": 2 * 3, "weyl_arrays": 2 * 3}
+
+
+def test_verify_omega_work_counts(monkeypatch):
+    # a general omega pair with every s nonzero reaches each branch of D
+    source, target, mapping, _ = _omega_world()
+    assert all(s != 0.0 for s in mapping.omega_src.s.as_tuple())
+    points = sample_points([[1.0, 2.0]] * 4, 6, seed=29)
+    # blocks of 2 points
+    monkeypatch.setattr(mappings, "BLOCK_BYTES", 2 * 8 * 4**4)
+    assert mappings.block_size(4) == 2
+    kernels = _count_kernels(monkeypatch)
+    # D takes its two covariant derivatives of rank-3 tensors (of calF and of
+    # sigma_{jk} phi^i) and zeta one of rho: counted by rank, they count the
+    # runs of each body
+    derivatives = Counter()
+    _count_calls(monkeypatch, derivatives, "covariant_derivative_arrays", lambda *a: a[2])
+    report = verify_invariance(source, target, mapping, points)
+    assert len(report.rows) == 10
+    # per block and space: one D shared by the structured basic Weyl row and
+    # the chain, one zeta, and the curvature of the space and of L - omega
+    assert derivatives == {"ull": 2 * 2 * 3, "l": 2 * 3}
+    assert kernels == {"curvature_arrays": 4 * 3, "ricci_arrays": 2 * 3, "weyl_arrays": 2 * 3}
 
 
 def test_reduced_spaces_die_with_the_evaluators():
-    # the source space holds its reduced spaces weakly and nothing refers
-    # back to them, so they go by reference counting alone, with no cycle
+    # each space holds the objects shared by its rows weakly and nothing
+    # refers back to them, so they go by reference counting alone, with no
+    # cycle
     source, target, _, mspec = _fplanar_world()
     point = (1.25, 1.5, 1.75)
     gc.disable()
@@ -204,14 +253,34 @@ def test_reduced_spaces_die_with_the_evaluators():
             eval_src(point)
             eval_tgt(point)
         reduced = [
-            weakref.ref(reduced_space(space, spec, rho))
+            reduced_space(space, spec, rho)
             for space, spec in ((source, mspec.omega_src), (target, mspec.omega_tgt))
             for rho in (True, False)
         ]
-        assert all(ref() is not None for ref in reduced)
-        assert len(source.shared) == 2 and len(target.shared) == 2
-        del pairs, eval_src, eval_tgt
-        assert all(ref() is None for ref in reduced)
+        # by kind (and Ricci convention, or whether rho enters): the space's
+        # curvature, Ricci, Weyl and Thomas evaluators, zeta, D and the two
+        # reduced spaces; the curvature of L - omega and the Thomas parameter
+        # of L - omega without rho, which the F-planar Thomas row shares
+        for space in (source, target):
+            assert sorted(map(str, (key[:2] for key in space.shared))) == [
+                "('curvature',)",
+                "('dee', False)",
+                "('reduced', False)",
+                "('reduced', True)",
+                "('ricci', 'last')",
+                "('thomas',)",
+                "('weyl', 'last')",
+                "('zeta', True)",
+            ]
+        assert [list(space.shared) for space in reduced] == [[("curvature",)], [("thomas",)]] * 2
+        held = [
+            weakref.ref(shared)
+            for space in [source, target] + reduced
+            for shared in space.shared.values()
+        ]
+        assert len(held) == 20
+        del pairs, eval_src, eval_tgt, reduced
+        assert all(ref() is None for ref in held)
         assert len(source.shared) == 0 and len(target.shared) == 0
     finally:
         gc.enable()
