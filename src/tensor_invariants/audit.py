@@ -48,7 +48,7 @@ from .mappings import (
     verify_invariance,
 )
 from .sampling import random_connection_space, random_mapping, random_omega_spec
-from .tensor import PointBatch, contract, identity, scale_field
+from .tensor import PointBatch, delta_product, scale_field
 
 __all__ = ["Finding", "run_paper_audit", "findings_to_json"]
 
@@ -221,7 +221,7 @@ def _weyl_correlation_residual(space, spec, point) -> np.ndarray:
     mix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
     n = space.dim
     out = final - weyl(reduced_space(space, spec, rho=False), RICCI_LAST)(point)
-    out -= contract("ij,mn->ijmn", identity(n), trace) / (n + 1)
+    out -= delta_product("ij,mn->ijmn", trace) / (n + 1)
     return out + delta_bracket((n + 1) * mix + trace) / (n * n - 1)
 
 

@@ -27,8 +27,9 @@ projective Weyl tensor verifies numerically.
 
 Every evaluator and array kernel takes one point or a ``tensor.PointBatch``
 and then carries a leading batch axis (``L[..., i, j, k]``), with each
-point's result bit-identical to its evaluation alone (see ``tensor``).  A
-space remembers its connection jet for the last point or batch only, and
+point's result bit-identical to its evaluation alone (see ``tensor``); the
+delta products of the Thomas and Weyl assemblies are ``tensor.delta_product``
+diagonal writes, not products with the identity.  A space remembers its connection jet for the last point or batch only, and
 ``curvature``, ``ricci``, ``weyl`` and ``thomas`` return its one shared
 last-batch evaluator of each, so every reader computes each object once.
 """
@@ -47,7 +48,7 @@ from .tensor import (
     add_fields,
     batch_shape,
     contract,
-    identity,
+    delta_product,
     zero_field,
 )
 
@@ -306,8 +307,7 @@ def ricci(space: Space, convention: str = RICCI_LAST) -> LastPointMemo:
 def thomas_arrays(conn: np.ndarray) -> np.ndarray:
     n = conn.shape[-1]
     trace = np.einsum("...aja->...j", conn)
-    delta = identity(n)
-    correction = contract("ik,j->ijk", delta, trace) + contract("ij,k->ijk", delta, trace)
+    correction = delta_product("ik,j->ijk", trace) + delta_product("ij,k->ijk", trace)
     return conn - correction / (n + 1)
 
 
@@ -322,13 +322,12 @@ def thomas(space: Space) -> LastPointMemo:
 
 def delta_bracket(t: np.ndarray) -> np.ndarray:
     """delta^i_m t_jn - delta^i_n t_jm, for a 2-tensor t (batch axes first)."""
-    delta = identity(t.shape[-1])
-    return contract("im,jn->ijmn", delta, t) - contract("in,jm->ijmn", delta, t)
+    return delta_product("im,jn->ijmn", t) - delta_product("in,jm->ijmn", t)
 
 
 def weyl_arrays(riemann: np.ndarray, ric: np.ndarray) -> np.ndarray:
     n = riemann.shape[-1]
-    out = riemann + contract("ij,mn->ijmn", identity(n), _alt(ric)) / (n + 1)
+    out = riemann + delta_product("ij,mn->ijmn", _alt(ric)) / (n + 1)
     bracket_a = delta_bracket(ric)
     bracket_b = delta_bracket(np.swapaxes(ric, -1, -2))
     return out + (n * bracket_a + bracket_b) / (n * n - 1)

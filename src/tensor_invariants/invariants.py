@@ -56,7 +56,7 @@ from .geometry import (
     thomas_arrays,
     weyl,
 )
-from .tensor import LastPointMemo, PointField, batch_shape, contract, identity, zero_field
+from .tensor import LastPointMemo, PointField, batch_shape, contract, delta_product, zero_field
 
 __all__ = [
     "SValues",
@@ -144,6 +144,12 @@ def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return half + np.swapaxes(half, -1, -2)
 
 
+def _delta_pair(v: np.ndarray) -> np.ndarray:
+    """d^i_j v_k + d^i_k v_j."""
+    half = delta_product("ij,k->ijk", v)
+    return half + np.swapaxes(half, -1, -2)
+
+
 def _nu(F: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """nu_j = calF^a_{ja} = tr(F) sigma_j + F^a_j sigma_a."""
     return contract(",j->j", contract("aa->", F), sigma) + contract("aj,a->j", F, sigma)
@@ -152,10 +158,9 @@ def _nu(F: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def _delta_pair_jet(v, point) -> tuple[np.ndarray, np.ndarray]:
     """d^i_j v_k + d^i_k v_j with its first partials, from a 1-form field."""
     value, grad = v.jet(point)
-    delta = identity(value.shape[-1])
     return (
-        _pair(delta, value),
-        contract("ij,kn->ijkn", delta, grad) + contract("ik,jn->ijkn", delta, grad),
+        _delta_pair(value),
+        delta_product("ij,kn->ijkn", grad) + delta_product("ik,jn->ijkn", grad),
     )
 
 
@@ -186,7 +191,7 @@ def omega(spec: OmegaSpec, point) -> np.ndarray:
     """omega^i_{jk}; symmetric in (j, k) by construction."""
     s1, s2, s3 = spec.s.as_tuple()
     rho, sigma, F, phi, sigma2 = spec.values(point)
-    out = s1 * _pair(identity(rho.shape[-1]), rho)
+    out = s1 * _delta_pair(rho)
     out += s2 * _pair(F, sigma)
     out += s3 * contract("jk,i->ijk", sigma2, phi)
     return out
@@ -225,7 +230,6 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     """
     s1, s2, s3 = spec.s.as_tuple()
     rho, sigma, F, phi, sigma2 = spec.values(point)
-    delta = identity(spec.chart.dim)
     F2 = contract("ia,aj->ij", F, F)
     FTr = contract("aj,a->j", F, rho)  # F^a_j rho_a
     FTs = contract("aj,a->j", F, sigma)  # F^a_j sigma_a
@@ -235,12 +239,13 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     sigma_phi = contract("a,a->", sigma, phi)
     Fphi = contract("ia,a->i", F, phi)
 
-    out = s1 * s1 * contract("ij,m,n->ijmn", delta, rho, rho)
-    out += s1 * s1 * contract("im,j,n->ijmn", delta, rho, rho)
-    coeff_n = 2.0 * s1 * s1 * contract("j,m->jm", rho, rho)
+    rho2 = contract("j,m->jm", rho, rho)
+    out = s1 * s1 * delta_product("ij,mn->ijmn", rho2)
+    out += s1 * s1 * delta_product("im,jn->ijmn", rho2)
+    coeff_n = 2.0 * s1 * s1 * rho2
     coeff_n += s1 * s2 * (contract("m,j->jm", FTr, sigma) + contract("j,m->jm", FTr, sigma))
     coeff_n += s1 * s3 * contract("jm,->jm", sigma2, rho_phi)
-    out += contract("in,jm->ijmn", delta, coeff_n)
+    out += delta_product("in,jm->ijmn", coeff_n)
     out += s2 * s2 * (
         contract("in,m,j->ijmn", F, FTs, sigma)
         + contract("in,j,m->ijmn", F, FTs, sigma)
@@ -402,7 +407,7 @@ def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
     def evaluate(point) -> np.ndarray:
         r = riemann(point)
         z = zeta_eval(point)
-        out = r - contract("ij,mn->ijmn", identity(r.shape[-1]), _alt(z))
+        out = r - delta_product("ij,mn->ijmn", _alt(z))
         out -= delta_bracket(z)
         return out + _alt(dee_eval(point))
 
@@ -446,7 +451,7 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
         rhs = s1 * t_classical + (1.0 - s1) * conn
         rhs -= s2 * _pair(F, sigma)
         rhs -= s3 * contract("jk,i->ijk", sigma2, phi)
-        rhs += (s1 / (n + 1)) * _pair(identity(n), bterm)
+        rhs += (s1 / (n + 1)) * _delta_pair(bterm)
         return derived(point) - rhs
 
     return evaluate
@@ -487,7 +492,7 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
         classical, d_alt, dtrace_alt, dmix = pieces(point)
         n = classical.shape[-1]
         out = classical + d_alt
-        out -= contract("ij,mn->ijmn", identity(n), dtrace_alt) / (n + 1)
+        out -= delta_product("ij,mn->ijmn", dtrace_alt) / (n + 1)
         bracket_m = (n + 1) * dmix + trace_sign * dtrace_alt
         return out + delta_bracket(bracket_m) / (n * n - 1)
 

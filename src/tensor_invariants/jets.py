@@ -1,17 +1,23 @@
-"""One engine for field values and exact jets: compiled postfix programs.
+"""One engine for field values and exact jets: compiled programs.
 
-:func:`compile_program` flattens an expression tree once to ``(code, arg,
-node)`` ops.  ``node`` is the op's tree node, so a ``DomainError`` names the
-subexpression ``expr.evaluate`` would name; a scalar map (a function, or
-``pow`` with its constant exponent folded in) carries its derivative rule as
-``arg``.  :func:`run_program` runs a program at order 0 on plain floats,
-exactly as ``expr.evaluate`` computes, or at order 1 or 2 on ``(value, grad,
-hess)`` by truncated Taylor arithmetic (Griewank & Walther, *Evaluating
-Derivatives*, ch. 13), so partials are exact up to rounding.  The zero
-gradient of a constant subtree and the zero Hessian of a linear one are
-carried as None and cost no array work.  Order 2 is the most the library
-needs (second partials of a metric give the first partials of its
-Christoffel symbols); every other field is jetted to order 1.
+:func:`compile_program` compiles the entries of a field (one expression, or
+every entry of a tensor) into one program of ``(code, arg, node, left,
+right)`` ops, one per distinct subtree, each writing a slot from its
+operands' slots.  An op's key is its code, the constant's bits (0.0 and -0.0
+stay apart), the variable's index and the operands' slots, so a subtree
+repeated within or across entries (mirror entries, a shared ``sin(u)``) is
+computed once, with the bits a program of one entry gives.  ``node`` is the
+op's tree node, so a ``DomainError`` names the subexpression
+``expr.evaluate`` would name; a scalar map (a function, or ``pow`` with its
+constant exponent folded in) carries its derivative rule as ``arg``.
+:func:`run_program` runs a program at order 0 on plain floats, exactly as
+``expr.evaluate`` computes, or at order 1 or 2 on ``(value, grad, hess)`` by
+truncated Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13), so partials are exact up to rounding.  The zero gradient of a
+constant subtree and the zero Hessian of a linear one are carried as None
+and cost no array work.  Order 2 is the most the library needs (second
+partials of a metric give the first partials of its Christoffel symbols);
+every other field is jetted to order 1.
 
 The same interpreter runs a program over a ``(P, N)`` array of points, the
 Taylor arithmetic vectorised over a leading point axis: values ``(P,)``,
@@ -37,7 +43,7 @@ import numpy as np
 
 from .expr import Const, DomainError, Expr, Unary, Var, _apply_binary, _apply_unary
 
-__all__ = ["Jet", "compile_program", "run_program", "eval_jet"]
+__all__ = ["Jet", "Program", "compile_program", "run_program", "eval_jet"]
 
 
 class Jet(NamedTuple):
@@ -48,115 +54,146 @@ class Jet(NamedTuple):
     hess: np.ndarray | None
 
 
-def compile_program(node: Expr) -> tuple:
-    """Flatten a tree to the postfix program :func:`run_program` runs."""
-    if isinstance(node, Const):
-        return (("const", node.value, node),)
-    if isinstance(node, Var):
-        return (("var", node.index, node),)
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return compile_program(node.arg) + (("neg", None, node),)
-        rule = partial(_unary_derivatives, node.op)
-        return compile_program(node.arg) + (("map", rule, node),)
-    if node.op == "pow":
-        rule = partial(_pow_derivatives, node.right.value)
-        return compile_program(node.left) + (("map", rule, node),)
-    return compile_program(node.left) + compile_program(node.right) + ((node.op, None, node),)
+class Program(NamedTuple):
+    """Ops in run order, each entry's slot, and per op the entry that made it."""
+
+    ops: tuple
+    roots: tuple
+    owners: tuple
 
 
-def run_program(program: tuple, point, order: int):
-    """Run `program` at `point`: the value at order 0, else the channels up
-    to the order, ``(value, grad)`` or ``(value, grad, hess)``.
+def compile_program(*entries: Expr) -> Program:
+    """Compile the entries into one program, one op per distinct subtree."""
+    ops, owners, slots = [], [], {}
+
+    def visit(node) -> int:
+        left = right = arg = tag = None
+        if isinstance(node, Const):
+            code, arg, tag = "const", node.value, (node.value, math.copysign(1.0, node.value))
+        elif isinstance(node, Var):
+            code, arg, tag = "var", node.index, node.index
+        elif isinstance(node, Unary):
+            code, tag, left = ("neg" if node.op == "neg" else "map"), node.op, visit(node.arg)
+            arg = None if code == "neg" else partial(_unary_derivatives, node.op)
+        elif node.op == "pow":
+            p = node.right.value
+            code, tag, left = "map", (p, math.copysign(1.0, p)), visit(node.left)
+            arg = partial(_pow_derivatives, p)
+        else:
+            code, left, right = node.op, visit(node.left), visit(node.right)
+        key = (code, tag, left, right)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(ops)
+            ops.append((code, arg, node, left, right))
+            owners.append(owner)
+        return slot
+
+    roots = []
+    for owner, node in enumerate(entries):
+        roots.append(visit(node))
+    return Program(tuple(ops), tuple(roots), tuple(owners))
+
+
+def run_program(program: Program, point, order: int):
+    """Run `program` at `point`: the entries' values at order 0, else their
+    channels up to the order, ``(value, grad)`` or ``(value, grad, hess)``,
+    each with a leading entry axis: ``(E,)``, ``(E, N)`` and ``(E, N, N)``.
 
     `point` is one point (N coordinates), or a ``(P, N)`` array of points;
-    then the channels are ``(P,)``, ``(P, N)`` and ``(P, N, N)`` arrays, each
-    row bit-identical to a run at that row alone: the Taylor arithmetic is
-    elementwise, and scalar maps (and the reciprocal inside ``div``) apply
-    the float rules below to each row in turn.  A batch that fails raises
-    the ``DomainError`` of its first failing row, as a run at that row does.
+    then the channels are ``(E, P)``, ``(E, P, N)`` and ``(E, P, N, N)``
+    arrays, each row bit-identical to a run at that row alone: the Taylor
+    arithmetic is elementwise, and scalar maps (and the reciprocal inside
+    ``div``) apply the float rules below to each row in turn.  A run raises
+    the ``DomainError`` of its first failing entry, at that entry's first
+    failing row, as one-entry programs run in entry order do.
     """
     if not (isinstance(point, np.ndarray) and point.ndim == 2):
         return _run(program, point, order, ())
     try:
         return _run(program, point, order, point.shape[:1])
     except DomainError:
+        # a row alone raises at the first failing op of its first failing
+        # entry, since a lower entry's ops all run first: the row whose
+        # failing op has the lowest owner, the first of them, is the one
+        first = None
         for row in point.tolist():
-            _run(program, row, order, ())
-        raise
+            try:
+                _run(program, row, order, ())
+            except DomainError as error:
+                owner = next(o for op, o in zip(program.ops, program.owners) if op[2] is error.node)
+                if first is None or owner < first[0]:
+                    first = owner, error
+        if first is None:
+            raise
+        raise first[1]
 
 
-def _run(program: tuple, point, order: int, batch: tuple):
-    stack: list = []
-    if order == 0:
-        for code, arg, node in program:
-            if code == "const":
-                stack.append(arg)
-            elif code == "var":
-                stack.append(point[:, arg] if batch else float(point[arg]))
-            elif code == "map":
-                stack[-1] = _each(arg, stack[-1], node, 0)[0]
-            elif code == "neg":
-                stack[-1] = -stack[-1]
-            else:
-                b = stack.pop()
-                if code != "div":
-                    stack[-1] = _apply_binary(code, stack[-1], b, node)
-                elif np.any(b == 0.0):
-                    raise DomainError("division by zero", node)
-                else:
-                    stack[-1] = stack[-1] / b
-        return np.broadcast_to(stack[0], batch) if batch else stack[0]
-
-    push, pop = stack.append, stack.pop
+def _run(program: Program, point, order: int, batch: tuple):
+    slots: list = []
+    push = slots.append
     n = point.shape[1] if batch else len(point)
     second = order == 2
-    for code, arg, node in program:
-        if code == "var":
+    for code, arg, node, i, j in program.ops:
+        if order == 0:
+            if code == "const":
+                push(arg)
+            elif code == "var":
+                push(point[:, arg] if batch else float(point[arg]))
+            elif code == "map":
+                push(_each(arg, slots[i], node, 0)[0])
+            elif code == "neg":
+                push(-slots[i])
+            elif code != "div":
+                push(_apply_binary(code, slots[i], slots[j], node))
+            elif np.any(slots[j] == 0.0):
+                raise DomainError("division by zero", node)
+            else:
+                push(slots[i] / slots[j])
+        elif code == "mul":
+            a, b = slots[i], slots[j]
+            push(_product(a, b, a[0] * b[0], second))
+        elif code == "map":
+            a, ga, ha = slots[i]
+            push(_chain(_each(arg, a, node, order), ga, ha, second))
+        elif code == "add":
+            (a, ga, ha), (b, gb, hb) = slots[i], slots[j]
+            push((a + b, _plus(ga, gb), _plus(ha, hb)))
+        elif code == "sub":
+            (a, ga, ha), (b, gb, hb) = slots[i], slots[j]
+            push((a - b, _minus(ga, gb), _minus(ha, hb)))
+        elif code == "var":
             grad = np.zeros(batch + (n,))
             grad[..., arg] = 1.0
             push((point[:, arg] if batch else float(point[arg]), grad, None))
         elif code == "const":
             push((arg, None, None))
-        elif code == "map":
-            a, ga, ha = pop()
-            push(_chain(_each(arg, a, node, order), ga, ha, second))
-        elif code == "mul":
-            b, a = pop(), pop()
-            push(_product(a, b, a[0] * b[0], second))
-        elif code == "add":
-            (b, gb, hb), (a, ga, ha) = pop(), pop()
-            push((a + b, _plus(ga, gb), _plus(ha, hb)))
-        elif code == "sub":
-            (b, gb, hb), (a, ga, ha) = pop(), pop()
-            push((a - b, _minus(ga, gb), _minus(ha, hb)))
         elif code == "div":
-            (b, gb, hb), a = pop(), pop()
+            a, (b, gb, hb) = slots[i], slots[j]
             if np.any(b == 0.0):
                 raise DomainError("division by zero", node)
             reciprocal = _chain(_each(_reciprocal, b, node, order), gb, hb, second)
             push(_product(a, reciprocal, a[0] / b, second))
         elif code == "neg":
-            a, ga, ha = pop()
+            a, ga, ha = slots[i]
             push((-a, _minus(None, ga), _minus(None, ha)))
         else:
             raise ValueError(f"unknown binary op {code!r}")
-    value, grad, hess = stack[0]
-    if batch and not isinstance(value, np.ndarray):
-        value = np.full(batch, value)
-    if grad is None:
-        grad = np.zeros(batch + (n,))
-    if not second:
-        return value, grad
-    return value, grad, np.zeros(batch + (n, n)) if hess is None else hess
+    # channels by entry; a None channel of an entry stays zero
+    out = [np.zeros((len(program.roots),) + batch + (n,) * k) for k in range(order + 1)]
+    for entry, slot in enumerate(program.roots):
+        for channel, part in zip(out, slots[slot] if order else (slots[slot],)):
+            if part is not None:
+                channel[entry] = part
+    return tuple(out) if order else out[0]
 
 
 def _each(rule, x, node: Expr, order: int):
     """A scalar map's value and derivatives at `x`: a float, or each entry
-    of an array in turn (then one array per derivative)."""
+    of an array in turn (then one row per derivative)."""
     if not isinstance(x, np.ndarray):
         return rule(x, node, order)
-    return [np.array(c) for c in zip(*[rule(v, node, order) for v in x.tolist()])]
+    return np.array([rule(v, node, order) for v in x.tolist()]).T
 
 
 # -- Taylor arithmetic on (value, grad, hess), None for a zero channel ---------
@@ -259,4 +296,4 @@ def eval_jet(node: Expr, point, order: int = 2) -> Jet:
         raise ValueError("jet order must be in 0..2")
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_program(compile_program(node), point, order)
-    return Jet(*result, *[None] * (2 - order)) if order else Jet(result, None, None)
+    return Jet(*[c[0] for c in (result if order else (result,))], *[None] * (2 - order))

@@ -74,7 +74,7 @@ from .tensor import (
     PointField,
     add_fields,
     contract,
-    identity,
+    delta_product,
     scale_field,
 )
 
@@ -165,7 +165,7 @@ def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
 
 
 def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
-    """rho_j = (L^a_{ja} + sign * (F sigma_j + F^a_j sigma_a) / 2) / (N + 1)."""
+    """rho_j = (L^a_{ja} + sign * (F sigma_j + F^a_j sigma_a) / 2) / (N + 1), once per block."""
     chart = space.chart
     n = chart.dim
 
@@ -178,7 +178,7 @@ def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
         grad = (dtrace + 0.5 * sign * dnu) / (n + 1)
         return value, grad
 
-    return PointField(chart, "l", fn)
+    return PointField(chart, "l", LastPointMemo(fn))
 
 
 def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
@@ -214,7 +214,6 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     tensors are the space's shared evaluators.
     """
     n = space.dim
-    delta = identity(n)
     riemann, ric, classical = curvature(space), ricci(space, convention), weyl(space, convention)
     # shared by the evaluators below, so each point or batch assembles them once
     pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
@@ -238,7 +237,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wbasic_eval(point) -> np.ndarray:
-        out = riemann(point) + contract("ij,mn->ijmn", delta, ric(point)[1]) / (n + 1)
+        out = riemann(point) + delta_product("ij,mn->ijmn", ric(point)[1]) / (n + 1)
         out -= 0.5 * _alt(pieces(point)[4])
         out -= delta_bracket(zeta_eval(point))
         return out

@@ -12,10 +12,10 @@ its arrays with a leading axis of length P in the second case: ``value`` is
 ``(P, *shape)``, ``jet`` adds ``(P, *shape, N)`` and ``jet2`` ``(P, *shape,
 N, N)``.  The kernels are written so that a point's result is bit-identical
 whether it is evaluated alone or inside any batch: elementwise arithmetic,
-broadcasts for Kronecker-delta products, traces summed in index order, and
-for a contraction of two operands one BLAS call per point, of the same
-shape on C-contiguous operands, whether the point is alone or a row of a
-stacked ``np.matmul`` (:func:`contract`).
+Kronecker-delta products written into a diagonal (:func:`delta_product`),
+traces summed in index order, and for a contraction of two operands one
+BLAS call per point, of the same shape on C-contiguous operands, whether the
+point is alone or a row of a stacked ``np.matmul`` (:func:`contract`).
 
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
@@ -43,6 +43,7 @@ __all__ = [
     "PointBatch",
     "batch_shape",
     "contract",
+    "delta_product",
     "zero_field",
     "scale_field",
     "add_fields",
@@ -241,11 +242,30 @@ def contract(spec: str, *operands: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def identity(n: int) -> np.ndarray:
-    """The read-only N x N Kronecker delta."""
-    delta = np.eye(n)
-    delta.flags.writeable = False
-    return delta
+def _delta_plan(spec: str) -> tuple:
+    """Output rank, the slot the delta pairs with slot 0, and the index that
+    puts a unit axis before t's slots, for a :func:`delta_product` spec."""
+    inputs, output = spec.split("->")
+    delta, letters = inputs.split(",")
+    if output[0] != delta[0] or output.replace(delta[1], "")[1:] != letters:
+        raise ValueError(f"not a Kronecker delta product: {spec!r}")
+    return len(output), output.index(delta[1]), (Ellipsis, None) + (slice(None),) * len(letters)
+
+
+def delta_product(spec: str, t: np.ndarray) -> np.ndarray:
+    """d^i_m t_jn for ``delta_product("im,jn->ijmn", t)``: the outer product
+    ``contract(spec, identity, t)`` without its products.  The output is zero
+    (+0.0, of t's dtype) off the diagonal of the two delta slots and t on
+    it, bit for bit, so a non-finite t stays non-finite and a point's
+    entries are the same alone or in a batch."""
+    rank, at, unit = _delta_plan(spec)
+    k = t.ndim - rank + 2  # batch axes
+    out = np.zeros(t.shape[:k] + (t.shape[-1],) * rank, dtype=t.dtype)
+    # the diagonal: slots 0 and `at` as one axis, whose stride is their sum
+    step = out.strides[k:]
+    strides = out.strides[:k] + (step[0] + step[at],) + step[1:at] + step[at + 1 :]
+    np.ndarray(out.shape[:k] + out.shape[k + 1 :], out.dtype, out, strides=strides)[...] = t[unit]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +273,8 @@ def identity(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class TensorField:
-    """Dense tensor of parsed scalar expressions, each compiled once to the
-    ``jets`` program that gives its values and partials."""
+    """Dense tensor of parsed scalar expressions, compiled once to one
+    ``jets`` program that gives every entry's values and partials."""
 
     def __init__(self, chart: ex.Chart, variance: str, entries):
         self.chart = chart
@@ -277,11 +297,11 @@ class TensorField:
         collect(entries, 0)
         self.shape = shape
         self.entries = flat
-        self.programs = [compile_program(node) for node in flat]
-        # the memos hold the programs, not the field, so that a field left
+        self.program = compile_program(*flat)
+        # the memos hold the program, not the field, so that a field left
         # unused is freed at once rather than by the cycle collector
         self._value_memo, self._jet_memo, self._jet2_memo = (
-            LastPointMemo(partial(_entry_arrays, self.programs, shape, order))
+            LastPointMemo(partial(_entry_arrays, self.program, flat, shape, order))
             for order in range(3)
         )
 
@@ -320,7 +340,7 @@ class TensorField:
         return build(())
 
 
-def _entry_arrays(programs, shape, order, point):
+def _entry_arrays(program, entries, shape, order, point):
     """Entry values at order 0, else (value, grad[, hess]), with the batch
     axis first and derivative axes last.  Floats overflow to inf/NaN without
     raising, so a non-finite value or derivative is caught here, naming its
@@ -328,16 +348,15 @@ def _entry_arrays(programs, shape, order, point):
     lead = batch_shape(point)
     coords = point.array if lead else point
     with np.errstate(over="ignore", invalid="ignore"):
-        results = [run_program(program, coords, order) for program in programs]
-    channels = [np.array(c) for c in (zip(*results) if order else [results])]
+        result = run_program(program, coords, order)
+    channels = result if order else (result,)
     if not all(np.isfinite(c).all() for c in channels):
         finite = np.logical_and.reduce(
             [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
         )
         bad = ~finite
         entry = int(np.argmax(bad[:, np.argmax(bad.any(0))] if lead else bad))
-        # the last op of a program is its entry's root node
-        raise ex.DomainError("non-finite value or derivative", programs[entry][-1][2])
+        raise ex.DomainError("non-finite value or derivative", entries[entry])
     out = tuple(
         (c.swapaxes(0, 1) if lead else c).reshape(lead + shape + c.shape[1 + len(lead) :])
         for c in channels

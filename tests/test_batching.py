@@ -156,3 +156,23 @@ def test_batch_errors_name_the_first_failing_point():
     with pytest.raises(SingularMetricError) as together:
         space.connection_jet(PointBatch([(1.0, 1.0), (1e-13, 2.0), (0.0, 2.0)]))
     assert str(together.value) == str(alone.value)
+
+
+def test_batch_errors_follow_entry_order_across_shared_subtrees():
+    # the second entry shares ln(u) + v with the first and fails at an earlier
+    # row (ln(v) at v = -2), but the first entry's failure (ln(u) at u = -0.5)
+    # is the one raised: the first failing entry, at its first failing row
+    chart = Chart(("u", "v"))
+    field = TensorField(chart, "l", ["ln(u) + v", "ln(u) + v + ln(v)"])
+    points = [(1.0, 1.0), (1.0, -2.0), (-0.5, 1.0)]
+    for order in (0, 1, 2):
+        evaluate = (field.value, field.jet, field.jet2)[order]
+        with pytest.raises(DomainError) as alone:
+            evaluate(points[2])
+        with pytest.raises(DomainError) as together:
+            evaluate(PointBatch(points))
+        assert together.value.reason == alone.value.reason == "ln of non-positive value -0.5"
+        assert together.value.node is alone.value.node
+        assert together.value.node == parse("ln(u)", chart)
+        with pytest.raises(DomainError, match="-2.0"):
+            evaluate(PointBatch(points[:2]))

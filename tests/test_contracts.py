@@ -71,3 +71,7 @@ def test_traced_verify_reaches_every_verify_span():
     # each for the curvature)
     shared = [counts[f"geometry.{name}.calls"] for name in ("curvature", "ricci", "weyl")]
     assert shared == [4, 2, 2]
+    # einsum forms traces only (Kronecker-delta products and contractions go
+    # through tensor), and the F-planar rho, which takes two traces of the
+    # source connection, is computed once for its four readers
+    assert counts["numpy.einsum.calls"] == 18

@@ -1,11 +1,23 @@
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tensor_invariants.expr import Chart, DomainError, evaluate, parse, print_expr
-from tensor_invariants.jets import eval_jet
+from tensor_invariants import jets
+from tensor_invariants.expr import (
+    Binary,
+    Chart,
+    Const,
+    DomainError,
+    Var,
+    evaluate,
+    parse,
+    print_expr,
+)
+from tensor_invariants.jets import compile_program, eval_jet, run_program
+from tensor_invariants.tensor import PointBatch, TensorField
 
 CHART = Chart(("u", "v", "w"))
 
@@ -264,3 +276,66 @@ def test_engine_matches_sympy_derivatives_on_random_asts():
         close = np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))
         assert close.all(), print_expr(node, CHART)
         checked += 1
+
+
+# --- one program per field ------------------------------------------------------
+
+def test_field_applies_each_distinct_scalar_map_once_per_point(monkeypatch):
+    # mirrored entries, and sin(u) in three distinct entries: sin(u), ln(1+v^2)
+    # and v^2 are the only maps, each applied once per point at every order
+    applied = Counter()
+    unary, power = jets._unary_derivatives, jets._pow_derivatives
+
+    def counted_unary(op, x, node, order):
+        applied[(op, x)] += 1
+        return unary(op, x, node, order)
+
+    def counted_power(p, x, node, order):
+        applied[(p, x)] += 1
+        return power(p, x, node, order)
+
+    monkeypatch.setattr(jets, "_unary_derivatives", counted_unary)
+    monkeypatch.setattr(jets, "_pow_derivatives", counted_power)
+    chart = Chart(("u", "v"))
+    mixed = "sin(u) + u*v"
+    field = TensorField(chart, "ll", [["sin(u)*v", mixed], [mixed, "ln(1+v^2)*sin(u)"]])
+    points = [(0.5, 1.5), (0.75, 1.25), (1.25, 0.5)]
+    for evaluate in (field.value, field.jet, field.jet2):
+        for point in (points[0], PointBatch(points)):
+            applied.clear()
+            evaluate(point)
+            rows = points if isinstance(point, PointBatch) else [point]
+            want = [("sin", u) for u, _ in rows] + [(2.0, v) for _, v in rows]
+            want += [("ln", 1 + v * v) for _, v in rows]
+            assert applied == Counter(want)
+
+
+def test_field_entries_equal_their_one_entry_programs_bit_for_bit():
+    # entries sharing subtrees with each other and, mirrored, with themselves
+    texts = [[f"{CORPUS[j]} * ({CORPUS[k]})" for k in range(3)] for j in range(3)]
+    for j in range(3):
+        for k in range(j):
+            texts[j][k] = texts[k][j]
+    texts[2][2] = f"{CORPUS[3]} + {CORPUS[3]}"
+    entries = [parse(text, CHART) for row in texts for text in row]
+    program = compile_program(*entries)
+    assert len(program.ops) < sum(len(compile_program(e).ops) for e in entries)
+    rng = np.random.default_rng(8)
+    batch = rng.uniform(0.5, 2.0, (5, 3))
+    for point in (tuple(batch[0]), batch):
+        for order in (0, 1, 2):
+            together = run_program(program, point, order)
+            for e, entry in enumerate(entries):
+                alone = run_program(compile_program(entry), point, order)
+                for joint, single in zip(*[c if order else (c,) for c in (together, alone)]):
+                    assert joint.shape == (len(entries),) + single.shape[1:]
+                    assert joint[e].tobytes() == single[0].tobytes(), (texts, e, order)
+
+
+def test_signed_zero_constants_are_not_merged():
+    u = Var(0)
+    program = compile_program(Binary("mul", u, Const(0.0)), Binary("mul", u, Const(-0.0)))
+    assert len(program.ops) == 5
+    value = run_program(program, (1.0, 2.0, 3.0), 0)
+    assert value.tolist() == [0.0, 0.0]
+    assert np.signbit(value).tolist() == [False, True]

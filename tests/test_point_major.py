@@ -159,8 +159,26 @@ def test_verify_fplanar_work_counts(monkeypatch):
             runs[(id(program), row, order)] += 1
         return run_program(program, point, order)
 
-    # the interpreter as TensorField calls it
+    # the interpreter as TensorField calls it, once per field program
     monkeypatch.setattr(tensor, "run_program", counting_run)
+
+    # the F-planar rho's point function, behind its memo
+    rho_runs = Counter()
+    rho_field = mappings.fplanar_rho_field
+
+    def counted_rho_field(*args, **kwargs):
+        field = rho_field(*args, **kwargs)
+        memo = field._fn
+        fn = memo.fn
+
+        def counting(point):
+            rho_runs[tuple(_rows(point))] += 1
+            return fn(point)
+
+        memo.fn = counting
+        return field
+
+    monkeypatch.setattr(mappings, "fplanar_rho_field", counted_rho_field)
 
     provided = Counter()
     summed = Counter()
@@ -191,16 +209,18 @@ def test_verify_fplanar_work_counts(monkeypatch):
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) == 13
 
-    # each (entry program, point, order) is run at most once, and no value
+    # each (field program, point, order) is run at most once, and no value
     # is run at order 0: each is read from the order-1 run of its block
     assert runs and max(runs.values()) == 1
     assert {order for _, _, order in runs} == {1, 2}
-    # every entry of the metric (order 2) and of F and sigma (order 1) was
-    # run at every point, so the count above measured real work
+    # the metric's program (order 2) and those of F and sigma (order 1) ran
+    # at every point, so the count above measured real work
     for field, order in ((job.metric, 2), (mapping.F, 1), (mapping.sigma, 1)):
-        for program in field.programs:
-            for point in points:
-                assert runs[(id(program), tuple(point), order)] == 1
+        for point in points:
+            assert runs[(id(field.program), tuple(point), order)] == 1
+    # rho, which Lambda and zeta read in each space, is computed once per block
+    blocks = [tuple(map(tuple, points[k : k + 8])) for k in range(0, 20, 8)]
+    assert rho_runs == Counter(blocks)
     # each space computes its connection once per point, and every sum
     # reads its base's memoised connection: the metric provider runs once
     # per point, in one call per block.  There are five sums: the target,

@@ -8,7 +8,7 @@ import pytest
 from tensor_invariants import geometry, tensor
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import weyl_arrays
-from tensor_invariants.tensor import TensorField, contract
+from tensor_invariants.tensor import TensorField, contract, delta_product
 
 CHART = Chart(("u", "v", "w"))
 
@@ -149,3 +149,55 @@ def test_contract_keeps_longdouble(spec):
     # summed in extended precision where longdouble has it, not in float64
     tol = 64 * np.finfo(np.longdouble).eps
     assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+# --- Kronecker-delta products ----------------------------------------------------
+
+DELTA_SPECS = sorted(
+    {
+        spec
+        for path in Path(tensor.__file__).parent.glob("*.py")
+        for spec in re.findall(r'delta_product\("([^"]+)"', path.read_text())
+    }
+)
+
+
+def test_delta_specs_found():
+    for spec in ("im,jn->ijmn", "in,jm->ijmn", "ij,mn->ijmn", "ik,j->ijk", "ik,jn->ijkn"):
+        assert spec in DELTA_SPECS
+
+
+@pytest.mark.parametrize("spec", DELTA_SPECS)
+def test_delta_product_is_the_broadcast_product(spec):
+    # the product with the identity, bit for bit up to the sign of exact
+    # zeros, whatever the batch around a point
+    rank = len(spec.split("->")[0].split(",")[1])
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    for n in range(2, 7):
+        for batch in (None, 1, 7):
+            lead = () if batch is None else (batch,)
+            t = rng.standard_normal(lead + (n,) * rank)
+            got = delta_product(spec, t)
+            want = contract(spec, np.eye(n), t)
+            assert got.shape == want.shape and got.dtype == t.dtype
+            assert np.array_equal(got, want), (n, batch)
+            for row in range(batch or 0):
+                assert delta_product(spec, t[row]).tobytes() == got[row].tobytes()
+    wide = rng.standard_normal((2,) + (3,) * rank).astype(np.longdouble)
+    got = delta_product(spec, wide)
+    assert got.dtype == np.longdouble
+    assert np.array_equal(got, contract(spec, np.eye(3, dtype=np.longdouble), wide))
+
+
+@pytest.mark.parametrize("spec", DELTA_SPECS)
+def test_delta_product_keeps_non_finite_entries(spec):
+    # each entry of t lands on N diagonal entries, so a NaN or inf in t stays
+    rank = len(spec.split("->")[0].split(",")[1])
+    n = 4
+    t = np.ones((3,) + (n,) * rank)
+    t[1].flat[1] = np.nan
+    t[2].flat[-1] = -np.inf
+    got = delta_product(spec, t)
+    assert np.isfinite(got[0]).all()
+    assert np.isnan(got[1]).sum() == n and np.isinf(got[2]).sum() == n
+    assert not np.isnan(got[2]).any()
