@@ -9,7 +9,8 @@ repeated within or across entries (mirror entries, a shared ``sin(u)``) is
 computed once, with the bits a program of one entry gives.  ``node`` is the
 op's tree node, so a ``DomainError`` names the subexpression
 ``expr.evaluate`` would name; a scalar map (a function, or ``pow`` with its
-constant exponent folded in) carries its derivative rule as ``arg``.
+constant exponent folded in) carries its derivative rule as ``arg``, built
+once per op.
 :func:`run_program` runs a program at order 0 on plain floats, exactly as
 ``expr.evaluate`` computes, or at order 1 or 2 on ``(value, grad, hess)`` by
 truncated Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*,
@@ -74,16 +75,20 @@ def compile_program(*entries: Expr) -> Program:
             code, arg, tag = "var", node.index, node.index
         elif isinstance(node, Unary):
             code, tag, left = ("neg" if node.op == "neg" else "map"), node.op, visit(node.arg)
-            arg = None if code == "neg" else partial(_unary_derivatives, node.op)
         elif node.op == "pow":
             p = node.right.value
             code, tag, left = "map", (p, math.copysign(1.0, p)), visit(node.left)
-            arg = partial(_pow_derivatives, p)
         else:
             code, left, right = node.op, visit(node.left), visit(node.right)
         key = (code, tag, left, right)
         slot = slots.get(key)
         if slot is None:
+            if code == "map":  # the rule is built for a new op only
+                arg = (
+                    partial(_pow_derivatives, node.right.value)
+                    if node.op == "pow"
+                    else partial(_unary_derivatives, node.op)
+                )
             slot = slots[key] = len(ops)
             ops.append((code, arg, node, left, right))
             owners.append(owner)

@@ -2,13 +2,16 @@
 
 Everything is expression-backed so jets stay exact; coefficients are kept
 small so connections remain tame over the default [1, 2]^N sampling box.
+Fields are built as expression trees, not as text: each tree is the one
+``expr.parse`` gives for the term's printed text (a coefficient rounded to
+4 decimals), drawn in the same order, so a seed gives the same fields.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import Chart
+from .expr import Binary, Chart, Const, Expr, Unary, Var
 from .geometry import Space
 from .invariants import OmegaSpec, SValues
 from .mappings import MappingSpec
@@ -25,23 +28,43 @@ __all__ = [
 ]
 
 
-def random_expr(chart: Chart, rng: np.random.Generator, scale: float = 0.3) -> str:
-    names = chart.names
-    forms = (
-        lambda: f"{rng.uniform(-scale, scale):.4f}",
-        lambda: f"{rng.uniform(-scale, scale):.4f}*{names[rng.integers(chart.dim)]}",
-        lambda: "{:.4f}*{}*{}".format(
-            rng.uniform(-scale, scale),
-            names[rng.integers(chart.dim)],
-            names[rng.integers(chart.dim)],
-        ),
-        lambda: f"{rng.uniform(-scale, scale):.4f}*sin({names[rng.integers(chart.dim)]})",
-        lambda: f"{rng.uniform(-scale, scale):.4f}*cos({names[rng.integers(chart.dim)]})",
-        lambda: "{:.4f}*ln(1+{}^2)".format(
-            rng.uniform(-scale, scale), names[rng.integers(chart.dim)]
-        ),
-    )
-    return forms[rng.integers(len(forms))]()
+def _coefficient(value: float) -> Expr:
+    """``value`` rounded to 4 decimals, as ``parse`` reads its text: a
+    leading ``-`` (``-0.0000`` too) is a negated constant."""
+    text = f"{value:.4f}"
+    if text.startswith("-"):
+        return Unary("neg", Const(float(text[1:])))
+    return Const(float(text))
+
+
+def _mul(*factors: Expr) -> Expr:
+    """``a*b*c`` as ``parse`` builds it: left-associated products."""
+    node = factors[0]
+    for factor in factors[1:]:
+        node = Binary("mul", node, factor)
+    return node
+
+
+def _square(x: Expr) -> Expr:
+    return Binary("pow", x, Const(2.0))
+
+
+def random_expr(chart: Chart, rng: np.random.Generator, scale: float = 0.3) -> Expr:
+    """One random term as an expression tree: ``c``, ``c*x``, ``c*x*y``,
+    ``c*sin(x)``, ``c*cos(x)`` or ``c*ln(1+x^2)``, with c uniform in
+    [-scale, scale] rounded to 4 decimals and x, y random coordinates."""
+    form = rng.integers(6)
+    c = _coefficient(rng.uniform(-scale, scale))
+    if form == 0:
+        return c
+    x = Var(int(rng.integers(chart.dim)))
+    if form == 1:
+        return _mul(c, x)
+    if form == 2:
+        return _mul(c, x, Var(int(rng.integers(chart.dim))))
+    if form == 5:
+        return _mul(c, Unary("ln", Binary("add", Const(1.0), _square(x))))
+    return _mul(c, Unary("sin" if form == 3 else "cos", x))
 
 
 def _nested(chart: Chart, rng, depth: int, scale: float):
@@ -59,9 +82,7 @@ def random_symmetric_field(chart: Chart, rng, scale: float = 0.3) -> TensorField
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            text = random_expr(chart, rng, scale)
-            entries[j][k] = text
-            entries[k][j] = text
+            entries[j][k] = entries[k][j] = random_expr(chart, rng, scale)
     return TensorField(chart, "ll", entries)
 
 
@@ -90,15 +111,12 @@ def random_metric_space(chart: Chart, rng, scale: float = 0.2) -> Space:
     n = chart.dim
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
-        for k in range(n):
-            entries[j][k] = "0"
-    for j, name in enumerate(chart.names):
-        entries[j][j] = f"{1.0 + j}+{rng.uniform(0.1, scale + 0.1):.4f}*{name}^2"
+        coefficient = _coefficient(rng.uniform(0.1, scale + 0.1))
+        entries[j][j] = Binary("add", Const(1.0 + j), _mul(coefficient, _square(Var(j))))
     for j in range(n):
         for k in range(j + 1, n):
-            text = f"{rng.uniform(-0.05, 0.05):.4f}*{chart.names[j]}*{chart.names[k]}"
-            entries[j][k] = text
-            entries[k][j] = text
+            coefficient = _coefficient(rng.uniform(-0.05, 0.05))
+            entries[j][k] = entries[k][j] = _mul(coefficient, Var(j), Var(k))
     return Space.from_metric(TensorField(chart, "ll", entries))
 
 

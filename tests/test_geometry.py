@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensor_invariants.expr import Chart, evaluate, parse
+from tensor_invariants import sampling
+from tensor_invariants.expr import Binary, Chart, Const, evaluate, parse
 from tensor_invariants.geometry import (
     RICCI_LAST,
     RICCI_MIDDLE,
@@ -20,7 +24,7 @@ from tensor_invariants.geometry import (
 )
 from tensor_invariants.mappings import sample_points
 from tensor_invariants.sampling import random_metric_space
-from tensor_invariants.tensor import TensorField
+from tensor_invariants.tensor import PointBatch, TensorField
 
 P0 = (1.0, 2.0, 3.0)
 
@@ -83,6 +87,26 @@ def test_singularity_check_is_scale_free(chart, example_metric):
     assert np.allclose(np.diagonal(np.diagonal(conn)), 1e3)
     tiny = TensorField(chart, "ll", [["1e-9", "0", "0"], ["0", "1e-9", "0"], ["0", "0", "1e-9"]])
     assert np.max(np.abs(christoffel(tiny).connection((1.0, 2.0, 3.0)))) == 0.0
+
+
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), c=st.floats(0.1, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_constant_rescaling_leaves_christoffels_unchanged(n, seed, c):
+    chart = Chart(("u", "v", "w", "x", "y", "z")[:n])
+    with mock.patch.object(sampling, "TensorField", wraps=TensorField) as build:
+        space = random_metric_space(chart, np.random.default_rng(seed))
+    _, _, entries = build.call_args.args
+    points = PointBatch(sample_points([[1.0, 2.0]] * n, 3, seed=seed))
+    want = space.connection_jet(points)
+    for factor in (4.0, c):
+        scaled = [[Binary("mul", Const(factor), g) for g in row] for row in entries]
+        got = christoffel(TensorField(chart, "ll", scaled)).connection_jet(points)
+        for mine, theirs in zip(want, got):
+            if factor == 4.0:  # a power of two scales every rounding exactly
+                assert mine.tobytes() == theirs.tobytes()
+            else:
+                size = max(1.0, float(np.max(np.abs(mine))))
+                assert np.max(np.abs(mine - theirs)) <= 1e-12 * size
 
 
 def test_asymmetric_metric_rejected(chart):

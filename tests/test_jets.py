@@ -1,6 +1,7 @@
 import math
 import operator
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tensor_invariants.expr import (
     print_expr,
 )
 from tensor_invariants.jets import compile_program, eval_jet, run_program
-from tensor_invariants.tensor import PointBatch, TensorField
+from tensor_invariants.tensor import PointBatch, TensorField, batch_shape
 
 CHART = Chart(("u", "v", "w"))
 
@@ -330,6 +331,40 @@ def test_field_entries_equal_their_one_entry_programs_bit_for_bit():
                 for joint, single in zip(*[c if order else (c,) for c in (together, alone)]):
                     assert joint.shape == (len(entries),) + single.shape[1:]
                     assert joint[e].tobytes() == single[0].tobytes(), (texts, e, order)
+
+
+def test_compile_builds_each_scalar_map_rule_once(monkeypatch):
+    # mirrored entries and a repeated sin(u) and u^2: one rule per map op,
+    # none built for a subtree that is already an op
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return partial(*args)
+
+    chart = Chart(("u", "v"))
+    mixed = "sin(u) + u^2*v"
+    texts = [["sin(u)*u^2", mixed], [mixed, "ln(1+u^2)*sin(u) - sin(u)"]]
+    entries = [parse(text, chart) for row in texts for text in row]
+    monkeypatch.setattr(jets, "partial", counted)
+    program = compile_program(*entries)
+    monkeypatch.undo()
+    maps = [op for op in program.ops if op[0] == "map"]
+    assert len(maps) == 3  # sin(u), u^2, ln(1+u^2)
+    assert len(built) == len(maps)
+    field = TensorField(chart, "ll", texts)
+    points = [(0.5, 1.5), (0.75, 1.25), (1.25, 0.5)]
+    for point in (points[0], PointBatch(points)):
+        for order, evaluate in enumerate((field.value, field.jet, field.jet2)):
+            together = evaluate(point)
+            lead = batch_shape(point)  # the field's point axis comes first
+            at = point.array if lead else point
+            for e, entry in enumerate(entries):
+                alone = run_program(compile_program(entry), at, order)
+                for joint, single in zip(*[c if order else (c,) for c in (together, alone)]):
+                    flat = joint.reshape(lead + (len(entries),) + single.shape[1 + len(lead) :])
+                    by_entry = np.moveaxis(flat, len(lead), 0)
+                    assert by_entry[e].tobytes() == single[0].tobytes(), (e, order)
 
 
 def test_signed_zero_constants_are_not_merged():
