@@ -28,7 +28,11 @@ that avoids coordinate singularities; jet-exact derivatives make random-point
 sampling a sound falsifier of the field identities.  The verifier evaluates
 the points in blocks (``tensor.PointBatch``) whose size follows from a byte
 budget, and each point's discrepancy is bit-identical to its evaluation
-alone.
+alone.  Each block is cut from one batch of all the points, its run, so an
+expression field jets a span of several blocks in one pass
+(``tensor.TensorField``).  A block that raises, in its own rows or in a
+later block of a field's span, is redone one point at a time, so the error
+is the one its first failing point raises alone.
 """
 
 from __future__ import annotations
@@ -436,6 +440,8 @@ def verify_invariance(
     per-point maximum absolute discrepancy.
 
     `mapping` is a MappingSpec, an FPlanarSpec, or None (classical set only).
+    `points` must hold at least one point, each of ``source.dim`` finite
+    coordinates; a ValueError names the first that does not.
     """
     fplanar_extra = {}
     if isinstance(mapping, FPlanarSpec):
@@ -458,10 +464,10 @@ def verify_invariance(
     # evaluators hit
     evaluators = [pairs[name] for name in names]
     per_row: list[list] = [[] for _ in names]
+    points = _checked_points(points, source.dim)
     size = block_size(source.dim)
-    for start in range(0, len(points), size):
-        block = [tuple(point) for point in points[start : start + size]]
-        batch = PointBatch(block)
+    for batch in PointBatch(points).blocks(size):
+        block = points[batch.start : batch.start + size]
         try:
             discs = [_discrepancies(pair, batch) for pair in evaluators]
         except (ExprError, SingularMetricError):
@@ -487,6 +493,25 @@ BLOCK_BYTES = 64 * 1024
 def block_size(dim: int) -> int:
     """Points per verify block at chart dimension `dim`."""
     return max(1, BLOCK_BYTES // (8 * dim**4))
+
+
+def _checked_points(points, dim: int) -> list[tuple]:
+    """The points as tuples; a ValueError naming the first that does not
+    have `dim` finite coordinates, or when there is none (an empty report
+    would pass every row)."""
+    if len(points) == 0:
+        raise ValueError("verify needs at least one point")
+    out = []
+    for point in points:
+        point = tuple(point)
+        try:
+            good = len(point) == dim and all(math.isfinite(x) for x in point)
+        except TypeError:
+            good = False
+        if not good:
+            raise ValueError(f"point {point!r} does not have {dim} finite coordinates")
+        out.append(point)
+    return out
 
 
 def _discrepancies(pair, point) -> list[float]:

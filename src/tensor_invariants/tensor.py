@@ -17,6 +17,14 @@ traces summed in index order, and for a contraction of two operands one
 BLAS call per point, of the same shape on C-contiguous operands, whether the
 point is alone or a row of a stacked ``np.matmul`` (:func:`contract`).
 
+A batch that is one block of a longer run (``PointBatch.blocks``) lets an
+expression field jet several blocks at once: the field runs its program
+once over its span, as many whole blocks as keep its largest channel within
+one N^4 array per block, and gives each block read-only row views of the
+result.  A row's bits do not depend on the batch it runs in, so a span
+changes no result, and a memo hit on the span's batch object is one
+identity test.
+
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
 
@@ -62,7 +70,16 @@ class PointBatch(tuple):
     point as a tuple of floats (the memo key below, a trace hook) reads a
     batch the same way; ``array`` holds the coordinates as a read-only
     ``(P, N)`` array.
+
+    A block of a longer run of points (:meth:`blocks`) also knows that run,
+    its first row in it and the run's block length, so that an evaluator
+    whose arrays are small can run several whole blocks in one pass
+    (:meth:`span`) and give each block its rows of the result.
     """
+
+    run = None  # the batch this one is a block of
+    start = 0  # the block's first row in its run
+    step = 0  # the run's block length
 
     def __new__(cls, points):
         array = np.array(points, dtype=float)
@@ -72,6 +89,38 @@ class PointBatch(tuple):
         array.flags.writeable = False
         self.array = array
         return self
+
+    def blocks(self, size: int) -> list:
+        """The batch cut into blocks of `size` points (the last may be
+        shorter), each a batch that knows this one as its run; the batch
+        itself when it has `size` points or fewer."""
+        if len(self.array) <= size:
+            return [self]
+        self.spans = {}
+        out = []
+        for start in range(0, len(self.array), size):
+            block = PointBatch(self.array[start : start + size])
+            block.run, block.start, block.step = self, start, size
+            out.append(block)
+        return out
+
+    def span(self, blocks: int) -> tuple:
+        """``(span, rows)`` for a block: the batch of `blocks` whole blocks
+        of its run that holds it, spans laid end to end from the run's first
+        row, and the slice of the span's rows that are the block's; the
+        block itself and None when the span is no more than the block.  A
+        run makes each span's batch once, so the memos that read it hit by
+        identity."""
+        run, start, stop = self.run, self.start, self.start + len(self.array)
+        width = blocks * self.step
+        lo = start - start % width
+        hi = min(lo + width, len(run.array))
+        if lo == start and hi == stop:
+            return self, None
+        span = run.spans.get((lo, hi))
+        if span is None:
+            span = run.spans[lo, hi] = PointBatch(run.array[lo:hi])
+        return span, slice(start - lo, stop - lo)
 
 
 def batch_shape(point) -> tuple:
@@ -91,35 +140,47 @@ class LastPointMemo:
 
     The key is the point as an exact tuple of floats (a batch already is
     one), and a batch is told from a single point by its shape, so one point
-    and a batch of one never share an entry.  ``cache`` is a dict holding at
-    most that one entry, so memory stays bounded however many points a run
-    visits; a call at another point or batch replaces the entry.  A loop
-    that evaluates everything it needs at one point or block before it moves
-    on needs no more than that one slot.  Arrays in a result (or in a result
-    tuple) are made read-only: a caller cannot alter what a later call at the
-    same point returns.  A memo can be held weakly (``geometry.Space.share``).
+    and a batch of one never share an entry.  A batch is immutable, so the
+    very batch object of the last call is a hit without its key being built
+    or hashed; a point given as a list or tuple is looked up by its value
+    each time, since a list can change in place.  ``cache`` is a dict
+    holding at most that one entry, so memory stays bounded however many
+    points a run visits; a call at another point or batch replaces the
+    entry.  A loop that evaluates everything it needs at one point or block
+    before it moves on needs no more than that one slot.  Arrays in a result
+    (or in a result tuple) are made read-only: a caller cannot alter what a
+    later call at the same point returns.  A memo can be held weakly
+    (``geometry.Space.share``).
     """
 
-    __slots__ = ("fn", "cache", "shape", "__weakref__")
+    __slots__ = ("fn", "cache", "shape", "batch", "value", "__weakref__")
 
     def __init__(self, fn):
         self.fn = fn
         self.cache: dict = {}
         self.shape = None
+        self.batch = self.value = None  # the last batch given and its result
 
     def __call__(self, point):
+        if point is self.batch:
+            return self.value
         key, shape = _memo_key(point)
         cache = self.cache
         if shape == self.shape and key in cache:
-            return cache[key]
-        value = _read_only(self.fn(point))
-        cache.clear()
-        cache[key] = value
-        self.shape = shape
+            value = cache[key]
+        else:
+            value = _read_only(self.fn(point))
+            cache.clear()
+            cache[key] = value
+            self.shape = shape
+        self.batch = point if shape else None
+        self.value = value
         return value
 
     def held(self, point):
         """The remembered result if it is for `point`, else None."""
+        if point is self.batch:
+            return self.value
         if not self.cache:
             return None
         key, shape = _memo_key(point)
@@ -300,7 +361,7 @@ class TensorField:
         self.program = compile_program(*flat)
         # the memos hold the program, not the field, so that a field left
         # unused is freed at once rather than by the cycle collector
-        self._value_memo, self._jet_memo, self._jet2_memo = (
+        self._memos = tuple(
             LastPointMemo(partial(_entry_arrays, self.program, flat, shape, order))
             for order in range(3)
         )
@@ -312,22 +373,38 @@ class TensorField:
         return self.entries[flat]
 
     def value(self, point) -> np.ndarray:
-        """Entry values (read-only, computed once per point or batch).  When
-        the order-1 or order-2 memo holds the same point or batch, its value
+        """Entry values (read-only, computed once per point or span).  When
+        the order-1 or order-2 memo holds the point's span, its value
         channel, bit-identical to an order-0 run, is returned."""
-        for memo in (self._jet_memo, self._jet2_memo):
-            held = memo.held(point)
+        for order in (1, 2):
+            held = self._rows(order, point, self._memos[order].held)
             if held is not None:
                 return held[0]
-        return self._value_memo(point)
+        return self._rows(0, point, self._memos[0])
 
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials; derivative axis last (read-only)."""
-        return self._jet_memo(point)
+        return self._rows(1, point, self._memos[1])
 
     def jet2(self, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values, first and second partials; derivative axes last (read-only)."""
-        return self._jet2_memo(point)
+        return self._rows(2, point, self._memos[2])
+
+    def _rows(self, order, point, read):
+        """`read` (a memo or its ``held``) at the span of `point` for
+        `order`, cut to the point's rows: one run of the program serves every
+        block of a span, each row bit-identical to its run alone."""
+        if not (isinstance(point, PointBatch) and point.run is not None):
+            return read(point)
+        # blocks per span: as many as keep the largest channel, entries *
+        # n**order doubles per point, within the n**4 doubles per point that
+        # a verify block's budget is sized for
+        n = self.chart.dim
+        span, rows = point.span(max(1, n**4 // (len(self.entries) * n**order)))
+        out = read(span)
+        if rows is None or out is None:
+            return out
+        return tuple(c[rows] for c in out) if order else out[rows]
 
     def strings(self) -> list:
         """Entries printed back to grammar text, nested per the shape."""

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tensor_invariants import mappings
 from tensor_invariants.cli import main
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart, DomainError, parse
@@ -176,3 +177,65 @@ def test_batch_errors_follow_entry_order_across_shared_subtrees():
         assert together.value.node == parse("ln(u)", chart)
         with pytest.raises(DomainError, match="-2.0"):
             evaluate(PointBatch(points[:2]))
+
+
+def test_a_list_point_changed_in_place_is_evaluated_again():
+    calls = []
+    memo = LastPointMemo(lambda point: calls.append(tuple(point)) or np.array(point))
+    point = [1.0, 2.0]
+    assert memo(point).tolist() == [1.0, 2.0]
+    point[0] = 3.0
+    assert memo.held(point) is None
+    assert memo(point).tolist() == [3.0, 2.0]
+    assert calls == [(1.0, 2.0), (3.0, 2.0)]
+
+
+def test_equal_batches_share_a_memo_entry():
+    calls = []
+    memo = LastPointMemo(lambda point: calls.append(point) or np.zeros(batch_shape(point)))
+    points = [(1.0, 2.0), (3.0, 4.0)]
+    first, second = PointBatch(points), PointBatch(points)
+    assert first is not second
+    held = memo(first)
+    assert memo(second) is held
+    assert memo.held(first) is held
+    assert memo(first) is held
+    assert calls == [first]
+
+
+# --- spans: one program run over several blocks ---------------------------------
+
+def _span_error_config():
+    # rho = (ln(v), ln(u)): the fourth point fails in the second entry, the
+    # sixth, two blocks later in the same span, in the first
+    omega = {"s": [1, 0, 0], "rho": ["ln(v)", "ln(u)"]}
+    omega_bar = {"s": [1, 0, 0], "rho": ["v", "u"]}
+    points = [[1.0, 1.0], [1.5, 2.0], [1.25, 1.75], [-0.5, 1.0], [2.0, 1.0], [1.0, -2.0]]
+    points += [[1.75, 1.25], [1.5, 1.5]]
+    return {
+        "chart": ["u", "v"],
+        "space": {"metric": [["1 + u^2", "0"], ["0", "1"]]},
+        "omega": omega,
+        "omega_bar": omega_bar,
+        "points": {"list": points},
+    }
+
+
+def test_span_errors_name_the_first_failing_point(tmp_path, capsys, monkeypatch):
+    # blocks of 2 points; rho's order-1 span is N^4 / (2 entries * N) = 4
+    # blocks, all 8 points, so its one run fails at the sixth point, in the
+    # first entry, while the blocks before it are being verified
+    monkeypatch.setattr(mappings, "BLOCK_BYTES", 2 * 8 * 2**4)
+    assert block_size(2) == 2
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_span_error_config()))
+    field = TensorField(Chart(("u", "v")), "l", ["ln(v)", "ln(u)"])
+    run = PointBatch([(1.0, 1.0), (1.5, 2.0), (1.25, 1.75), (-0.5, 1.0), (2.0, 1.0), (1.0, -2.0)])
+    with pytest.raises(DomainError, match="-2.0"):
+        field.jet(run.blocks(2)[0])
+    assert main(["verify", "--config", str(path)]) == 2
+    listed = capsys.readouterr().err
+    assert main(["verify", "--config", str(path), "--point=-0.5,1.0"]) == 2
+    alone = capsys.readouterr().err
+    assert listed == alone
+    assert listed.startswith("math error: ln of non-positive value -0.5 in subexpression 'ln(u)'")

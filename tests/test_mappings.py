@@ -328,6 +328,27 @@ def test_unknown_invariant_name_rejected(example_space, chart):
         verify_invariance(example_space, target, mapping, [P0], invariants=["nope"])
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        # no point at all: the report would pass every row at 0.0
+        ([], "verify needs at least one point"),
+        # too few coordinates, and too many
+        ([P0, (1.0, 2.0)], r"point \(1.0, 2.0\) does not have 3 finite coordinates"),
+        ([(1.0, 2.0, 3.0, 4.0)], r"point \(1.0, 2.0, 3.0, 4.0\) does not have 3"),
+        # rows of different lengths in one list
+        ([[1.0, 2.0, 3.0], [1.0, 2.0]], r"point \(1.0, 2.0\) does not have 3"),
+        ([(1.0, math.nan, 3.0)], r"point \(1.0, nan, 3.0\) does not have 3 finite"),
+        ([(1.0, 2.0, -math.inf)], r"point \(1.0, 2.0, -inf\) does not have 3 finite"),
+        ([(1.0, "2", 3.0)], r"point \(1.0, '2', 3.0\) does not have 3 finite"),
+    ],
+)
+def test_verify_rejects_bad_points(example_space, chart, example_fspec, points, message):
+    target = fplanar_build(example_space, example_fspec)
+    with pytest.raises(ValueError, match=message):
+        verify_invariance(example_space, target, example_fspec, points)
+
+
 def test_fplanar_invariance_on_curved_source(chart, affinor, sigma_form):
     # the example metric is curvature-flat; repeat the key invariances on a
     # genuinely curved source space

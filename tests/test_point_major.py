@@ -143,6 +143,37 @@ def _count_kernels(monkeypatch) -> Counter:
     return kernels
 
 
+def _count_runs(monkeypatch) -> list:
+    """(program, order, rows) of each run of the interpreter as TensorField
+    calls it, once per field program and span."""
+    calls = []
+    run_program = tensor.run_program
+
+    def counting_run(program, point, order):
+        calls.append((program, order, tuple(_rows(point))))
+        return run_program(program, point, order)
+
+    monkeypatch.setattr(tensor, "run_program", counting_run)
+    return calls
+
+
+def _check_runs(calls, points, size):
+    """No (field program, row, order) runs twice and no value runs at order
+    0; each order-1 program runs once per span, the blocks that hold its
+    largest channel, (entries * N) doubles per point, within N^4 doubles per
+    point; the metric's order-2 program runs once per block."""
+    runs = Counter((id(program), row, order) for program, order, rows in calls for row in rows)
+    assert runs and max(runs.values()) == 1
+    assert {order for _, order, _ in calls} == {1, 2}
+    points = [tuple(point) for point in points]
+    n = len(points[0])
+    for program, order, rows in calls:
+        width = size if order == 2 else size * max(1, n**3 // len(program.roots))
+        start = points.index(rows[0])
+        assert start % width == 0 and rows == tuple(points[start : start + width])
+    return runs
+
+
 def test_verify_fplanar_work_counts(monkeypatch):
     job = builtin_config("fplanar-demo")
     points = job.points()
@@ -150,17 +181,7 @@ def test_verify_fplanar_work_counts(monkeypatch):
     # blocks of 8, 8 and 4 points
     monkeypatch.setattr(mappings, "BLOCK_BYTES", 8 * 3**4 * 8)
     assert mappings.block_size(3) == 8
-
-    runs = Counter()
-    run_program = tensor.run_program
-
-    def counting_run(program, point, order):
-        for row in _rows(point):
-            runs[(id(program), row, order)] += 1
-        return run_program(program, point, order)
-
-    # the interpreter as TensorField calls it, once per field program
-    monkeypatch.setattr(tensor, "run_program", counting_run)
+    program_runs = _count_runs(monkeypatch)
 
     # the F-planar rho's point function, behind its memo
     rho_runs = Counter()
@@ -210,14 +231,18 @@ def test_verify_fplanar_work_counts(monkeypatch):
     assert len(report.rows) == 13
 
     # each (field program, point, order) is run at most once, and no value
-    # is run at order 0: each is read from the order-1 run of its block
-    assert runs and max(runs.values()) == 1
-    assert {order for _, _, order in runs} == {1, 2}
+    # is run at order 0: each is read from the order-1 run of its span
+    runs = _check_runs(program_runs, points, 8)
     # the metric's program (order 2) and those of F and sigma (order 1) ran
     # at every point, so the count above measured real work
     for field, order in ((job.metric, 2), (mapping.F, 1), (mapping.sigma, 1)):
         for point in points:
             assert runs[(id(field.program), tuple(point), order)] == 1
+    # the metric's jet runs once per block; F's span is 3 blocks and
+    # sigma's 9, so each runs once, over all 20 points
+    runs_of = Counter((id(program), order) for program, order, _ in program_runs)
+    assert runs_of[(id(job.metric.program), 2)] == 3
+    assert runs_of[(id(mapping.F.program), 1)] == runs_of[(id(mapping.sigma.program), 1)] == 1
     # rho, which Lambda and zeta read in each space, is computed once per block
     blocks = [tuple(map(tuple, points[k : k + 8])) for k in range(0, 20, 8)]
     assert rho_runs == Counter(blocks)
@@ -238,13 +263,24 @@ def test_verify_fplanar_work_counts(monkeypatch):
 
 
 def test_verify_omega_work_counts(monkeypatch):
+    # the metric provider, counted per block; bound when the space is built
+    provided = Counter()
+    metric_jets = geometry._MetricConnection.jets
+
+    def counting_metric(self, point):
+        provided[tuple(_rows(point))] += 1
+        return metric_jets(self, point)
+
+    monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
     # a general omega pair with every s nonzero reaches each branch of D
     source, target, mapping, _ = _omega_world()
     assert all(s != 0.0 for s in mapping.omega_src.s.as_tuple())
-    points = sample_points([[1.0, 2.0]] * 4, 6, seed=29)
-    # blocks of 2 points
+    points = sample_points([[1.0, 2.0]] * 4, 10, seed=29)
+    # blocks of 2 points; the rank-2 fields' spans are 4 blocks, so the
+    # second span is one block long
     monkeypatch.setattr(mappings, "BLOCK_BYTES", 2 * 8 * 4**4)
     assert mappings.block_size(4) == 2
+    calls = _count_runs(monkeypatch)
     kernels = _count_kernels(monkeypatch)
     # D takes its two covariant derivatives of rank-3 tensors (of calF and of
     # sigma_{jk} phi^i) and zeta one of rho: counted by rank, they count the
@@ -253,10 +289,25 @@ def test_verify_omega_work_counts(monkeypatch):
     _count_calls(monkeypatch, derivatives, "covariant_derivative_arrays", lambda *a: a[2])
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) == 10
+    runs = _check_runs(calls, points, 2)
+    # a rank-2 and a rank-1 field of each spec ran at order 1 at every
+    # point, so the count above measured real work
+    w_src, w_tgt = mapping.omega_src, mapping.omega_tgt
+    for field in (w_src.F, w_src.rho, w_tgt.sigma2, w_tgt.rho):
+        for point in points:
+            assert runs[(id(field.program), tuple(point), 1)] == 1
+    # the metric's jet (the one order-2 program) runs once per block, F's
+    # in two spans of 4 and 1 blocks, rho's in one
+    runs_of = Counter((id(program), order) for program, order, _ in calls)
+    assert [count for (_, order), count in runs_of.items() if order == 2] == [5]
+    assert runs_of[(id(mapping.omega_src.F.program), 1)] == 2
+    assert runs_of[(id(mapping.omega_src.rho.program), 1)] == 1
+    # the metric provider runs once per block
+    assert provided == Counter(tuple(map(tuple, points[k : k + 2])) for k in range(0, 10, 2))
     # per block and space: one D shared by the structured basic Weyl row and
     # the chain, one zeta, and the curvature of the space and of L - omega
-    assert derivatives == {"ull": 2 * 2 * 3, "l": 2 * 3}
-    assert kernels == {"curvature_arrays": 4 * 3, "ricci_arrays": 2 * 3, "weyl_arrays": 2 * 3}
+    assert derivatives == {"ull": 2 * 2 * 5, "l": 2 * 5}
+    assert kernels == {"curvature_arrays": 4 * 5, "ricci_arrays": 2 * 5, "weyl_arrays": 2 * 5}
 
 
 def test_reduced_spaces_die_with_the_evaluators():
@@ -315,7 +366,7 @@ def test_connection_cache_holds_last_point_only():
         target.connection_jet(point)
     assert len(source._cache) == 1
     assert len(target._cache) == 1
-    assert len(job.metric._jet2_memo.cache) == 1
+    assert len(job.metric._memos[2].cache) == 1
 
 
 def test_memoised_arrays_are_read_only():
@@ -334,3 +385,14 @@ def test_memoised_arrays_are_read_only():
         grad += 1.0
     with pytest.raises(ValueError):
         job.metric.value(point)[1, 1] = 0.0
+    # a block's rows of its span's jet: views of the span's read-only arrays
+    F = job.mapping().F
+    blocks = tensor.PointBatch(sample_points([[1.0, 2.0]] * 3, 5, seed=7)).blocks(2)
+    first, second = F.jet(blocks[0]), F.jet(blocks[1])
+    for together, alone in zip(first + second, F.jet(blocks[0].array[0].tolist()) * 2):
+        assert together.shape == (2,) + alone.shape
+        with pytest.raises(ValueError):
+            together[0] = 1.0
+    assert first[1].base is not None and first[1].base is second[1].base
+    with pytest.raises(ValueError):
+        F.value(blocks[2])[0, 0, 0] = 1.0
