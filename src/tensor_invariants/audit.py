@@ -8,7 +8,8 @@ claim fails numerically; the measurement quantifies by how much), or
 ``info``.  Findings are reported whether the residuals are zero or not.
 
 A sweep over sample points evaluates its objects once on the points as one
-batch (``tensor.PointBatch``) and takes the maximum over it.
+batch (``tensor.PointBatch``) and takes the maximum over it; a finding over
+many random draws makes one batch per draw, so its cache holds one draw.
 """
 
 from __future__ import annotations
@@ -178,9 +179,9 @@ def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
 
 def _omega_square_finding(chart, rng, points) -> Finding:
     worst = 0.0
-    batch = PointBatch(points[:3])
     for _ in range(50):
         spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:3])
         w = omega(spec, batch)
         direct = np.einsum("...ajm,...ian->...ijmn", w, w)
         worst = max(worst, _largest(direct - omega_square_expanded(spec, batch)))
@@ -194,10 +195,10 @@ def _omega_square_finding(chart, rng, points) -> Finding:
 
 def _weyl_modes_finding(chart, rng, points) -> Finding:
     worst = 0.0
-    batch = PointBatch(points[:3])
     for _ in range(10):
         space = random_connection_space(chart, rng)
         spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:3])
         direct = basic_weyl(space, spec, MODE_DIRECT)(batch)
         structured = basic_weyl(space, spec, MODE_STRUCTURED)(batch)
         worst = max(worst, _largest(direct - structured))
@@ -214,9 +215,8 @@ def _weyl_correlation_residual(space, spec, point) -> np.ndarray:
     - (d^i_m B_jn - d^i_n B_jm) / (N^2-1) (Lambda' = L - omega without rho,
     A_mn = D^a_{amn} - D^a_{anm}, B_jm = (N+1) (D^a_{jma} - D^a_{jam}) + A_jm),
     which vanishes under the shipped Ricci convention."""
-    dee_eval = dee(space, spec)  # held, so the chain below reads this same D
     final = derived_weyl_chain(space, spec, RICCI_LAST).final(point)
-    d = dee_eval(point)
+    d = dee(space, spec)(point)  # the D the chain read, from the batch's cache
     trace = _alt(np.einsum("...aamn->...mn", d))
     mix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
     n = space.dim
@@ -228,10 +228,10 @@ def _weyl_correlation_residual(space, spec, point) -> np.ndarray:
 def _correlation_finding(chart, rng, points) -> Finding:
     worst_t = 0.0
     worst_w = 0.0
-    batch = PointBatch(points[:2])
     for _ in range(10):
         space = random_connection_space(chart, rng)
         spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:2])
         residual = derived_thomas_correlation_residual(space, spec)(batch)
         worst_t = max(worst_t, _largest(residual))
         worst_w = max(worst_w, _largest(_weyl_correlation_residual(space, spec, batch)))
@@ -340,7 +340,7 @@ def _fplanar_readings_finding(example_space, fspec, points, convention) -> Findi
         for label, scale in (("-sigma", -1.0), ("+sigma", 1.0), ("3sigma", 3.0))
     }
     keys = ("thomas", "wbasic", "wderived")
-    # one batch, so the spaces' last-batch memos hit across the readings
+    # one batch, so the readings share the spaces' results in its cache
     batch = PointBatch(points[:6])
     readings = {
         f"target_sigma={label}": {

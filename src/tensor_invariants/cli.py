@@ -42,6 +42,7 @@ from .invariants import (
     zeta,
 )
 from .mappings import FPlanarSpec, apply_mapping, fplanar_build, verify_invariance
+from .tensor import PointBatch
 
 COMMANDS = (
     "christoffel",
@@ -172,12 +173,13 @@ def _emit_tables(args, job, objects, points) -> None:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     # point-major, one evaluation per (object, point): every object at one
-    # point before the next, so the objects share the last-point memos and
-    # the connection is computed once per point
+    # point, one batch, before the next, so the objects share the results in
+    # its cache and the connection is computed once per point
     per_object = [[] for _ in objects]
     for point in points:
+        batch = PointBatch(point)
         for arrays, (_, _, evaluate) in zip(per_object, objects):
-            arrays.append(np.asarray(evaluate(point)))
+            arrays.append(np.asarray(evaluate(batch)))
     for (name, variance, _), arrays in zip(objects, per_object):
         rows = _rows(points, arrays)
         if out_dir:

@@ -29,26 +29,27 @@ Every evaluator and array kernel takes one point or a ``tensor.PointBatch``
 and then carries a leading batch axis (``L[..., i, j, k]``), with each
 point's result bit-identical to its evaluation alone (see ``tensor``); the
 delta products of the Thomas and Weyl assemblies are ``tensor.delta_product``
-diagonal writes, not products with the identity.  A space remembers its connection jet for the last point or batch only, and
-``curvature``, ``ricci``, ``weyl`` and ``thomas`` return its one shared
-last-batch evaluator of each, so every reader computes each object once.
+diagonal writes, not products with the identity.  A space's connection jet
+and the evaluators ``curvature``, ``ricci``, ``weyl`` and ``thomas`` keep
+their results in the batch's cache (``tensor.memo``) under the kind and the
+space's ``key``, so every reader of a batch computes each object once.
 """
 
 from __future__ import annotations
 
-import weakref
+from functools import partial
 
 import numpy as np
 
 from .expr import Chart
 from .tensor import (
-    LastPointMemo,
     PointField,
     TensorField,
     add_fields,
     batch_shape,
     contract,
     delta_product,
+    memo,
     zero_field,
 )
 
@@ -132,7 +133,7 @@ class _MetricConnection:
 
 
 class _SumConnection:
-    """A base space's (memoised) connection plus a symmetric deformation field."""
+    """A base space's (cached) connection plus a symmetric deformation field."""
 
     def __init__(self, base: "Space", deformation):
         self.base = base
@@ -145,28 +146,19 @@ class _SumConnection:
 
 
 class Space:
-    """Chart plus connection; immutable, with the connection jet of the last
-    point or batch remembered.
+    """Chart plus connection; immutable.
 
-    `provider` maps a point (or a ``tensor.PointBatch``) to the symmetric
-    coefficients and their first partials there.  `shared` holds, under keys
-    naming what they are, the objects built from this space that its readers
-    share: the curvature, Ricci, Weyl and Thomas evaluators, and the reduced
-    spaces, zeta and D of ``invariants``.  It holds them weakly, so each lives
-    only while a reader does, and one that refers back to the space makes no
-    reference cycle; :meth:`share` is its one lookup.
+    `provider` maps a ``tensor.PointBatch`` to the symmetric coefficients and
+    their first partials there.  What is computed from the space is cached
+    per batch under ``key``: an object of its own, or the key a reduced space
+    of ``invariants`` is given, so that equal reduced spaces share it.
     """
 
     def __init__(self, chart: Chart, provider, torsion=None):
         self.chart = chart
         self._torsion = torsion
-        self._connection_jet = LastPointMemo(provider)
-        self.shared = weakref.WeakValueDictionary()
-
-    @property
-    def _cache(self) -> dict:
-        """Point or batch -> (coefficients, partials); holds the last one only."""
-        return self._connection_jet.cache
+        self._provider = provider
+        self.key = object()
 
     @classmethod
     def from_metric(cls, metric: TensorField) -> "Space":
@@ -186,21 +178,14 @@ class Space:
     def flat(cls, chart: Chart) -> "Space":
         return cls.from_connection(zero_field(chart, "ull"))
 
-    def share(self, key, build):
-        """The object shared under `key`, else a new one from ``build()``."""
-        found = self.shared.get(key)
-        if found is None:
-            found = self.shared[key] = build()
-        return found
-
     @property
     def dim(self) -> int:
         return self.chart.dim
 
     def connection_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric coefficients and their first partials at a point
-        (read-only arrays)."""
-        return self._connection_jet(point)
+        (read-only arrays, computed once per batch)."""
+        return memo(point, ("connection", self.key), self._provider)
 
     def connection(self, point) -> np.ndarray:
         return self.connection_jet(point)[0]
@@ -275,14 +260,14 @@ def curvature_arrays(conn: np.ndarray, dconn: np.ndarray) -> np.ndarray:
     return _alt(dconn) + _alt(quad)
 
 
-def curvature(space: Space) -> LastPointMemo:
+def curvature(space: Space):
     """The space's evaluator for R^i_{jmn} of the symmetrized connection."""
 
     def evaluate(point) -> np.ndarray:
         conn, dconn = space.connection_jet(point)
         return curvature_arrays(conn, dconn)
 
-    return space.share(("curvature",), lambda: LastPointMemo(evaluate))
+    return partial(memo, key=("curvature", space.key), fn=evaluate)
 
 
 def ricci_arrays(riemann: np.ndarray, convention: str = RICCI_LAST) -> np.ndarray:
@@ -293,7 +278,7 @@ def ricci_arrays(riemann: np.ndarray, convention: str = RICCI_LAST) -> np.ndarra
     raise ValueError(f"unknown Ricci convention {convention!r}")
 
 
-def ricci(space: Space, convention: str = RICCI_LAST) -> LastPointMemo:
+def ricci(space: Space, convention: str = RICCI_LAST):
     """The space's evaluator returning (Ricci, antisymmetric part R_[mn])."""
     riemann = curvature(space)
 
@@ -301,7 +286,7 @@ def ricci(space: Space, convention: str = RICCI_LAST) -> LastPointMemo:
         ric = ricci_arrays(riemann(point), convention)
         return ric, _alt(ric)
 
-    return space.share(("ricci", convention), lambda: LastPointMemo(evaluate))
+    return partial(memo, key=("ricci", convention, space.key), fn=evaluate)
 
 
 def thomas_arrays(conn: np.ndarray) -> np.ndarray:
@@ -311,13 +296,13 @@ def thomas_arrays(conn: np.ndarray) -> np.ndarray:
     return conn - correction / (n + 1)
 
 
-def thomas(space: Space) -> LastPointMemo:
+def thomas(space: Space):
     """The space's evaluator for the generalized Thomas projective parameter T^i_{jk}."""
 
     def evaluate(point) -> np.ndarray:
         return thomas_arrays(space.connection(point))
 
-    return space.share(("thomas",), lambda: LastPointMemo(evaluate))
+    return partial(memo, key=("thomas", space.key), fn=evaluate)
 
 
 def delta_bracket(t: np.ndarray) -> np.ndarray:
@@ -333,14 +318,14 @@ def weyl_arrays(riemann: np.ndarray, ric: np.ndarray) -> np.ndarray:
     return out + (n * bracket_a + bracket_b) / (n * n - 1)
 
 
-def weyl(space: Space, convention: str = RICCI_LAST) -> LastPointMemo:
+def weyl(space: Space, convention: str = RICCI_LAST):
     """The space's evaluator for the projective Weyl tensor W^i_{jmn}."""
     riemann, ric = curvature(space), ricci(space, convention)
 
     def evaluate(point) -> np.ndarray:
         return weyl_arrays(riemann(point), ric(point)[0])
 
-    return space.share(("weyl", convention), lambda: LastPointMemo(evaluate))
+    return partial(memo, key=("weyl", convention, space.key), fn=evaluate)
 
 
 def riemannian_weyl(space: Space, convention: str = RICCI_LAST):

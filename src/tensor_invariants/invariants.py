@@ -21,8 +21,9 @@ from the Thomas parameter of Lambda' = L - s2 calF - s3 sigma_{jk} phi^i
 zeta / D regrouping and the printed chain stages are assembled from their
 formulas: they are the claims under audit.  Every covariant derivative
 inside a space's invariant uses that space's own symmetric connection.
-Zeta, D and the reduced spaces are shared per space like its curvature
-(``geometry.Space.share``), so each is computed once per point or batch.
+Zeta, D, the reduced spaces and the calF and sigma_{jk} phi^i jets keep
+their results in the batch's cache (``tensor.memo``) under keys that name
+the fields that enter, so each is computed once per batch by any reader.
 
 The derived Weyl chain ships two versions of its first stage: the formula as
 conventionally printed (``first_printed``) and a re-derived variant
@@ -56,7 +57,7 @@ from .geometry import (
     thomas_arrays,
     weyl,
 )
-from .tensor import LastPointMemo, PointField, batch_shape, contract, delta_product, zero_field
+from .tensor import PointField, batch_shape, contract, delta_product, memo, zero_field
 
 __all__ = [
     "SValues",
@@ -166,11 +167,15 @@ def _delta_pair_jet(v, point) -> tuple[np.ndarray, np.ndarray]:
 
 def calF_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
     """calF^i_{jk} = F^i_j sigma_k + F^i_k sigma_j with its first partials,
-    from an affinor field and a 1-form field."""
-    Fv, dF = F.jet(point)
-    sv, ds = sigma.jet(point)
-    half = contract("ijn,k->ijkn", dF, sv) + contract("ij,kn->ijkn", Fv, ds)
-    return _pair(Fv, sv), half + np.swapaxes(half, -3, -2)
+    from an affinor field and a 1-form field; once per batch."""
+
+    def build(point):
+        Fv, dF = F.jet(point)
+        sv, ds = sigma.jet(point)
+        half = contract("ijn,k->ijkn", dF, sv) + contract("ij,kn->ijkn", Fv, ds)
+        return _pair(Fv, sv), half + np.swapaxes(half, -3, -2)
+
+    return memo(point, ("calF", F, sigma), build)
 
 
 def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +190,17 @@ def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
         + contract("aj,an->jn", Fv, ds)
     )
     return _nu(Fv, sv), grad
+
+
+def _sphi_jet(sigma2, phi, point) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_{jk} phi^i with its first partials; once per batch."""
+
+    def build(point):
+        (p, dp), (s, ds) = phi.jet(point), sigma2.jet(point)
+        grad = contract("jkn,i->ijkn", ds, p) + contract("jk,in->ijkn", s, dp)
+        return contract("jk,i->ijk", s, p), grad
+
+    return memo(point, ("sigma2 phi", sigma2, phi), build)
 
 
 def omega(spec: OmegaSpec, point) -> np.ndarray:
@@ -213,12 +229,9 @@ def omega_jet(spec: OmegaSpec, point) -> tuple[np.ndarray, np.ndarray]:
         value += s2 * calF
         grad += s2 * dcalF
     if s3 != 0.0:
-        phi, dphi = spec.phi.jet(point)
-        sigma2, dsigma2 = spec.sigma2.jet(point)
-        value += s3 * contract("jk,i->ijk", sigma2, phi)
-        grad += s3 * (
-            contract("jkn,i->ijkn", dsigma2, phi) + contract("jk,in->ijkn", sigma2, dphi)
-        )
+        sphi, dsphi = _sphi_jet(spec.sigma2, spec.phi, point)
+        value += s3 * sphi
+        grad += s3 * dsphi
     return value, grad
 
 
@@ -275,16 +288,16 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     return out
 
 
-def _share(space: Space, kind: str, spec: OmegaSpec, rho: bool, build):
-    """``space.share`` of an object built from `spec`'s omega (without its rho
-    term if not `rho`), keyed by the s-values and the ids of the fields that
-    enter; `build` gets a private copy of `spec`, so the object holds them."""
+def _key(kind: str, space: Space, spec: OmegaSpec, rho: bool) -> tuple:
+    """The cache key of a `kind` built on `space` from `spec`'s omega (without
+    its rho term if not `rho`): the space, the s-values and the fields that
+    enter, as objects, so that copies built by different readers share it."""
     s1, s2, s3 = spec.s.as_tuple()
     s1 = s1 if rho else 0.0
     weights = (s1, s2, s2, s3, s3)
     fields = (spec.rho, spec.F, spec.sigma, spec.phi, spec.sigma2)
-    key = (kind, rho, s1, s2, s3) + tuple(id(f) if w else None for w, f in zip(weights, fields))
-    return space.share(key, lambda: build(replace(spec, s=SValues(s1, s2, s3))))
+    key = (kind, space.key, rho, s1, s2, s3)
+    return key + tuple(f if w else None for w, f in zip(weights, fields))
 
 
 def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
@@ -294,20 +307,24 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     Lambda is Lambda' deformed by -s1 (d^i_j rho_k + d^i_k rho_j).  Across a
     mapping with this omega pair Lambda is unchanged and Lambda' changes
     projectively, by s1 (d^i_j (rhobar - rho)_k + d^i_k (rhobar - rho)_j).
-    A reduced space is memoised like any space and shared while it is alive.
+    Each call builds a new space, keyed by its base space, s-values and
+    fields, so equal reduced spaces share their results in a batch.
     """
-
-    def build(part: OmegaSpec) -> Space:
-        base = reduced_space(space, part, rho=False) if rho else space
+    if rho:
+        base = reduced_space(space, spec, rho=False)
 
         def fn(point):
-            if rho:
-                return tuple(-part.s.s1 * x for x in _delta_pair_jet(part.rho, point))
+            return tuple(-spec.s.s1 * x for x in _delta_pair_jet(spec.rho, point))
+
+    else:
+        base, part = space, replace(spec, s=replace(spec.s, s1=0.0))
+
+        def fn(point):
             return tuple(-x for x in omega_jet(part, point))
 
-        return base.deformed(PointField(part.chart, "ull", fn))
-
-    return _share(space, "reduced", spec, rho, build)
+    reduced = base.deformed(PointField(spec.chart, "ull", fn))
+    reduced.key = _key("reduced", space, spec, rho)
+    return reduced
 
 
 def basic_thomas(space: Space, spec: OmegaSpec):
@@ -315,12 +332,12 @@ def basic_thomas(space: Space, spec: OmegaSpec):
     return reduced_space(space, spec).connection
 
 
-def zeta(space: Space, spec: OmegaSpec) -> LastPointMemo:
+def zeta(space: Space, spec: OmegaSpec):
     """zeta_{ij} = s1 rho_{i|j} + s1^2 rho_i rho_j
     + s1 s2 (F^a_i sigma_j + F^a_j sigma_i) rho_a + s1 s3 sigma_{ij} rho_a phi^a;
-    shared like Lambda, whose omega it reads."""
+    keyed like Lambda, whose omega it reads."""
 
-    def evaluate(spec, point) -> np.ndarray:
+    def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         if s1 == 0.0:
             return np.zeros(batch_shape(point) + (spec.chart.dim,) * 2)
@@ -337,14 +354,14 @@ def zeta(space: Space, spec: OmegaSpec) -> LastPointMemo:
             out += s1 * s3 * contract("ij,->ij", spec.sigma2.value(point), rho_phi)
         return out
 
-    return _share(space, "zeta", spec, True, lambda part: LastPointMemo(partial(evaluate, part)))
+    return partial(memo, key=_key("zeta", space, spec, True), fn=evaluate)
 
 
-def dee(space: Space, spec: OmegaSpec) -> LastPointMemo:
-    """The four-group D^{(s2).(s3).i}_{jmn} building block; shared like
+def dee(space: Space, spec: OmegaSpec):
+    """The four-group D^{(s2).(s3).i}_{jmn} building block; keyed like
     Lambda', whose omega it reads."""
 
-    def evaluate(spec, point) -> np.ndarray:
+    def evaluate(point) -> np.ndarray:
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
         out = np.zeros(batch_shape(point) + (n,) * 4)
@@ -364,16 +381,13 @@ def dee(space: Space, spec: OmegaSpec) -> LastPointMemo:
             calF, dcalF = calF_jet(spec.F, spec.sigma, point)
             out -= s2 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
         if s3 != 0.0:
-            phi, dphi = spec.phi.jet(point)
-            sigma2, dsigma2 = spec.sigma2.jet(point)
-            Sp = contract("ja,a->j", sigma2, phi)
-            out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
-            sphi = contract("jm,i->ijm", sigma2, phi)
-            dsphi = contract("jmn,i->ijmn", dsigma2, phi) + contract("jm,in->ijmn", sigma2, dphi)
-            out -= s3 * covariant_derivative_arrays(sphi, dsphi, "ull", conn)
-        if s2 != 0.0 and s3 != 0.0:
             phi = spec.phi.value(point)
             sigma2 = spec.sigma2.value(point)
+            Sp = contract("ja,a->j", sigma2, phi)
+            out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
+            sphi, dsphi = _sphi_jet(spec.sigma2, spec.phi, point)
+            out -= s3 * covariant_derivative_arrays(sphi, dsphi, "ull", conn)
+        if s2 != 0.0 and s3 != 0.0:
             FS = contract("am,an->mn", F, sigma2)
             Fphi = contract("ia,a->i", F, phi)
             out += s2 * s3 * (
@@ -384,7 +398,7 @@ def dee(space: Space, spec: OmegaSpec) -> LastPointMemo:
             )
         return out
 
-    return _share(space, "dee", spec, False, lambda part: LastPointMemo(partial(evaluate, part)))
+    return partial(memo, key=_key("dee", space, spec, False), fn=evaluate)
 
 
 def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
@@ -485,8 +499,8 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
         dmix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
         return classical_eval(point), _alt(d), dtrace_alt, dmix
 
-    # shared by the four stages, so each point or batch assembles them once
-    pieces = LastPointMemo(pieces_at)
+    # shared by the four stages, so each batch assembles them once
+    pieces = partial(memo, key=pieces_at, fn=pieces_at)
 
     def first(point, trace_sign: float) -> np.ndarray:
         classical, d_alt, dtrace_alt, dmix = pieces(point)

@@ -30,8 +30,9 @@ the points in blocks (``tensor.PointBatch``) whose size follows from a byte
 budget, and each point's discrepancy is bit-identical to its evaluation
 alone.  Each block is cut from one batch of all the points, its run, so an
 expression field jets a span of several blocks in one pass
-(``tensor.TensorField``).  A block that raises, in its own rows or in a
-later block of a field's span, is redone one point at a time, so the error
+(``tensor.TensorField``); what the rows share lives in the block's cache.  A
+block that raises, in its own rows or in a later block of a field's span, is
+redone one point at a time, each point one batch for every row, so the error
 is the one its first failing point raises alone.
 """
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -73,12 +74,13 @@ from .invariants import (
     reduced_space,
 )
 from .tensor import (
-    LastPointMemo,
     PointBatch,
     PointField,
     add_fields,
+    batch_shape,
     contract,
     delta_product,
+    memo,
     scale_field,
 )
 
@@ -169,7 +171,7 @@ def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
 
 
 def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
-    """rho_j = (L^a_{ja} + sign * (F sigma_j + F^a_j sigma_a) / 2) / (N + 1), once per block."""
+    """rho_j = (L^a_{ja} + sign * (F sigma_j + F^a_j sigma_a) / 2) / (N + 1), once per batch."""
     chart = space.chart
     n = chart.dim
 
@@ -182,7 +184,7 @@ def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
         grad = (dtrace + 0.5 * sign * dnu) / (n + 1)
         return value, grad
 
-    return PointField(chart, "l", LastPointMemo(fn))
+    return PointField(chart, "l", partial(memo, key=fn, fn=fn))
 
 
 def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
@@ -219,8 +221,9 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     """
     n = space.dim
     riemann, ric, classical = curvature(space), ricci(space, convention), weyl(space, convention)
-    # shared by the evaluators below, so each point or batch assembles them once
-    pieces = LastPointMemo(lambda point: _fplanar_pieces(space, F, sigma, point))
+    # shared by the evaluators below, so each batch assembles them once
+    pieces_at = partial(_fplanar_pieces, space, F, sigma)
+    pieces = partial(memo, key=pieces_at, fn=pieces_at)
 
     def dee_eval(point) -> np.ndarray:
         return -0.5 * pieces(point)[4]
@@ -460,8 +463,7 @@ def verify_invariance(
         names = list(invariants)
 
     # block-major: every requested invariant on one block of points before
-    # the next block, so the last-batch memos of fields, spaces and
-    # evaluators hit
+    # the next block, each result the rows share kept in the block's cache
     evaluators = [pairs[name] for name in names]
     per_row: list[list] = [[] for _ in names]
     points = _checked_points(points, source.dim)
@@ -472,11 +474,11 @@ def verify_invariance(
             discs = [_discrepancies(pair, batch) for pair in evaluators]
         except (ExprError, SingularMetricError):
             # one point at a time, so the error is the one the first failing
-            # point raises on its own
+            # point raises on its own; each point is one batch for every row
             discs = [[] for _ in evaluators]
-            for point in block:
+            for alone in map(PointBatch, block):
                 for pair, found in zip(evaluators, discs):
-                    found.extend(_discrepancies(pair, point))
+                    found.extend(_discrepancies(pair, alone))
         for rows, found in zip(per_row, discs):
             rows.extend(zip(block, found))
     return InvarianceReport(
@@ -519,6 +521,6 @@ def _discrepancies(pair, point) -> list[float]:
     point or batch."""
     eval_src, eval_tgt = pair
     gap = np.abs(eval_src(point) - eval_tgt(point))
-    if isinstance(point, PointBatch):
+    if batch_shape(point):
         return np.max(gap.reshape(len(point.array), -1), axis=1).tolist()
     return [float(np.max(gap))]

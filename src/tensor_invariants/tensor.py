@@ -1,6 +1,6 @@
 """Tensor fields over a chart: expression fields, point-function fields, the
-last-batch memo they share and the batch-invariant contraction of their
-arrays.
+point batches whose caches hold every shared result, and the
+batch-invariant contraction of their arrays.
 
 Storage is row-major with the index order as written in the formulas this
 package implements (contravariant slot first), derivative axes last.
@@ -17,13 +17,13 @@ traces summed in index order, and for a contraction of two operands one
 BLAS call per point, of the same shape on C-contiguous operands, whether the
 point is alone or a row of a stacked ``np.matmul`` (:func:`contract`).
 
-A batch that is one block of a longer run (``PointBatch.blocks``) lets an
-expression field jet several blocks at once: the field runs its program
-once over its span, as many whole blocks as keep its largest channel within
-one N^4 array per block, and gives each block read-only row views of the
-result.  A row's bits do not depend on the batch it runs in, so a span
-changes no result, and a memo hit on the span's batch object is one
-identity test.
+Every result that readers share (a field's jets, a space's connection and
+curvature, an invariant's building blocks) is computed once per batch by
+:func:`memo` and kept in the batch's cache, so it lives as long as the
+batch.  A block of a longer run (``PointBatch.blocks``) lets an expression
+field jet several whole blocks at once, its span, as many as keep its
+largest channel within one N^4 array per block; each block reads read-only
+row views of the span's result, bit-identical to a run of its own.
 
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
@@ -55,21 +55,21 @@ __all__ = [
     "zero_field",
     "scale_field",
     "add_fields",
-    "LastPointMemo",
+    "memo",
 ]
 
 
 # ---------------------------------------------------------------------------
-# point batches and the last-batch memo
+# point batches and their caches
 # ---------------------------------------------------------------------------
 
 class PointBatch(tuple):
-    """P points of an N-dimensional chart, passed where one point would go.
+    """P points of an N-dimensional chart, passed where one point would go,
+    and the cache of the results computed on them (:func:`memo`).
 
-    It iterates as its P*N coordinates, row-major, so anything that reads a
-    point as a tuple of floats (the memo key below, a trace hook) reads a
-    batch the same way; ``array`` holds the coordinates as a read-only
-    ``(P, N)`` array.
+    ``array`` holds the coordinates read-only: ``(P, N)``, or ``(N,)`` for a
+    batch made from one point, whose results have no batch axis.  It
+    iterates as its coordinates, row-major, as a point does.
 
     A block of a longer run of points (:meth:`blocks`) also knows that run,
     its first row in it and the run's block length, so that an evaluator
@@ -78,113 +78,77 @@ class PointBatch(tuple):
     """
 
     run = None  # the batch this one is a block of
-    start = 0  # the block's first row in its run
+    start = 0  # the block's (or span's) first row in its run
     step = 0  # the run's block length
 
     def __new__(cls, points):
         array = np.array(points, dtype=float)
-        if array.ndim != 2:
-            raise ValueError("a point batch is a (P, N) array of coordinates")
+        if array.ndim not in (1, 2):
+            raise ValueError("a point batch is a (P, N) array of coordinates, or one point")
         self = super().__new__(cls, array.ravel().tolist())
         array.flags.writeable = False
         self.array = array
+        self.cache = {}
         return self
 
-    def blocks(self, size: int) -> list:
+    def blocks(self, size: int) -> "_Blocks":
         """The batch cut into blocks of `size` points (the last may be
-        shorter), each a batch that knows this one as its run; the batch
-        itself when it has `size` points or fewer."""
-        if len(self.array) <= size:
-            return [self]
+        shorter), each a batch that knows this one as its run, made when it
+        is read so that it and its cache are freed once its reader moves on."""
         self.spans = {}
-        out = []
-        for start in range(0, len(self.array), size):
-            block = PointBatch(self.array[start : start + size])
-            block.run, block.start, block.step = self, start, size
-            out.append(block)
-        return out
+        return _Blocks(self, size)
 
     def span(self, blocks: int) -> tuple:
         """``(span, rows)`` for a block: the batch of `blocks` whole blocks
         of its run that holds it, spans laid end to end from the run's first
         row, and the slice of the span's rows that are the block's; the
-        block itself and None when the span is no more than the block.  A
-        run makes each span's batch once, so the memos that read it hit by
-        identity."""
+        block itself and None when the span is no more than the block.  The
+        run keeps the current span of each width only, so a span and the
+        jets in its cache are freed once its blocks are done."""
         run, start, stop = self.run, self.start, self.start + len(self.array)
         width = blocks * self.step
         lo = start - start % width
         hi = min(lo + width, len(run.array))
         if lo == start and hi == stop:
             return self, None
-        span = run.spans.get((lo, hi))
-        if span is None:
-            span = run.spans[lo, hi] = PointBatch(run.array[lo:hi])
+        span = run.spans.get(width)
+        if span is None or span.start != lo:
+            span = run.spans[width] = PointBatch(run.array[lo:hi])
+            span.start = lo
         return span, slice(start - lo, stop - lo)
+
+
+class _Blocks:
+    """A run's blocks, each made when it is read: ``blocks[k]``, or in turn."""
+
+    def __init__(self, run: PointBatch, size: int):
+        self.run, self.size = run, size
+
+    def __getitem__(self, k: int) -> PointBatch:
+        start = range(0, len(self.run.array), self.size)[k]  # IndexError past the end
+        block = PointBatch(self.run.array[start : start + self.size])
+        block.run, block.start, block.step = self.run, start, self.size
+        return block
 
 
 def batch_shape(point) -> tuple:
     """``(P,)`` for a batch of P points, ``()`` for one point."""
-    return point.array.shape[:1] if isinstance(point, PointBatch) else ()
+    return point.array.shape[:-1] if isinstance(point, PointBatch) else ()
 
 
-def _memo_key(point):
-    if isinstance(point, PointBatch):
-        return point, point.array.shape
-    return tuple(map(float, point)), ()
+def _batch(point) -> PointBatch:
+    return point if isinstance(point, PointBatch) else PointBatch(point)
 
 
-class LastPointMemo:
-    """A point function that remembers its result at the last point or
-    batch only.
-
-    The key is the point as an exact tuple of floats (a batch already is
-    one), and a batch is told from a single point by its shape, so one point
-    and a batch of one never share an entry.  A batch is immutable, so the
-    very batch object of the last call is a hit without its key being built
-    or hashed; a point given as a list or tuple is looked up by its value
-    each time, since a list can change in place.  ``cache`` is a dict
-    holding at most that one entry, so memory stays bounded however many
-    points a run visits; a call at another point or batch replaces the
-    entry.  A loop that evaluates everything it needs at one point or block
-    before it moves on needs no more than that one slot.  Arrays in a result
-    (or in a result tuple) are made read-only: a caller cannot alter what a
-    later call at the same point returns.  A memo can be held weakly
-    (``geometry.Space.share``).
-    """
-
-    __slots__ = ("fn", "cache", "shape", "batch", "value", "__weakref__")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.cache: dict = {}
-        self.shape = None
-        self.batch = self.value = None  # the last batch given and its result
-
-    def __call__(self, point):
-        if point is self.batch:
-            return self.value
-        key, shape = _memo_key(point)
-        cache = self.cache
-        if shape == self.shape and key in cache:
-            value = cache[key]
-        else:
-            value = _read_only(self.fn(point))
-            cache.clear()
-            cache[key] = value
-            self.shape = shape
-        self.batch = point if shape else None
-        self.value = value
-        return value
-
-    def held(self, point):
-        """The remembered result if it is for `point`, else None."""
-        if point is self.batch:
-            return self.value
-        if not self.cache:
-            return None
-        key, shape = _memo_key(point)
-        return self.cache.get(key) if shape == self.shape else None
+def memo(point, key, fn):
+    """``fn(batch)``, computed once per batch: kept in the batch's cache
+    under `key`, which names the result, with its arrays made read-only.  A
+    plain point is made a one-point batch first."""
+    batch = _batch(point)
+    value = batch.cache.get(key)
+    if value is None:
+        value = batch.cache[key] = _read_only(fn(batch))
+    return value
 
 
 def _read_only(value):
@@ -359,11 +323,10 @@ class TensorField:
         self.shape = shape
         self.entries = flat
         self.program = compile_program(*flat)
-        # the memos hold the program, not the field, so that a field left
-        # unused is freed at once rather than by the cycle collector
-        self._memos = tuple(
-            LastPointMemo(partial(_entry_arrays, self.program, flat, shape, order))
-            for order in range(3)
+        # each order's run holds the program, not the field, so that a field
+        # left unused is freed at once rather than by the cycle collector
+        self._runs = tuple(
+            partial(_entry_arrays, self.program, flat, shape, order) for order in range(3)
         )
 
     def entry(self, *index) -> ex.Expr:
@@ -373,35 +336,37 @@ class TensorField:
         return self.entries[flat]
 
     def value(self, point) -> np.ndarray:
-        """Entry values (read-only, computed once per point or span).  When
-        the order-1 or order-2 memo holds the point's span, its value
+        """Entry values (read-only, computed once per batch or span).  When
+        the span already holds the order-1 or order-2 channels, their value
         channel, bit-identical to an order-0 run, is returned."""
+        point = _batch(point)
         for order in (1, 2):
-            held = self._rows(order, point, self._memos[order].held)
-            if held is not None:
-                return held[0]
-        return self._rows(0, point, self._memos[0])
+            out = self._rows(order, point, compute=False)
+            if out is not None:
+                return out[0]
+        return self._rows(0, point)
 
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials; derivative axis last (read-only)."""
-        return self._rows(1, point, self._memos[1])
+        return self._rows(1, point)
 
     def jet2(self, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values, first and second partials; derivative axes last (read-only)."""
-        return self._rows(2, point, self._memos[2])
+        return self._rows(2, point)
 
-    def _rows(self, order, point, read):
-        """`read` (a memo or its ``held``) at the span of `point` for
-        `order`, cut to the point's rows: one run of the program serves every
-        block of a span, each row bit-identical to its run alone."""
-        if not (isinstance(point, PointBatch) and point.run is not None):
-            return read(point)
-        # blocks per span: as many as keep the largest channel, entries *
-        # n**order doubles per point, within the n**4 doubles per point that
-        # a verify block's budget is sized for
-        n = self.chart.dim
-        span, rows = point.span(max(1, n**4 // (len(self.entries) * n**order)))
-        out = read(span)
+    def _rows(self, order, point, compute=True):
+        """The channels up to `order` at the span of `point`, cut to its
+        rows: one run of the program, kept in the span's cache, serves every
+        block of the span.  Unless `compute`, None if the span has no run."""
+        span, rows = _batch(point), None
+        if span.run is not None:
+            # blocks per span: as many as keep the largest channel, entries *
+            # n**order doubles per point, within the n**4 doubles per point
+            # that a verify block's budget is sized for
+            n = self.chart.dim
+            span, rows = span.span(max(1, n**4 // (len(self.entries) * n**order)))
+        key = (self, order)
+        out = memo(span, key, self._runs[order]) if compute else span.cache.get(key)
         if rows is None or out is None:
             return out
         return tuple(c[rows] for c in out) if order else out[rows]
@@ -423,9 +388,8 @@ def _entry_arrays(program, entries, shape, order, point):
     raising, so a non-finite value or derivative is caught here, naming its
     entry (at the first point of a batch that has one)."""
     lead = batch_shape(point)
-    coords = point.array if lead else point
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_program(program, coords, order)
+        result = run_program(program, point.array, order)
     channels = result if order else (result,)
     if not all(np.isfinite(c).all() for c in channels):
         finite = np.logical_and.reduce(

@@ -26,7 +26,7 @@ from tensor_invariants.sampling import (
     random_mapping,
     random_metric_space,
 )
-from tensor_invariants.tensor import LastPointMemo, PointBatch, TensorField, batch_shape
+from tensor_invariants.tensor import PointBatch, TensorField, batch_shape
 
 
 def _check_batch_against_points(pairs, points, checked):
@@ -79,13 +79,22 @@ def test_fplanar_batches_are_bit_identical_to_single_points():
     _check_batch_against_points(pairs, points + [points[4]], range(10))
 
 
+def _connection_space():
+    chart = Chart(("u", "v"))
+    return Space.from_connection(TensorField(chart, "ull", [[["u", "v"], ["v", "u*v"]]] * 2))
+
+
 def test_one_point_and_a_batch_of_one_do_not_share_a_memo_entry():
-    memo = LastPointMemo(lambda point: np.zeros(batch_shape(point) + (2,)))
+    # a point, alone or made a batch, gives no batch axis; a batch of one
+    # point gives one, and each batch keeps its own results
+    space = _connection_space()
     point = (1.0, 2.0)
-    assert memo(point).shape == (2,)
-    assert memo(PointBatch([point])).shape == (1, 2)
-    assert memo(point).shape == (2,)
-    assert memo.held(PointBatch([point])) is None
+    alone, one = PointBatch(point), PointBatch([point])
+    assert batch_shape(alone) == () and batch_shape(one) == (1,)
+    assert space.connection(point).shape == space.connection(alone).shape == (2, 2, 2)
+    assert space.connection(one).shape == (1, 2, 2, 2)
+    assert np.array_equal(space.connection(one)[0], space.connection(alone))
+    assert [len(batch.cache) for batch in (alone, one)] == [2, 2]  # the field's jet, the connection
 
 
 # --- errors inside a block ------------------------------------------------------
@@ -180,27 +189,11 @@ def test_batch_errors_follow_entry_order_across_shared_subtrees():
 
 
 def test_a_list_point_changed_in_place_is_evaluated_again():
-    calls = []
-    memo = LastPointMemo(lambda point: calls.append(tuple(point)) or np.array(point))
+    space = _connection_space()
     point = [1.0, 2.0]
-    assert memo(point).tolist() == [1.0, 2.0]
+    assert space.connection(point)[1, 1, 1] == 2.0  # L^2_22 = u v
     point[0] = 3.0
-    assert memo.held(point) is None
-    assert memo(point).tolist() == [3.0, 2.0]
-    assert calls == [(1.0, 2.0), (3.0, 2.0)]
-
-
-def test_equal_batches_share_a_memo_entry():
-    calls = []
-    memo = LastPointMemo(lambda point: calls.append(point) or np.zeros(batch_shape(point)))
-    points = [(1.0, 2.0), (3.0, 4.0)]
-    first, second = PointBatch(points), PointBatch(points)
-    assert first is not second
-    held = memo(first)
-    assert memo(second) is held
-    assert memo.held(first) is held
-    assert memo(first) is held
-    assert calls == [first]
+    assert space.connection(point)[1, 1, 1] == 6.0
 
 
 # --- spans: one program run over several blocks ---------------------------------

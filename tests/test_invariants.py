@@ -422,11 +422,16 @@ def test_reduced_spaces_are_shared_by_s_and_fields(chart):
     for rho in (True, False):
         a = reduced_space(space, spec_a, rho)
         b = reduced_space(space, spec_b, rho)
-        assert b is not a
-        assert reduced_space(space, replace(spec_a), rho) is a
+        assert b.key != a.key
+        # a copy of the spec names the same fields: the copy's space shares
+        # the connection in a batch's cache
+        copy = reduced_space(space, replace(spec_a), rho)
+        assert copy is not a and copy.key == a.key
+        batch = PointBatch(P0)
+        assert copy.connection(batch) is a.connection(batch)
         # rho and s1 enter L - omega only, not L - omega without rho
         for variant in (other_rho, other_s1):
-            assert (reduced_space(space, variant, rho) is a) == (not rho)
+            assert (reduced_space(space, variant, rho).key == a.key) == (not rho)
         for spec, reduced in ((spec_a, a), (spec_b, b)):
             if not rho:
                 spec = replace(spec, s=SValues(0.0, s.s2, s.s3))

@@ -1,16 +1,17 @@
-"""Block-major verification with last-batch memos.
+"""Block-major verification with per-batch caches.
 
 The verifier evaluates every invariant on one block of points before moving
-on, and fields, spaces and evaluators each remember their result for the
-last point or block.  These tests pin the two things that can go wrong with
-that: a stale or shared memo entry (checked against a memo-free oracle, one
-point at a time, bit for bit) and work done more than once per point
-(checked by counting).
+on, and every result the rows share (field jets, connections, curvatures,
+zeta, D) is kept in the block's cache (``tensor.memo``).  These tests pin
+what can go wrong with that: a wrongly shared cache entry (checked against a
+memo-free oracle, one point at a time, bit for bit), work done more than
+once per point (checked by counting) and results kept alive after the run.
 """
 
 import gc
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -89,7 +90,11 @@ def _check_against_oracle(build, points, monkeypatch):
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) >= 10
     # the oracle: no memo anywhere, fresh spaces and evaluators per entry
-    monkeypatch.setattr(tensor.LastPointMemo, "__call__", lambda self, point: self.fn(point))
+    def no_memo(point, key, fn):
+        return fn(point if isinstance(point, tensor.PointBatch) else tensor.PointBatch(point))
+
+    for module in (tensor, geometry, invariants, mappings):
+        monkeypatch.setattr(module, "memo", no_memo)
     for row in report.rows:
         for index, point in enumerate(points):
             source, target, _, mspec = build()
@@ -189,14 +194,13 @@ def test_verify_fplanar_work_counts(monkeypatch):
 
     def counted_rho_field(*args, **kwargs):
         field = rho_field(*args, **kwargs)
-        memo = field._fn
-        fn = memo.fn
+        fn = field._fn.keywords["fn"]
 
         def counting(point):
             rho_runs[tuple(_rows(point))] += 1
             return fn(point)
 
-        memo.fn = counting
+        field._fn = partial(field._fn, fn=counting)  # under the same key
         return field
 
     monkeypatch.setattr(mappings, "fplanar_rho_field", counted_rho_field)
@@ -287,6 +291,24 @@ def test_verify_omega_work_counts(monkeypatch):
     # runs of each body
     derivatives = Counter()
     _count_calls(monkeypatch, derivatives, "covariant_derivative_arrays", lambda *a: a[2])
+    # calF jets, asked for by omega (the target's deformation), L - omega
+    # without rho and D, per (F, sigma, block)
+    calF_calls, calF_builds = Counter(), Counter()
+    memo = invariants.memo
+
+    def counting_memo(point, key, fn):
+        if isinstance(key, tuple) and key[0] == "calF":
+            at = (key[1], key[2], tuple(_rows(point)))
+            calF_calls[at] += 1
+
+            def build(batch):
+                calF_builds[at] += 1
+                return fn(batch)
+
+            return memo(point, key, build)
+        return memo(point, key, fn)
+
+    monkeypatch.setattr(invariants, "memo", counting_memo)
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) == 10
     runs = _check_runs(calls, points, 2)
@@ -307,66 +329,87 @@ def test_verify_omega_work_counts(monkeypatch):
     # per block and space: one D shared by the structured basic Weyl row and
     # the chain, one zeta, and the curvature of the space and of L - omega
     assert derivatives == {"ull": 2 * 2 * 5, "l": 2 * 5}
+    # calF is built once per (F, sigma, block), for the readers of each
+    fields = [(w.F, w.sigma) for w in (w_src, w_tgt)]
+    blocks = [tuple(map(tuple, points[k : k + 2])) for k in range(0, 10, 2)]
+    assert calF_builds == Counter({pair + (block,): 1 for pair in fields for block in blocks})
+    assert set(calF_calls.values()) == {3}
     assert kernels == {"curvature_arrays": 4 * 5, "ricci_arrays": 2 * 5, "weyl_arrays": 2 * 5}
 
 
 def test_reduced_spaces_die_with_the_evaluators():
-    # each space holds the objects shared by its rows weakly and nothing
-    # refers back to them, so they go by reference counting alone, with no
-    # cycle
-    source, target, _, mspec = _fplanar_world()
-    point = (1.25, 1.5, 1.75)
+    # the results the rows share live in the batch's cache, and nothing
+    # refers back: the reduced spaces go with the evaluators, and the spaces
+    # with the batch, by reference counting alone, with no cycle
     gc.disable()
     try:
+        source, target, _, mspec = _fplanar_world()
+        batch = tensor.PointBatch((1.25, 1.5, 1.75))
         pairs = mappings._evaluator_pairs(source, target, mspec, geometry.RICCI_LAST)
         pairs.update(mappings._fplanar_pairs(source, target, mspec, geometry.RICCI_LAST))
         for eval_src, eval_tgt in pairs.values():
-            eval_src(point)
-            eval_tgt(point)
-        reduced = [
-            reduced_space(space, spec, rho)
-            for space, spec in ((source, mspec.omega_src), (target, mspec.omega_tgt))
-            for rho in (True, False)
-        ]
-        # by kind (and Ricci convention, or whether rho enters): the space's
-        # curvature, Ricci, Weyl and Thomas evaluators, zeta, D and the two
-        # reduced spaces; the curvature of L - omega and the Thomas parameter
+            eval_src(batch)
+            eval_tgt(batch)
+        # each space's connection, curvature, Ricci, Weyl and Thomas tensors;
+        # the connection and curvature of L - omega and the Thomas parameter
         # of L - omega without rho, which the F-planar Thomas row shares
-        for space in (source, target):
-            assert sorted(map(str, (key[:2] for key in space.shared))) == [
-                "('curvature',)",
-                "('dee', False)",
-                "('reduced', False)",
-                "('reduced', True)",
-                "('ricci', 'last')",
-                "('thomas',)",
-                "('weyl', 'last')",
-                "('zeta', True)",
-            ]
-        assert [list(space.shared) for space in reduced] == [[("curvature",)], [("thomas",)]] * 2
-        held = [
-            weakref.ref(shared)
-            for space in [source, target] + reduced
-            for shared in space.shared.values()
-        ]
-        assert len(held) == 20
-        del pairs, eval_src, eval_tgt, reduced
-        assert all(ref() is None for ref in held)
-        assert len(source.shared) == 0 and len(target.shared) == 0
+        reduced = []
+        for space, spec in ((source, mspec.omega_src), (target, mspec.omega_tgt)):
+            full, part = reduced_space(space, spec), reduced_space(space, spec, rho=False)
+            reduced += [full, part]
+            for key in (
+                ("connection", space.key),
+                ("curvature", space.key),
+                ("ricci", geometry.RICCI_LAST, space.key),
+                ("weyl", geometry.RICCI_LAST, space.key),
+                ("thomas", space.key),
+                ("connection", full.key),
+                ("curvature", full.key),
+                ("connection", part.key),
+                ("thomas", part.key),
+            ):
+                assert key in batch.cache, key
+        spaces = [weakref.ref(space) for space in (source, target)]
+        copies = [weakref.ref(space) for space in reduced]
+        del pairs, eval_src, eval_tgt, reduced, source, target, mspec, space, spec, full, part, key
+        assert all(ref() is None for ref in copies)
+        # the keys name fields, such as the F-planar rho, that hold the source
+        del batch
+        assert all(ref() is None for ref in spaces)
     finally:
         gc.enable()
 
 
-def test_connection_cache_holds_last_point_only():
+def test_connection_cache_holds_last_point_only(monkeypatch):
+    # every result lives in the cache of the batch it was computed on, so
+    # once verify returns, no batch it made (block, span, run) is alive, nor
+    # any result in their caches
+    made = []
+
+    class Tracked(tensor.PointBatch):
+        def __new__(cls, points):
+            batch = super().__new__(cls, points)
+            made.append(weakref.ref(batch.array))
+            return batch
+
+    for module in (tensor, mappings):
+        monkeypatch.setattr(module, "PointBatch", Tracked)
     job = builtin_config("fplanar-demo")
     source = job.build_space()
     target = fplanar_build(source, job.mapping())
-    for point in sample_points([[1.0, 2.0]] * 3, 2000, seed=3):
-        source.connection_jet(point)
-        target.connection_jet(point)
-    assert len(source._cache) == 1
-    assert len(target._cache) == 1
-    assert len(job.metric._memos[2].cache) == 1
+    points = sample_points([[1.0, 2.0]] * 3, 300, seed=3)
+    gc.disable()
+    try:
+        for point in points[:20]:
+            source.connection_jet(point)
+            target.connection_jet(point)
+        verify_invariance(source, target, job.mapping(), points)
+        # 40 one-point batches; the run, its 3 blocks, and the span of all 3
+        # of F's and of sigma's jets
+        assert len(made) == 40 + 1 + 3 + 2
+        assert all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 def test_memoised_arrays_are_read_only():
