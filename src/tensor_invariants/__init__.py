@@ -1,7 +1,7 @@
 """Classical and generalized projective invariants of affine connection
 spaces, with a pointwise-numeric invariance verifier."""
 
-from .expr import Chart, DomainError, ExprError, ParseError, evaluate, parse, print_expr
+from .expr import Chart, DomainError, ExprError, ParseError, parse, print_expr
 from .geometry import (
     RICCI_LAST,
     RICCI_MIDDLE,
@@ -10,7 +10,6 @@ from .geometry import (
     christoffel,
     curvature,
     ricci,
-    riemannian_weyl,
     symmetrize_connection,
     thomas,
     weyl,
@@ -32,7 +31,6 @@ from .invariants import (
     reduced_space,
     zeta,
 )
-from .jets import Jet, eval_jet
 from .mappings import (
     FPlanarSpec,
     InvarianceReport,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import builtin_config
-from .expr import evaluate, parse
+from .expr import parse
 from .geometry import RICCI_LAST, _alt, curvature, delta_bracket, ricci, weyl
 from .invariants import (
     MODE_DIRECT,
@@ -40,6 +40,7 @@ from .invariants import (
     reduced_space,
     zeta,
 )
+from .jets import compile_program, run_program
 from .mappings import (
     apply_mapping,
     fplanar_as_omega,
@@ -74,10 +75,6 @@ def findings_to_json(findings: list[Finding]) -> str:
     return json.dumps([f.to_dict() for f in findings], indent=2)
 
 
-def _fmt(x: float) -> float:
-    return float(x)
-
-
 def _largest(array) -> float:
     """Largest absolute entry."""
     return float(np.max(np.abs(array)))
@@ -93,17 +90,13 @@ def _christoffel_table_finding(space, chart, points) -> Finding:
         (2, 0, 0): "u/w^2",
         (2, 1, 1): "v/w^2",
     }
-    diag_residual = 0.0
-    offdiag_computed = 0.0
-    offdiag_printed_gap = 0.0
-    for point in points:
-        conn = space.connection(point)
-        for i in range(3):
-            diag_residual = max(diag_residual, abs(conn[i, i, i] - 1.0 / point[i]))
-        for (i, j, k), text in printed_offdiag.items():
-            offdiag_computed = max(offdiag_computed, abs(conn[i, j, k]))
-            printed = evaluate(parse(text, chart), point)
-            offdiag_printed_gap = max(offdiag_printed_gap, abs(printed - conn[i, j, k]))
+    batch = PointBatch(points)
+    conn = space.connection(batch)
+    diag = np.arange(3)
+    diag_residual = _largest(conn[:, diag, diag, diag] - 1.0 / batch.array)
+    computed = conn[(slice(None),) + tuple(zip(*printed_offdiag))]  # (P, entries)
+    program = compile_program(*(parse(text, chart) for text in printed_offdiag.values()))
+    printed = run_program(program, batch.array, 0)  # (entries, P)
     return Finding(
         id="christoffel-example-table",
         claim=(
@@ -111,9 +104,9 @@ def _christoffel_table_finding(space, chart, points) -> Finding:
             "1/u, 1/v, 1/w plus nonzero off-diagonal entries such as v/u^2"
         ),
         measurement={
-            "diagonal_max_residual": _fmt(diag_residual),
-            "offdiagonal_computed_max": _fmt(offdiag_computed),
-            "offdiagonal_printed_vs_computed_max_gap": _fmt(offdiag_printed_gap),
+            "diagonal_max_residual": diag_residual,
+            "offdiagonal_computed_max": _largest(computed),
+            "offdiagonal_printed_vs_computed_max_gap": _largest(printed.T - computed),
             "note": (
                 "the standard Christoffel formula yields 0 for every printed "
                 "off-diagonal entry; only the diagonal 1/u, 1/v, 1/w survive"
@@ -134,8 +127,8 @@ def _curvature_flat_finding(space, points) -> Finding:
             "metric (built on the printed off-diagonal Christoffel entries)"
         ),
         measurement={
-            "max_abs_curvature": _fmt(worst),
-            "max_abs_ricci": _fmt(ric_worst),
+            "max_abs_curvature": worst,
+            "max_abs_ricci": ric_worst,
             "note": (
                 "with the standard symbols the example metric is flat, so the "
                 "printed nonzero curvature cases cannot arise"
@@ -162,15 +155,15 @@ def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
     closed = np.stack([tr * s[:, j] + F[:, j, j] * s[:, j] for j in range(3)], axis=1)
     worst_trace = _largest(trace - closed)
     spot = {
-        "calF_3_33_at_(1,2,3)": _fmt(2.0 * 3.0 * math.log(15.0)),
-        "calF_1_13_at_(1,2,3)": _fmt(math.sin(1.0) * math.log(15.0)),
+        "calF_3_33_at_(1,2,3)": 2.0 * 3.0 * math.log(15.0),
+        "calF_1_13_at_(1,2,3)": math.sin(1.0) * math.log(15.0),
     }
     return Finding(
         id="fcal-tables",
         claim="piecewise table for calF^i_{jk} and its trace calF^a_{ja}",
         measurement={
-            "table_max_residual": _fmt(worst_table),
-            "trace_max_residual": _fmt(worst_trace),
+            "table_max_residual": worst_table,
+            "trace_max_residual": worst_trace,
             "spot_values": spot,
         },
         verdict="confirmed",
@@ -188,7 +181,7 @@ def _omega_square_finding(chart, rng, points) -> Finding:
     return Finding(
         id="omega-square-expansion",
         claim="term-by-term expansion of omega^a_{jm} omega^i_{an}",
-        measurement={"max_residual_50_specs": _fmt(worst)},
+        measurement={"max_residual_50_specs": worst},
         verdict="confirmed",
     )
 
@@ -205,7 +198,7 @@ def _weyl_modes_finding(chart, rng, points) -> Finding:
     return Finding(
         id="basic-weyl-direct-vs-structured",
         claim="the zeta/D regrouping of the basic Weyl invariant equals the direct substitution",
-        measurement={"max_residual": _fmt(worst)},
+        measurement={"max_residual": worst},
         verdict="confirmed",
     )
 
@@ -238,7 +231,7 @@ def _correlation_finding(chart, rng, points) -> Finding:
     return Finding(
         id="correlation-identities",
         claim="derived invariants relate to the classical Thomas parameter and Weyl tensor by the printed correlation identities",
-        measurement={"thomas_max_residual": _fmt(worst_t), "weyl_max_residual": _fmt(worst_w)},
+        measurement={"thomas_max_residual": worst_t, "weyl_max_residual": worst_w},
         verdict="confirmed",
     )
 
@@ -270,8 +263,8 @@ def _derived_thomas_general_s_finding(chart, rng, points) -> Finding:
         claim="the derived Thomas invariant (outer trace coefficient s1/(N+1)) is invariant for arbitrary s",
         measurement={
             "s": list(s.as_tuple()),
-            "printed_form_max_discrepancy": _fmt(worst["printed"]),
-            "unit_coefficient_variant_max_discrepancy": _fmt(worst["unit"]),
+            "printed_form_max_discrepancy": worst["printed"],
+            "unit_coefficient_variant_max_discrepancy": worst["unit"],
             "note": (
                 "as printed the object is invariant only for s1 in {0, 1} "
                 "(all uses in the source have s1 = 1); replacing the outer "
@@ -297,7 +290,7 @@ def _theorem2_general_finding(chart, rng, points, convention) -> Finding:
         "weyl_second",
         "weyl_final",
     )
-    measurement = {name: _fmt(report.row(name).max_discrepancy) for name in chain_names}
+    measurement = {name: report.row(name).max_discrepancy for name in chain_names}
     measurement["note"] = (
         "the final derived Weyl object drops D-trace terms that are not "
         "themselves invariant; only the sign-corrected first stage of the "
@@ -321,7 +314,7 @@ def _weyl_first_sign_finding(chart, rng, points) -> Finding:
         id="weyl-first-stage-trace-sign",
         claim="sign of the delta-weighted D^a_{a[..]} trace terms in the first chained Weyl invariant",
         measurement={
-            "printed_vs_corrected_max_gap": _fmt(gap),
+            "printed_vs_corrected_max_gap": gap,
             "note": (
                 "re-deriving the (i, n) contraction flips the sign of the "
                 "D^a_{a[..]} terms; the corrected form is exactly invariant "
@@ -383,7 +376,7 @@ def _fplanar_reduction_findings(example_space, fspec, points) -> list[Finding]:
             id="fplanar-zeta-reduction",
             claim="the printed F-planar zeta expansion equals the general zeta with the trace-gauge rho",
             measurement={
-                "max_gap": _fmt(zeta_gap),
+                "max_gap": zeta_gap,
                 "note": (
                     "the printed expansion carries 1/(2(N+1)) on the "
                     "trace-times-nu cross terms where the rho product yields "
@@ -396,7 +389,7 @@ def _fplanar_reduction_findings(example_space, fspec, points) -> list[Finding]:
             id="fplanar-dee-reduction",
             claim="for the F-planar case D reduces to the pure covariant-derivative term",
             measurement={
-                "max_gap": _fmt(dee_gap),
+                "max_gap": dee_gap,
                 "note": (
                     "the reduction drops the s2^2 quadratic group, which is "
                     "not invariant across the omega pair realizing the mapping"
@@ -407,7 +400,7 @@ def _fplanar_reduction_findings(example_space, fspec, points) -> list[Finding]:
         Finding(
             id="fplanar-wbasic-reduction",
             claim="the printed specialized basic Weyl object equals the general structured assembly",
-            measurement={"max_gap": _fmt(wbasic_gap)},
+            measurement={"max_gap": wbasic_gap},
             verdict="discrepancy",
         ),
     ]

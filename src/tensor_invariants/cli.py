@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import findings_to_json, run_paper_audit
-from .configs import ConfigError, JobConfig, builtin_config
+from .configs import ConfigError, JobConfig, builtin_config, tolerance
 from .expr import DomainError, ExprError
 from .geometry import (
     SingularMetricError,
@@ -41,7 +41,7 @@ from .invariants import (
     derived_weyl_chain,
     zeta,
 )
-from .mappings import FPlanarSpec, apply_mapping, fplanar_build, verify_invariance
+from .mappings import FPlanarSpec, apply_mapping, fplanar_as_omega, fplanar_build, verify_invariance
 from .tensor import PointBatch
 
 COMMANDS = (
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="job config: a JSON file path or a builtin name")
     parser.add_argument("--point", help="evaluate at one point, e.g. 1,2,3 (overrides config points)")
     parser.add_argument("--points-seed", type=int, default=None, help="seed for sampled points")
-    parser.add_argument("--tol", type=float, default=None, help="verification tolerance")
+    parser.add_argument("--tol", type=tolerance, default=None, help="verification tolerance")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument(
         "--ricci-convention", choices=("last", "middle"), default="last"
@@ -222,8 +222,6 @@ def _invariant_objects(args, job):
     if job.omega is not None:
         spec = job.omega
     else:
-        from .mappings import fplanar_as_omega
-
         spec = fplanar_as_omega(space, job.fplanar).omega_src
     convention = args.ricci_convention
     chain = derived_weyl_chain(space, spec, convention)

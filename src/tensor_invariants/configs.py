@@ -10,15 +10,16 @@ parse is a fixed point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .expr import Chart, ExprError, print_expr
 from .geometry import Space
 from .invariants import OmegaSpec, SValues
-from .mappings import FPlanarSpec, sample_points
+from .mappings import FPlanarSpec, MappingSpec, sample_points
 from .tensor import TensorField
 
-__all__ = ["ConfigError", "JobConfig", "builtin_config", "BUILTIN_CONFIGS"]
+__all__ = ["ConfigError", "JobConfig", "builtin_config", "tolerance", "BUILTIN_CONFIGS"]
 
 
 class ConfigError(Exception):
@@ -28,6 +29,19 @@ class ConfigError(Exception):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def tolerance(value) -> float:
+    """`value` as a verification tolerance: a finite, non-negative float
+    (NaN would fail every row and inf pass every one), else a ConfigError."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    _require(
+        0.0 <= tol < math.inf, f"tolerance must be a finite non-negative number, not {value!r}"
+    )
+    return tol
 
 
 def _parse_entries(chart: Chart, variance: str, raw, label: str) -> TensorField:
@@ -143,7 +157,7 @@ class JobConfig:
                 "box must list one [lo, hi] pair per coordinate",
             )
             job.box = [[float(a), float(b)] for a, b in box]
-        job.tol = float(raw.get("tol", 1e-8))
+        job.tol = tolerance(raw.get("tol", 1e-8))
         inv = raw.get("invariants")
         if inv is not None:
             _require(isinstance(inv, list), "invariants must be a list of names")
@@ -243,8 +257,6 @@ class JobConfig:
         if self.fplanar is not None:
             return self.fplanar
         if self.omega is not None:
-            from .mappings import MappingSpec
-
             return MappingSpec(self.omega, self.omega_bar)
         return None
 

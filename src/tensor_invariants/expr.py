@@ -15,8 +15,8 @@ differentiation total.  Chains like ``u^2^3`` are folded right-associatively
 into a single constant exponent.
 
 Fields evaluate their trees through the compiled programs of ``jets``, which
-share this module's scalar rules (``_apply_unary``/``_apply_binary``);
-:func:`evaluate` is the plain tree walk kept as their independent oracle.
+apply this module's scalar rules (``_apply_unary``/``_apply_binary``) and
+raise its ``DomainError`` naming the failing subexpression.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "DomainError",
     "parse",
     "print_expr",
-    "evaluate",
     "FUNCTIONS",
 ]
 
@@ -307,8 +306,7 @@ def _print_pow_base(node: Expr, chart: Chart | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: the scalar rules the compiled programs of ``jets`` share, and
-# the tree walk kept as their independent oracle
+# evaluation: the scalar rules the compiled programs of ``jets`` apply
 # ---------------------------------------------------------------------------
 
 def _apply_unary(op: str, x: float, node: Expr) -> float:
@@ -358,21 +356,3 @@ def _apply_binary(op: str, a: float, b: float, node: Expr) -> float:
             raise DomainError("pow overflow", node)
         return out
     raise ValueError(f"unknown binary op {op!r}")
-
-
-def evaluate(node: Expr, point) -> float:
-    """Evaluate the tree at a point (list of chart coordinate values).
-
-    A plain recursive walk, independent of the compiled programs that
-    ``TensorField`` runs: tests check ``jets.run_program`` against it, and
-    the audit uses it on the paper's printed formulas.
-    """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(point[node.index])
-    if isinstance(node, Unary):
-        return _apply_unary(node.op, evaluate(node.arg, point), node)
-    left = evaluate(node.left, point)
-    right = evaluate(node.right, point)
-    return _apply_binary(node.op, left, right, node)

@@ -63,7 +63,6 @@ __all__ = [
     "ricci",
     "thomas",
     "weyl",
-    "riemannian_weyl",
     "RICCI_LAST",
     "RICCI_MIDDLE",
 ]
@@ -326,14 +325,3 @@ def weyl(space: Space, convention: str = RICCI_LAST):
         return weyl_arrays(riemann(point), ric(point)[0])
 
     return partial(memo, key=("weyl", convention, space.key), fn=evaluate)
-
-
-def riemannian_weyl(space: Space, convention: str = RICCI_LAST):
-    """Weyl assembly specialized to symmetric Ricci (Riemannian reduction)."""
-    riemann = curvature(space)
-
-    def evaluate(point) -> np.ndarray:
-        r = riemann(point)
-        return r + delta_bracket(ricci_arrays(r, convention)) / (r.shape[-1] - 1)
-
-    return evaluate

@@ -35,7 +35,9 @@ against W(Lambda') and the D traces.
 
 Every builder and evaluator takes one point or a ``tensor.PointBatch`` and
 then gives arrays with a leading batch axis, each point's entries
-bit-identical to its evaluation alone (see ``tensor``).
+bit-identical to its evaluation alone (see ``tensor``).  An evaluator that
+reads several cached parts makes a plain point one batch first, so that its
+parts share that batch's cache.
 """
 
 from __future__ import annotations
@@ -57,7 +59,15 @@ from .geometry import (
     thomas_arrays,
     weyl,
 )
-from .tensor import PointField, batch_shape, contract, delta_product, memo, zero_field
+from .tensor import (
+    PointField,
+    _batch,
+    batch_shape,
+    contract,
+    delta_product,
+    memo,
+    zero_field,
+)
 
 __all__ = [
     "SValues",
@@ -419,6 +429,7 @@ def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
     dee_eval = dee(space, spec)
 
     def evaluate(point) -> np.ndarray:
+        point = _batch(point)  # one batch, so the parts share its cache
         r = riemann(point)
         z = zeta_eval(point)
         out = r - delta_product("ij,mn->ijmn", _alt(z))
@@ -440,6 +451,7 @@ def derived_thomas(space: Space, spec: OmegaSpec):
     s1 = spec.s.s1
 
     def evaluate(point) -> np.ndarray:
+        point = _batch(point)
         conn = reduced.connection(point)
         return conn - s1 * (conn - reduced_thomas(point))
 
@@ -452,6 +464,7 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
     derived = derived_thomas(space, spec)
 
     def evaluate(point) -> np.ndarray:
+        point = _batch(point)
         s1, s2, s3 = spec.s.as_tuple()
         n = spec.chart.dim
         conn = space.connection(point)

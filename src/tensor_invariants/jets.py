@@ -7,12 +7,12 @@ operands' slots.  An op's key is its code, the constant's bits (0.0 and -0.0
 stay apart), the variable's index and the operands' slots, so a subtree
 repeated within or across entries (mirror entries, a shared ``sin(u)``) is
 computed once, with the bits a program of one entry gives.  ``node`` is the
-op's tree node, so a ``DomainError`` names the subexpression
-``expr.evaluate`` would name; a scalar map (a function, or ``pow`` with its
-constant exponent folded in) carries its derivative rule as ``arg``, built
-once per op.
-:func:`run_program` runs a program at order 0 on plain floats, exactly as
-``expr.evaluate`` computes, or at order 1 or 2 on ``(value, grad, hess)`` by
+op's tree node, so a ``DomainError`` names the subexpression that failed;
+a scalar map (a function, or ``pow`` with its constant exponent folded in)
+carries its derivative rule as ``arg``, built once per op.
+:func:`run_program` runs a program at order 0 on plain floats, by the scalar
+rules of ``expr`` (``_apply_unary``/``_apply_binary``) and IEEE arithmetic,
+or at order 1 or 2 on ``(value, grad, hess)`` by
 truncated Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*,
 ch. 13), so partials are exact up to rounding.  The zero gradient of a
 constant subtree and the zero Hessian of a linear one are carried as None
@@ -44,15 +44,7 @@ import numpy as np
 
 from .expr import Const, DomainError, Expr, Unary, Var, _apply_binary, _apply_unary
 
-__all__ = ["Jet", "Program", "compile_program", "run_program", "eval_jet"]
-
-
-class Jet(NamedTuple):
-    """One expression's value and partials at a point; None above the order."""
-
-    value: float
-    grad: np.ndarray | None
-    hess: np.ndarray | None
+__all__ = ["Program", "compile_program", "run_program"]
 
 
 class Program(NamedTuple):
@@ -293,12 +285,3 @@ def _unary_derivatives(op: str, x: float, node: Expr, order: int) -> tuple[float
 
 
 _reciprocal = partial(_pow_derivatives, -1.0)
-
-
-def eval_jet(node: Expr, point, order: int = 2) -> Jet:
-    """Compile one expression and run it at `point`, with partials up to `order`."""
-    if not 0 <= order <= 2:
-        raise ValueError("jet order must be in 0..2")
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_program(compile_program(node), point, order)
-    return Jet(*[c[0] for c in (result if order else (result,))], *[None] * (2 - order))

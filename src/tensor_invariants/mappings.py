@@ -76,6 +76,7 @@ from .invariants import (
 from .tensor import (
     PointBatch,
     PointField,
+    _batch,
     add_fields,
     batch_shape,
     contract,
@@ -95,29 +96,7 @@ __all__ = [
     "InvarianceReport",
     "verify_invariance",
     "sample_points",
-    "GENERAL_INVARIANTS",
-    "FPLANAR_INVARIANTS",
 ]
-
-GENERAL_INVARIANTS = (
-    "classical_thomas",
-    "classical_weyl",
-    "basic_thomas",
-    "basic_weyl_direct",
-    "basic_weyl_structured",
-    "derived_thomas",
-    "weyl_first_printed",
-    "weyl_first_corrected",
-    "weyl_second",
-    "weyl_final",
-)
-
-FPLANAR_INVARIANTS = (
-    "fplanar_thomas",
-    "fplanar_wbasic",
-    "fplanar_wderived",
-)
-
 
 @dataclass
 class MappingSpec:
@@ -170,8 +149,8 @@ def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
     return source.deformed(PointField(source.chart, "ull", fn))
 
 
-def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
-    """rho_j = (L^a_{ja} + sign * (F sigma_j + F^a_j sigma_a) / 2) / (N + 1), once per batch."""
+def fplanar_rho_field(space: Space, F, sigma) -> PointField:
+    """rho_j = (L^a_{ja} + (F sigma_j + F^a_j sigma_a) / 2) / (N + 1), once per batch."""
     chart = space.chart
     n = chart.dim
 
@@ -180,8 +159,8 @@ def fplanar_rho_field(space: Space, F, sigma, sign: float = 1.0) -> PointField:
         trace = np.einsum("...aja->...j", conn)
         dtrace = np.einsum("...ajan->...jn", dconn)
         nu, dnu = nu_jet(F, sigma, point)
-        value = (trace + 0.5 * sign * nu) / (n + 1)
-        grad = (dtrace + 0.5 * sign * dnu) / (n + 1)
+        value = (trace + 0.5 * nu) / (n + 1)
+        grad = (dtrace + 0.5 * dnu) / (n + 1)
         return value, grad
 
     return PointField(chart, "l", partial(memo, key=fn, fn=fn))
@@ -244,12 +223,14 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         return out
 
     def wbasic_eval(point) -> np.ndarray:
+        point = _batch(point)  # one batch, so the parts share its cache
         out = riemann(point) + delta_product("ij,mn->ijmn", ric(point)[1]) / (n + 1)
         out -= 0.5 * _alt(pieces(point)[4])
         out -= delta_bracket(zeta_eval(point))
         return out
 
     def wderived_eval(point) -> np.ndarray:
+        point = _batch(point)
         return classical(point) - 0.5 * _alt(pieces(point)[4])
 
     split = OmegaSpec(space.chart, SValues(1.0, 0.5, 0.0), sigma=sigma, F=F)
@@ -444,8 +425,11 @@ def verify_invariance(
 
     `mapping` is a MappingSpec, an FPlanarSpec, or None (classical set only).
     `points` must hold at least one point, each of ``source.dim`` finite
-    coordinates; a ValueError names the first that does not.
+    coordinates; a ValueError names the first that does not, and a
+    tolerance that is not a finite, non-negative number.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite non-negative number, not {tol!r}")
     fplanar_extra = {}
     if isinstance(mapping, FPlanarSpec):
         mspec = fplanar_as_omega(source, mapping)

@@ -1,0 +1,70 @@
+"""Reference implementations that the tests compare the package against.
+
+The package itself evaluates every expression through the compiled programs
+of ``tensor_invariants.jets``; these routes reach the same numbers another
+way, or one expression at a time:
+
+- :func:`evaluate`, the plain recursive tree walk, applying the scalar rules
+  of ``expr`` node by node, independent of the compiled programs;
+- :func:`eval_jet`, one expression's value and partials at one point,
+  through a one-entry program;
+- :func:`riemannian_weyl`, the projective Weyl assembly reduced for a
+  symmetric Ricci tensor.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from tensor_invariants.expr import Const, Expr, Unary, Var, _apply_binary, _apply_unary
+from tensor_invariants.geometry import (
+    RICCI_LAST,
+    Space,
+    curvature,
+    delta_bracket,
+    ricci_arrays,
+)
+from tensor_invariants.jets import compile_program, run_program
+
+
+def evaluate(node: Expr, point) -> float:
+    """Evaluate the tree at a point (list of chart coordinate values)."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return float(point[node.index])
+    if isinstance(node, Unary):
+        return _apply_unary(node.op, evaluate(node.arg, point), node)
+    left = evaluate(node.left, point)
+    right = evaluate(node.right, point)
+    return _apply_binary(node.op, left, right, node)
+
+
+class Jet(NamedTuple):
+    """One expression's value and partials at a point; None above the order."""
+
+    value: float
+    grad: np.ndarray | None
+    hess: np.ndarray | None
+
+
+def eval_jet(node: Expr, point, order: int = 2) -> Jet:
+    """Compile one expression and run it at `point`, with partials up to `order`."""
+    if not 0 <= order <= 2:
+        raise ValueError("jet order must be in 0..2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_program(compile_program(node), point, order)
+    return Jet(*[c[0] for c in (result if order else (result,))], *[None] * (2 - order))
+
+
+def riemannian_weyl(space: Space, convention: str = RICCI_LAST):
+    """Weyl assembly specialized to symmetric Ricci (Riemannian reduction)."""
+    riemann = curvature(space)
+
+    def reduced(point) -> np.ndarray:
+        r = riemann(point)
+        return r + delta_bracket(ricci_arrays(r, convention)) / (r.shape[-1] - 1)
+
+    return reduced

@@ -17,13 +17,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eval_jet, evaluate, riemannian_weyl
 from tensor_invariants.audit import _weyl_correlation_residual, run_paper_audit
 from tensor_invariants.cli import main as cli_main
-from tensor_invariants.expr import Chart, evaluate, parse
+from tensor_invariants.expr import Chart, parse
 from tensor_invariants.geometry import (
     Space,
     curvature,
-    riemannian_weyl,
     thomas,
     weyl,
 )
@@ -36,7 +36,6 @@ from tensor_invariants.invariants import (
     omega,
     omega_square_expanded,
 )
-from tensor_invariants.jets import eval_jet
 from tensor_invariants.mappings import (
     FPlanarSpec,
     MappingSpec,

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import evaluate
 from tensor_invariants import mappings
+from tensor_invariants.audit import run_paper_audit
 from tensor_invariants.cli import main
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart, DomainError, parse
@@ -232,3 +234,34 @@ def test_span_errors_name_the_first_failing_point(tmp_path, capsys, monkeypatch)
     alone = capsys.readouterr().err
     assert listed == alone
     assert listed.startswith("math error: ln of non-positive value -0.5 in subexpression 'ln(u)'")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_christoffel_table_finding_matches_a_per_point_tree_walk(seed):
+    # the finding sweeps one batch through one compiled program of the
+    # printed entries; a loop over the points, each entry parsed and
+    # tree-walked at each point, gives the same three measurements
+    printed = {
+        (0, 1, 1): "v/u^2",
+        (0, 2, 2): "w/u^2",
+        (1, 0, 0): "u/v^2",
+        (1, 2, 2): "w/v^2",
+        (2, 0, 0): "u/w^2",
+        (2, 1, 1): "v/w^2",
+    }
+    job = builtin_config("example-r3")
+    space, chart = job.build_space(), job.chart
+    diag = computed = gap = 0.0
+    for point in sample_points([[1.0, 2.0]] * 3, 8, seed=seed + 1):
+        conn = space.connection(point)
+        for i in range(3):
+            diag = max(diag, abs(conn[i, i, i] - 1.0 / point[i]))
+        for (i, j, k), text in printed.items():
+            computed = max(computed, abs(conn[i, j, k]))
+            gap = max(gap, abs(evaluate(parse(text, chart), point) - conn[i, j, k]))
+    finding = run_paper_audit(seed=seed)[0]
+    assert finding.id == "christoffel-example-table"
+    measured = finding.measurement
+    assert measured["diagonal_max_residual"] == diag
+    assert measured["offdiagonal_computed_max"] == computed
+    assert measured["offdiagonal_printed_vs_computed_max_gap"] == gap

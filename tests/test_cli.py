@@ -56,6 +56,23 @@ def test_bad_config_exit_code_1(capsys):
     assert run_cli("frobnicate", "--config", "flat3") == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_is_a_config_error(tol, tmp_path, capsys):
+    # NaN or a negative tolerance would fail every row, inf pass every one
+    assert run_cli("verify", "--config", "geodesic-demo", f"--tol={tol}") == 1
+    assert capsys.readouterr().err == (
+        f"config error: tolerance must be a finite non-negative number, not {tol!r}\n"
+    )
+    raw = builtin_config("geodesic-demo").to_dict()
+    raw["tol"] = float(tol)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))  # NaN and Infinity, as json.loads reads them
+    assert run_cli("verify", "--config", str(path)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: tolerance must be a finite non-negative number, not {float(tol)!r}\n"
+    )
+
+
 def test_domain_error_exit_code_2(capsys):
     # metric singular at u = 0
     assert run_cli("christoffel", "--config", "example-r3", "--point", "0,2,3") == 2

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import evaluate, riemannian_weyl
 from tensor_invariants import sampling
-from tensor_invariants.expr import Binary, Chart, Const, evaluate, parse
+from tensor_invariants.expr import Binary, Chart, Const, parse
 from tensor_invariants.geometry import (
     RICCI_LAST,
     RICCI_MIDDLE,
@@ -17,7 +18,6 @@ from tensor_invariants.geometry import (
     covariant_derivative_arrays,
     curvature,
     ricci,
-    riemannian_weyl,
     symmetrize_connection,
     thomas,
     weyl,

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import eval_jet, evaluate
 from tensor_invariants import jets
 from tensor_invariants.expr import (
     Binary,
@@ -13,11 +14,10 @@ from tensor_invariants.expr import (
     Const,
     DomainError,
     Var,
-    evaluate,
     parse,
     print_expr,
 )
-from tensor_invariants.jets import compile_program, eval_jet, run_program
+from tensor_invariants.jets import compile_program, run_program
 from tensor_invariants.tensor import PointBatch, TensorField, batch_shape
 
 CHART = Chart(("u", "v", "w"))

@@ -349,6 +349,16 @@ def test_verify_rejects_bad_points(example_space, chart, example_fspec, points, 
         verify_invariance(example_space, target, example_fspec, points)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(
+    example_space, example_fspec, tol
+):
+    # NaN or a negative tolerance would fail every row, inf pass every one
+    target = fplanar_build(example_space, example_fspec)
+    with pytest.raises(ValueError, match="tolerance must be a finite non-negative number"):
+        verify_invariance(example_space, target, example_fspec, [P0], tol=tol)
+
+
 def test_fplanar_invariance_on_curved_source(chart, affinor, sigma_form):
     # the example metric is curvature-flat; repeat the key invariances on a
     # genuinely curved source space

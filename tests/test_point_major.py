@@ -26,6 +26,7 @@ from tensor_invariants.invariants import (
     basic_thomas,
     basic_weyl,
     derived_thomas,
+    derived_thomas_correlation_residual,
     derived_weyl_chain,
     reduced_space,
 )
@@ -335,6 +336,41 @@ def test_verify_omega_work_counts(monkeypatch):
     assert calF_builds == Counter({pair + (block,): 1 for pair in fields for block in blocks})
     assert set(calF_calls.values()) == {3}
     assert kernels == {"curvature_arrays": 4 * 5, "ricci_arrays": 2 * 5, "weyl_arrays": 2 * 5}
+
+
+@pytest.mark.parametrize(
+    "name", ["derived_thomas", "basic_weyl", "correlation", "fplanar_wbasic", "fplanar_wderived"]
+)
+def test_an_evaluator_makes_a_plain_point_one_batch(monkeypatch, name):
+    # an evaluator whose parts read a space's connection turns a plain point
+    # into one batch, so its parts share one connection, as on a PointBatch
+    calls = []
+    metric_jets = geometry._MetricConnection.jets
+
+    def counting_metric(self, point):
+        calls.append(point)
+        return metric_jets(self, point)
+
+    monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
+    job = builtin_config("fplanar-demo")
+    space, fspec = job.build_space(), job.mapping()
+    spec = fplanar_as_omega(space, fspec).omega_src
+    evaluate = {
+        "derived_thomas": derived_thomas(space, spec),
+        "basic_weyl": basic_weyl(space, spec, MODE_STRUCTURED),
+        "correlation": derived_thomas_correlation_residual(space, spec),
+        "fplanar_wbasic": fplanar_invariants(space, fspec.F, fspec.sigma)["wbasic"],
+        "fplanar_wderived": fplanar_invariants(space, fspec.F, fspec.sigma)["wderived"],
+    }[name]
+    point = (1.25, 1.5, 1.75)
+    results = []
+    for arg in (point, tensor.PointBatch(point)):
+        calls.clear()
+        results.append(evaluate(arg))
+        assert len(calls) == 1
+    alone, batch = results
+    assert alone.shape == batch.shape == (3,) * batch.ndim
+    assert alone.tobytes() == batch.tobytes()
 
 
 def test_reduced_spaces_die_with_the_evaluators():
