@@ -8,8 +8,11 @@ claim fails numerically; the measurement quantifies by how much), or
 ``info``.  Findings are reported whether the residuals are zero or not.
 
 A sweep over sample points evaluates its objects once on the points as one
-batch (``tensor.PointBatch``) and takes the maximum over it; a finding over
-many random draws makes one batch per draw, so its cache holds one draw.
+batch (``tensor.PointBatch``) and takes the maximum over it.  A finding over
+many random draws of spaces makes one batch per draw, so its cache holds one
+draw; the omega-square finding, whose draws carry no space, reads each
+draw's field values on a batch of its own and then evaluates all its draws
+as one stack, with a leading draw axis before the point axis.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .invariants import (
     derived_thomas_correlation_residual,
     derived_weyl_chain,
     nu_jet,
-    omega,
-    omega_square_expanded,
+    omega_arrays,
+    omega_square_arrays,
     reduced_space,
     zeta,
 )
@@ -171,13 +174,19 @@ def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
 
 
 def _omega_square_finding(chart, rng, points) -> Finding:
-    worst = 0.0
+    # each draw's values are read on its own batch, which dies with its spec;
+    # then omega, the direct contraction and the expansion run once over the
+    # (draws, points) leading axes, each draw's residual the bits of its own
+    s_values, values = [], []
     for _ in range(50):
         spec = random_omega_spec(chart, rng)
-        batch = PointBatch(points[:3])
-        w = omega(spec, batch)
-        direct = np.einsum("...ajm,...ian->...ijmn", w, w)
-        worst = max(worst, _largest(direct - omega_square_expanded(spec, batch)))
+        s_values.append(spec.s.as_tuple())
+        values.append(spec.values(PointBatch(points[:3])))
+    s = tuple(np.array(s_values).T[:, :, None])  # each s-value (draws, 1)
+    fields = [np.stack(draws) for draws in zip(*values)]
+    w = omega_arrays(s, *fields)
+    direct = np.einsum("...ajm,...ian->...ijmn", w, w)
+    worst = _largest(direct - omega_square_arrays(s, *fields))
     return Finding(
         id="omega-square-expansion",
         claim="term-by-term expansion of omega^a_{jm} omega^i_{an}",

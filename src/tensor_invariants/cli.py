@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import findings_to_json, run_paper_audit
-from .configs import ConfigError, JobConfig, builtin_config, tolerance
+from .configs import ConfigError, JobConfig, builtin_config, points_seed, tolerance
 from .expr import DomainError, ExprError
 from .geometry import (
     SingularMetricError,
@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="job config: a JSON file path or a builtin name")
     parser.add_argument("--point", help="evaluate at one point, e.g. 1,2,3 (overrides config points)")
-    parser.add_argument("--points-seed", type=int, default=None, help="seed for sampled points")
+    parser.add_argument(
+        "--points-seed", type=points_seed, default=None, help="seed for sampled points"
+    )
     parser.add_argument("--tol", type=tolerance, default=None, help="verification tolerance")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument(

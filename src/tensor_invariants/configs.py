@@ -19,7 +19,9 @@ from .invariants import OmegaSpec, SValues
 from .mappings import FPlanarSpec, MappingSpec, sample_points
 from .tensor import TensorField
 
-__all__ = ["ConfigError", "JobConfig", "builtin_config", "tolerance", "BUILTIN_CONFIGS"]
+__all__ = [
+    "ConfigError", "JobConfig", "builtin_config", "tolerance", "points_seed", "BUILTIN_CONFIGS"
+]
 
 
 class ConfigError(Exception):
@@ -42,6 +44,26 @@ def tolerance(value) -> float:
         0.0 <= tol < math.inf, f"tolerance must be a finite non-negative number, not {value!r}"
     )
     return tol
+
+
+def _integer(value, least: int, label: str) -> int:
+    """`value` (an int or its text) as an integer of at least `least`, else a
+    ConfigError naming it: a fraction is not truncated."""
+    try:
+        number = int(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    kind = "non-negative" if least == 0 else "positive"
+    _require(
+        type(number) is int and number >= least, f"{label} must be a {kind} integer, not {value!r}"
+    )
+    return number
+
+
+def points_seed(value) -> int:
+    """`value` as the seed of the sampled points: a non-negative integer, as
+    numpy's generators take, else a ConfigError."""
+    return _integer(value, 0, "points seed")
 
 
 def _parse_entries(chart: Chart, variance: str, raw, label: str) -> TensorField:
@@ -148,8 +170,8 @@ class JobConfig:
         job.point_list = [tuple(float(x) for x in p) for p in points.get("list", [])]
         for point in job.point_list:
             _require(len(point) == chart.dim, "explicit point of wrong dimension")
-        job.seed = int(points.get("seed", 7))
-        job.count = int(points.get("count", 20))
+        job.seed = points_seed(points.get("seed", 7))
+        job.count = _integer(points.get("count", 20), 1, "points count")
         box = points.get("box")
         if box is not None:
             _require(

@@ -37,7 +37,10 @@ Every builder and evaluator takes one point or a ``tensor.PointBatch`` and
 then gives arrays with a leading batch axis, each point's entries
 bit-identical to its evaluation alone (see ``tensor``).  An evaluator that
 reads several cached parts makes a plain point one batch first, so that its
-parts share that batch's cache.
+parts share that batch's cache.  omega and its printed square expansion also
+have array cores (``omega_arrays``, ``omega_square_arrays``) that take the
+field values, so that the values of many omega specs, stacked on a leading
+draw axis, are evaluated in one call.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ __all__ = [
     "calF_jet",
     "nu_jet",
     "omega",
+    "omega_arrays",
     "omega_jet",
     "omega_square_expanded",
+    "omega_square_arrays",
     "reduced_space",
     "basic_thomas",
     "zeta",
@@ -213,10 +218,27 @@ def _sphi_jet(sigma2, phi, point) -> tuple[np.ndarray, np.ndarray]:
     return memo(point, ("sigma2 phi", sigma2, phi), build)
 
 
+def _lift(s: tuple, rank: int) -> tuple:
+    """The s-values as they scale a term of `rank` index slots: a float as it
+    is, an array with `rank` unit axes appended."""
+    return tuple(x if np.ndim(x) == 0 else x.reshape(x.shape + (1,) * rank) for x in s)
+
+
 def omega(spec: OmegaSpec, point) -> np.ndarray:
     """omega^i_{jk}; symmetric in (j, k) by construction."""
-    s1, s2, s3 = spec.s.as_tuple()
-    rho, sigma, F, phi, sigma2 = spec.values(point)
+    return omega_arrays(spec.s.as_tuple(), *spec.values(_batch(point)))
+
+
+def omega_arrays(s: tuple, rho, sigma, F, phi, sigma2) -> np.ndarray:
+    """omega^i_{jk} from the s-values (s1, s2, s3) and the values of rho,
+    sigma, F, phi and sigma_{jk}, over any leading axes.
+
+    Each s-value is a float, or an array over a leading draw axis, with unit
+    axes for the other leading axes (``(D, 1)`` for leading axes ``(D, P)``),
+    so that the values of D omega specs, stacked, are evaluated in one call,
+    each draw's entries the same bits as its own call.
+    """
+    s1, s2, s3 = _lift(s, 3)
     out = s1 * _delta_pair(rho)
     out += s2 * _pair(F, sigma)
     out += s3 * contract("jk,i->ijk", sigma2, phi)
@@ -251,8 +273,14 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     Audits the printed expansion against the direct contraction; the two must
     agree to rounding.
     """
-    s1, s2, s3 = spec.s.as_tuple()
-    rho, sigma, F, phi, sigma2 = spec.values(point)
+    return omega_square_arrays(spec.s.as_tuple(), *spec.values(_batch(point)))
+
+
+def omega_square_arrays(s: tuple, rho, sigma, F, phi, sigma2) -> np.ndarray:
+    """:func:`omega_square_expanded` from the s-values and the field values,
+    stacked like :func:`omega_arrays`."""
+    s1, s2, s3 = _lift(s, 4)
+    n1, n2, n3 = _lift(s, 2)  # the s-values that scale coeff_n
     F2 = contract("ia,aj->ij", F, F)
     FTr = contract("aj,a->j", F, rho)  # F^a_j rho_a
     FTs = contract("aj,a->j", F, sigma)  # F^a_j sigma_a
@@ -265,9 +293,9 @@ def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
     rho2 = contract("j,m->jm", rho, rho)
     out = s1 * s1 * delta_product("ij,mn->ijmn", rho2)
     out += s1 * s1 * delta_product("im,jn->ijmn", rho2)
-    coeff_n = 2.0 * s1 * s1 * rho2
-    coeff_n += s1 * s2 * (contract("m,j->jm", FTr, sigma) + contract("j,m->jm", FTr, sigma))
-    coeff_n += s1 * s3 * contract("jm,->jm", sigma2, rho_phi)
+    coeff_n = 2.0 * n1 * n1 * rho2
+    coeff_n += n1 * n2 * (contract("m,j->jm", FTr, sigma) + contract("j,m->jm", FTr, sigma))
+    coeff_n += n1 * n3 * contract("jm,->jm", sigma2, rho_phi)
     out += delta_product("in,jm->ijmn", coeff_n)
     out += s2 * s2 * (
         contract("in,m,j->ijmn", F, FTs, sigma)

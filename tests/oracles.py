@@ -9,7 +9,9 @@ way, or one expression at a time:
 - :func:`eval_jet`, one expression's value and partials at one point,
   through a one-entry program;
 - :func:`riemannian_weyl`, the projective Weyl assembly reduced for a
-  symmetric Ricci tensor.
+  symmetric Ricci tensor;
+- :func:`omega_square_residual`, the audit's omega-square measurement one
+  random draw at a time, each on a batch of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from tensor_invariants.geometry import (
     delta_bracket,
     ricci_arrays,
 )
+from tensor_invariants.invariants import omega, omega_square_expanded
 from tensor_invariants.jets import compile_program, run_program
+from tensor_invariants.sampling import random_omega_spec
+from tensor_invariants.tensor import PointBatch
 
 
 def evaluate(node: Expr, point) -> float:
@@ -68,3 +73,17 @@ def riemannian_weyl(space: Space, convention: str = RICCI_LAST):
         return r + delta_bracket(ricci_arrays(r, convention)) / (r.shape[-1] - 1)
 
     return reduced
+
+
+def omega_square_residual(chart, rng, points) -> float:
+    """The largest gap between omega^a_{jm} omega^i_{an} contracted directly
+    and its printed expansion, over 50 random omega specs drawn from `rng`,
+    each evaluated on the first 3 `points` as a batch of its own."""
+    worst = 0.0
+    for _ in range(50):
+        spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:3])
+        w = omega(spec, batch)
+        direct = np.einsum("...ajm,...ian->...ijmn", w, w)
+        worst = max(worst, float(np.max(np.abs(direct - omega_square_expanded(spec, batch)))))
+    return worst

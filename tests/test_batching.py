@@ -1,18 +1,26 @@
 """Point batches: a block of points must give every point the result it
-gets on its own, bit for bit, and the error it raises on its own."""
+gets on its own, bit for bit, and the error it raises on its own.  Likewise
+a stack of omega draws must give every draw the result of its own call."""
 
 import json
 
 import numpy as np
 import pytest
 
-from oracles import evaluate
+from oracles import evaluate, omega_square_residual
 from tensor_invariants import mappings
 from tensor_invariants.audit import run_paper_audit
 from tensor_invariants.cli import main
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart, DomainError, parse
 from tensor_invariants.geometry import RICCI_LAST, SingularMetricError, Space
+from tensor_invariants.invariants import (
+    SValues,
+    omega,
+    omega_arrays,
+    omega_square_arrays,
+    omega_square_expanded,
+)
 from tensor_invariants.mappings import (
     _evaluator_pairs,
     _fplanar_pairs,
@@ -27,6 +35,7 @@ from tensor_invariants.sampling import (
     random_connection_space,
     random_mapping,
     random_metric_space,
+    random_omega_spec,
 )
 from tensor_invariants.tensor import PointBatch, TensorField, batch_shape
 
@@ -79,6 +88,29 @@ def test_fplanar_batches_are_bit_identical_to_single_points():
     pairs.update(_fplanar_pairs(source, target, mspec, RICCI_LAST))
     points = sample_points([[1.0, 2.0]] * 3, 9, seed=31)
     _check_batch_against_points(pairs, points + [points[4]], range(10))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stacked_omega_draws_are_bit_identical_to_each_draw(dim):
+    # draws stacked on a leading axis, each s-value an array over it, give
+    # each draw the bits of its own call, on a point, a one-point batch and
+    # a batch of points
+    rng = np.random.default_rng(60 + dim)
+    chart = Chart(tuple(f"x{i + 1}" for i in range(dim)))
+    draws = 4
+    s = rng.uniform(-1.0, 1.0, (draws, 3))
+    s[np.arange(draws), np.arange(draws) % 3] = 0.0  # one term group off per draw
+    specs = [random_omega_spec(chart, rng, SValues(*map(float, row))) for row in s]
+    points = sample_points([[1.0, 2.0]] * dim, 3, seed=dim)
+    for point in (points[0], PointBatch(points[0]), PointBatch(points)):
+        s_stack = tuple(column.reshape((draws,) + (1,) * len(batch_shape(point))) for column in s.T)
+        fields = [np.stack(draw) for draw in zip(*(spec.values(point) for spec in specs))]
+        for core, own in ((omega_arrays, omega), (omega_square_arrays, omega_square_expanded)):
+            stacked = core(s_stack, *fields)
+            for k, spec in enumerate(specs):
+                alone = own(spec, point)
+                assert stacked[k].shape == alone.shape
+                assert stacked[k].tobytes() == alone.tobytes(), (core.__name__, k)
 
 
 def _connection_space():
@@ -265,3 +297,16 @@ def test_christoffel_table_finding_matches_a_per_point_tree_walk(seed):
     assert measured["diagonal_max_residual"] == diag
     assert measured["offdiagonal_computed_max"] == computed
     assert measured["offdiagonal_printed_vs_computed_max_gap"] == gap
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_omega_square_finding_matches_the_per_draw_loop(seed):
+    # the finding evaluates its 50 draws as one stack; a loop over the draws,
+    # each on a batch of its own, measures the same residual
+    chart = builtin_config("example-r3").chart
+    points = sample_points([[1.0, 2.0]] * 3, 8, seed=seed + 1)
+    # the findings before it draw nothing, so the loop starts from a fresh rng
+    expected = omega_square_residual(chart, np.random.default_rng(seed), points)
+    finding = run_paper_audit(seed=seed)[3]
+    assert finding.id == "omega-square-expansion"
+    assert finding.measurement == {"max_residual_50_specs": expected}

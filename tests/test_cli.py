@@ -73,6 +73,40 @@ def test_bad_tolerance_is_a_config_error(tol, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["verify", "thomas", "audit-paper"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_points_seed_flag_is_a_config_error(command, seed, capsys):
+    # numpy takes no negative seed; the flag used to exit 2 as a math error
+    assert run_cli(command, "--config", "geodesic-demo", f"--points-seed={seed}") == 1
+    assert capsys.readouterr().err == (
+        f"config error: points seed must be a non-negative integer, not {seed!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("seed", -1, "non-negative"),
+        ("seed", 1.5, "non-negative"),
+        ("seed", True, "non-negative"),
+        ("count", 2.5, "positive"),
+        ("count", 4.0, "positive"),
+        ("count", -2, "positive"),
+        ("count", 0, "positive"),
+    ],
+)
+def test_bad_points_seed_or_count_in_a_config(key, value, kind, tmp_path, capsys):
+    # a fraction used to be truncated, a negative count to read as no points
+    raw = builtin_config("geodesic-demo").to_dict()
+    raw["points"][key] = value
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("verify", "--config", str(path)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: points {key} must be a {kind} integer, not {value!r}\n"
+    )
+
+
 def test_domain_error_exit_code_2(capsys):
     # metric singular at u = 0
     assert run_cli("christoffel", "--config", "example-r3", "--point", "0,2,3") == 2

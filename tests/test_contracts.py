@@ -26,7 +26,8 @@ MODULES = [
 # spans that only the audit reaches
 AUDIT_ONLY_SPANS = {"audit.run", "sampling.random_space"}
 
-TRACED_VERIFY = """
+# runs the CLI arguments given as JSON under the benchmark's tracer
+TRACED_CLI = """
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracing import SPANS, Tracer
@@ -34,7 +35,7 @@ import tensor_invariants.cli as cli
 
 tracer = Tracer("contract")
 tracer.install()
-code = cli.main(["verify", "--config", "fplanar-demo", "--point", "1.25,1.5,1.75"])
+code = cli.main(json.loads(sys.argv[3]))
 print(json.dumps({"code": code, "spans": SPANS, "counts": tracer.layer_counts()}))
 """
 
@@ -47,17 +48,23 @@ def test_every_export_resolves(name):
     assert not missing, f"{name}.__all__ names missing objects: {missing}"
 
 
-def test_traced_verify_reaches_every_verify_span():
-    # a refactor that moves a function the tracer wraps makes install()
-    # raise or leaves its span empty
+def _traced(*argv) -> dict:
+    """The exit code, span kinds and layer counts of a traced CLI run."""
+    script = [sys.executable, "-c", TRACED_CLI, str(ROOT / "bench"), str(ROOT / "src")]
     done = subprocess.run(
-        [sys.executable, "-c", TRACED_VERIFY, str(ROOT / "bench"), str(ROOT / "src")],
+        script + [json.dumps(argv)],
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_traced_verify_reaches_every_verify_span():
+    # a refactor that moves a function the tracer wraps makes install()
+    # raise or leaves its span empty
+    result = _traced("verify", "--config", "fplanar-demo", "--point", "1.25,1.5,1.75")
     assert result["code"] == 3  # the printed Weyl-type reductions fail
     counts = result["counts"]
     empty = [
@@ -75,3 +82,16 @@ def test_traced_verify_reaches_every_verify_span():
     # through tensor), and the F-planar rho, which takes two traces of the
     # source connection, is computed once for its four readers
     assert counts["numpy.einsum.calls"] == 18
+
+
+def test_traced_audit_reaches_every_audit_span(tmp_path):
+    # the tracer wraps what the audit module imports, so a change to those
+    # imports must keep install() working and the audit's spans recorded
+    result = _traced("audit-paper", "--points-seed", "7", "--out", str(tmp_path))
+    assert result["code"] == 0
+    counts = result["counts"]
+    spans = result["spans"]
+    empty = [name for name in AUDIT_ONLY_SPANS if counts.get(f"{name}.{spans[name]}", 0) < 1]
+    assert not empty, f"audit spans with no call: {empty}"
+    # the omega-square finding contracts all of its 50 draws in one einsum
+    assert counts["numpy.einsum.calls"] == 145

@@ -373,6 +373,33 @@ def test_an_evaluator_makes_a_plain_point_one_batch(monkeypatch, name):
     assert alone.tobytes() == batch.tobytes()
 
 
+@pytest.mark.parametrize("name", ["omega", "omega_square_expanded"])
+def test_omega_makes_a_plain_point_one_batch(monkeypatch, name):
+    # omega reads its five fields on one batch, so the F-planar rho's jets of
+    # F and sigma also give their values: 3 program runs (the metric, F and
+    # sigma), for a plain point as for its batch
+    runs = []
+    run_program = tensor.run_program
+
+    def counting_run(*args):
+        runs.append(args)
+        return run_program(*args)
+
+    monkeypatch.setattr(tensor, "run_program", counting_run)
+    job = builtin_config("fplanar-demo")
+    space, fspec = job.build_space(), job.mapping()
+    spec = fplanar_as_omega(space, fspec).omega_src
+    point = (1.25, 1.5, 1.75)
+    results = []
+    for arg in (point, tensor.PointBatch(point)):
+        runs.clear()
+        results.append(getattr(invariants, name)(spec, arg))
+        assert len(runs) == 3
+    alone, batch = results
+    assert alone.shape == batch.shape == (3,) * batch.ndim
+    assert alone.tobytes() == batch.tobytes()
+
+
 def test_reduced_spaces_die_with_the_evaluators():
     # the results the rows share live in the batch's cache, and nothing
     # refers back: the reduced spaces go with the evaluators, and the spaces
