@@ -14,14 +14,15 @@ right-associative; exponents must be constants, which keeps
 differentiation total.  Chains like ``u^2^3`` are folded right-associatively
 into a single constant exponent.
 
-Fields evaluate their trees through the compiled programs of ``jets``, which
-apply this module's scalar rules (``_apply_unary``/``_apply_binary``) and
-raise its ``DomainError`` naming the failing subexpression.
+This module is the syntax only: the chart, the trees, the parser, the
+printer and the errors.  Fields evaluate their trees through the compiled
+programs of ``jets``, which holds the one rule of each scalar map (one per
+name in ``FUNCTIONS``, and ``pow``) and raises this module's ``DomainError``
+naming the failing subexpression.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -303,56 +304,3 @@ def _print_pow_base(node: Expr, chart: Chart | None) -> str:
     if isinstance(node, Const) and node.value >= 0:
         return _print(node, chart, 0)
     return f"({_print(node, chart, 0)})"
-
-
-# ---------------------------------------------------------------------------
-# evaluation: the scalar rules the compiled programs of ``jets`` apply
-# ---------------------------------------------------------------------------
-
-def _apply_unary(op: str, x: float, node: Expr) -> float:
-    if op == "neg":
-        return -x
-    if op == "sin":
-        return math.sin(x)
-    if op == "cos":
-        return math.cos(x)
-    if op == "ln":
-        if x <= 0.0:
-            raise DomainError(f"ln of non-positive value {x!r}", node)
-        return math.log(x)
-    if op == "exp":
-        out = math.exp(x) if x < 710 else math.inf
-        if not math.isfinite(out):
-            raise DomainError(f"exp overflow at {x!r}", node)
-        return out
-    if op == "sqrt":
-        if x < 0.0:
-            raise DomainError(f"sqrt of negative value {x!r}", node)
-        return math.sqrt(x)
-    raise ValueError(f"unknown unary op {op!r}")
-
-
-def _apply_binary(op: str, a: float, b: float, node: Expr) -> float:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0.0:
-            raise DomainError("division by zero", node)
-        return a / b
-    if op == "pow":
-        if a == 0.0 and b < 0:
-            raise DomainError("zero base with negative exponent", node)
-        if a < 0.0 and b != int(b):
-            raise DomainError(f"negative base {a!r} with non-integer exponent", node)
-        try:
-            out = a ** b
-        except OverflowError:
-            raise DomainError("pow overflow", node) from None
-        if not math.isfinite(out):
-            raise DomainError("pow overflow", node)
-        return out
-    raise ValueError(f"unknown binary op {op!r}")

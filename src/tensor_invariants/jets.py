@@ -1,4 +1,5 @@
-"""One engine for field values and exact jets: compiled programs.
+"""One engine for field values and exact jets: compiled programs, and the one
+rule of each scalar map.
 
 :func:`compile_program` compiles the entries of a field (one expression, or
 every entry of a tensor) into one program of ``(code, arg, node, left,
@@ -7,44 +8,40 @@ operands' slots.  An op's key is its code, the constant's bits (0.0 and -0.0
 stay apart), the variable's index and the operands' slots, so a subtree
 repeated within or across entries (mirror entries, a shared ``sin(u)``) is
 computed once, with the bits a program of one entry gives.  ``node`` is the
-op's tree node, so a ``DomainError`` names the subexpression that failed;
-a scalar map (a function, or ``pow`` with its constant exponent folded in)
-carries its derivative rule as ``arg``, built once per op.
-:func:`run_program` runs a program at order 0 on plain floats, by the scalar
-rules of ``expr`` (``_apply_unary``/``_apply_binary``) and IEEE arithmetic,
-or at order 1 or 2 on ``(value, grad, hess)`` by
-truncated Taylor arithmetic (Griewank & Walther, *Evaluating Derivatives*,
-ch. 13), so partials are exact up to rounding.  The zero gradient of a
-constant subtree and the zero Hessian of a linear one are carried as None
-and cost no array work.  Order 2 is the most the library needs (second
-partials of a metric give the first partials of its Christoffel symbols);
-every other field is jetted to order 1.
+op's tree node, so a ``DomainError`` names the subexpression that failed.
+A scalar map (a function, or ``pow`` with its constant exponent folded in)
+carries its rule as ``arg`` (:func:`rule_of`), the one place that checks the
+map's domain and gives its value and derivatives by ``math``, only up to the
+requested order: the order-1 jet of ``u^1.5`` at u = 0 is fine, its order-2
+jet is singular.
 
-The same interpreter runs a program over a ``(P, N)`` array of points, the
-Taylor arithmetic vectorised over a leading point axis: values ``(P,)``,
-gradients ``(P, N)``, Hessians ``(P, N, N)``.  Scalar maps keep their float
-rules, applied to each point in turn (numpy's ``exp``/``log``/``power`` can
-differ from ``math`` by an ulp), so each point's channels are bit-identical
-to a run at that point alone.
-
-Derivatives of a scalar map are formed only up to the requested order, so a
-lower-order jet never fails on a derivative it does not carry (the order-1
-jet of ``u^1.5`` at u = 0 is fine; its order-2 jet is singular).  Floats
-overflow to inf/NaN without raising: callers run programs with numpy's
-overflow warnings off and check the results.
+:func:`run_program` runs a program over a ``(P, N)`` array of points, one
+point as one row: values ``(P,)``, and at order 1 or 2 gradients ``(P, N)``
+and Hessians ``(P, N, N)`` by truncated Taylor arithmetic (Griewank &
+Walther, *Evaluating Derivatives*, ch. 13), exact up to rounding.  The
+arithmetic is elementwise and each scalar map applies its float rule to
+each row in turn (numpy's ``exp``/``log``/``power`` can differ from ``math``
+by an ulp), so a row's channels are bit-identical to a run of that row
+alone.  A constant subtree stays a float; its zero gradient and a linear
+subtree's zero Hessian are None and cost no array work.  Order 2 is the
+most the library needs (second partials of a metric give the first partials
+of its Christoffel symbols).  Floats overflow to inf/NaN without raising:
+callers run programs with numpy's overflow warnings off and check the
+results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Const, DomainError, Expr, Unary, Var, _apply_binary, _apply_unary
+from .expr import Const, DomainError, Expr, Unary, Var
 
-__all__ = ["Program", "compile_program", "run_program"]
+__all__ = ["Program", "RULES", "compile_program", "rule_of", "run_program"]
 
 
 class Program(NamedTuple):
@@ -75,12 +72,8 @@ def compile_program(*entries: Expr) -> Program:
         key = (code, tag, left, right)
         slot = slots.get(key)
         if slot is None:
-            if code == "map":  # the rule is built for a new op only
-                arg = (
-                    partial(_pow_derivatives, node.right.value)
-                    if node.op == "pow"
-                    else partial(_unary_derivatives, node.op)
-                )
+            if code == "map":  # the rule is looked up for a new op only
+                arg = rule_of(node)
             slot = slots[key] = len(ops)
             ops.append((code, arg, node, left, right))
             owners.append(owner)
@@ -101,22 +94,22 @@ def run_program(program: Program, point, order: int):
     then the channels are ``(E, P)``, ``(E, P, N)`` and ``(E, P, N, N)``
     arrays, each row bit-identical to a run at that row alone: the Taylor
     arithmetic is elementwise, and scalar maps (and the reciprocal inside
-    ``div``) apply the float rules below to each row in turn.  A run raises
+    ``div``) apply their float rules to each row in turn.  A run raises
     the ``DomainError`` of its first failing entry, at that entry's first
     failing row, as one-entry programs run in entry order do.
     """
-    if not (isinstance(point, np.ndarray) and point.ndim == 2):
-        return _run(program, point, order, ())
+    points = np.asarray(point, dtype=float)
+    rows = points if points.ndim == 2 else points[None]
     try:
-        return _run(program, point, order, point.shape[:1])
+        out = _run(program, rows, order)
     except DomainError:
         # a row alone raises at the first failing op of its first failing
         # entry, since a lower entry's ops all run first: the row whose
         # failing op has the lowest owner, the first of them, is the one
         first = None
-        for row in point.tolist():
+        for r in range(len(rows)):
             try:
-                _run(program, row, order, ())
+                _run(program, rows[r : r + 1], order)
             except DomainError as error:
                 owner = next(o for op, o in zip(program.ops, program.owners) if op[2] is error.node)
                 if first is None or owner < first[0]:
@@ -124,25 +117,31 @@ def run_program(program: Program, point, order: int):
         if first is None:
             raise
         raise first[1]
+    if points.ndim != 2:
+        out = [channel[:, 0] for channel in out]
+    return tuple(out) if order else out[0]
 
 
-def _run(program: Program, point, order: int, batch: tuple):
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _run(program: Program, points: np.ndarray, order: int) -> list:
     slots: list = []
     push = slots.append
-    n = point.shape[1] if batch else len(point)
+    rows, n = points.shape
     second = order == 2
     for code, arg, node, i, j in program.ops:
         if order == 0:
             if code == "const":
                 push(arg)
             elif code == "var":
-                push(point[:, arg] if batch else float(point[arg]))
+                push(points[:, arg])
             elif code == "map":
                 push(_each(arg, slots[i], node, 0)[0])
             elif code == "neg":
                 push(-slots[i])
             elif code != "div":
-                push(_apply_binary(code, slots[i], slots[j], node))
+                push(_ARITHMETIC[code](slots[i], slots[j]))
             elif np.any(slots[j] == 0.0):
                 raise DomainError("division by zero", node)
             else:
@@ -160,9 +159,9 @@ def _run(program: Program, point, order: int, batch: tuple):
             (a, ga, ha), (b, gb, hb) = slots[i], slots[j]
             push((a - b, _minus(ga, gb), _minus(ha, hb)))
         elif code == "var":
-            grad = np.zeros(batch + (n,))
-            grad[..., arg] = 1.0
-            push((point[:, arg] if batch else float(point[arg]), grad, None))
+            grad = np.zeros((rows, n))
+            grad[:, arg] = 1.0
+            push((points[:, arg], grad, None))
         elif code == "const":
             push((arg, None, None))
         elif code == "div":
@@ -177,25 +176,25 @@ def _run(program: Program, point, order: int, batch: tuple):
         else:
             raise ValueError(f"unknown binary op {code!r}")
     # channels by entry; a None channel of an entry stays zero
-    out = [np.zeros((len(program.roots),) + batch + (n,) * k) for k in range(order + 1)]
+    out = [np.zeros((len(program.roots), rows) + (n,) * k) for k in range(order + 1)]
     for entry, slot in enumerate(program.roots):
         for channel, part in zip(out, slots[slot] if order else (slots[slot],)):
             if part is not None:
                 channel[entry] = part
-    return tuple(out) if order else out[0]
+    return out
 
 
 def _each(rule, x, node: Expr, order: int):
-    """A scalar map's value and derivatives at `x`: a float, or each entry
-    of an array in turn (then one row per derivative)."""
+    """A scalar map's value and derivatives at `x`: a float (a constant
+    subtree), or each entry of an array in turn (then one row per derivative)."""
     if not isinstance(x, np.ndarray):
         return rule(x, node, order)
     return np.array([rule(v, node, order) for v in x.tolist()]).T
 
 
 # -- Taylor arithmetic on (value, grad, hess), None for a zero channel ---------
-# A value is a float or a (P,) array; _col and _sq line it up with the
-# derivative axes of (P, N) gradients and (P, N, N) Hessians.
+# A value is a float (a constant subtree) or a (P,) array; _col and _sq line
+# it up with the derivative axes of (P, N) gradients and (P, N, N) Hessians.
 
 def _col(value):
     return value[..., None] if isinstance(value, np.ndarray) else value
@@ -245,8 +244,68 @@ def _chain(f, grad, hess, second: bool) -> tuple:
     return f[0], _col(f[1]) * grad, out
 
 
-def _pow_derivatives(p: float, x: float, node: Expr, order: int) -> list[float]:
-    derivs = [_apply_binary("pow", x, p, node)]
+# -- scalar maps: a rule takes a float, the map's node (for its DomainError)
+# and the order, and gives the map's value and derivatives up to the order.
+
+def _sin(x: float, node: Expr, order: int) -> tuple:
+    if math.isinf(x):
+        raise DomainError(f"sin of non-finite value {x!r}", node)
+    value = math.sin(x)
+    return (value, math.cos(x), -value)[: order + 1] if order else (value,)
+
+
+def _cos(x: float, node: Expr, order: int) -> tuple:
+    if math.isinf(x):
+        raise DomainError(f"cos of non-finite value {x!r}", node)
+    value = math.cos(x)
+    return (value, -math.sin(x), -value)[: order + 1] if order else (value,)
+
+
+def _exp(x: float, node: Expr, order: int) -> tuple:
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"exp overflow at {x!r}", node)
+    return (value,) * (order + 1)
+
+
+def _ln(x: float, node: Expr, order: int) -> tuple:
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive value {x!r}", node)
+    value = math.log(x)
+    if not order:
+        return (value,)
+    inv = 1.0 / x
+    return (value, inv, -inv * inv)[: order + 1]
+
+
+def _sqrt(x: float, node: Expr, order: int) -> tuple:
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x!r}", node)
+    value = math.sqrt(x)
+    if not order:
+        return (value,)
+    if x == 0.0:
+        raise DomainError("sqrt derivative singular at zero", node)
+    inv = 0.5 / value
+    return (value, inv, -0.5 * inv / x)[: order + 1]
+
+
+def _pow(p: float, x: float, node: Expr, order: int) -> list[float]:
+    """``x^p`` for a constant exponent `p`."""
+    if x == 0.0 and p < 0:
+        raise DomainError("zero base with negative exponent", node)
+    if x < 0.0 and p != int(p):
+        raise DomainError(f"negative base {x!r} with non-integer exponent", node)
+    try:
+        value = x ** p
+    except OverflowError:
+        raise DomainError("pow overflow", node) from None
+    if not math.isfinite(value):
+        raise DomainError("pow overflow", node)
+    derivs = [value]
     coeff = 1.0
     for k in range(1, order + 1):
         coeff *= p - (k - 1)
@@ -263,25 +322,13 @@ def _pow_derivatives(p: float, x: float, node: Expr, order: int) -> list[float]:
     return derivs
 
 
-def _unary_derivatives(op: str, x: float, node: Expr, order: int) -> tuple[float, ...]:
-    value = _apply_unary(op, x, node)  # raises on an unknown op
-    if order == 0:
-        return (value,)
-    if op == "sin":
-        derivs = (value, math.cos(x), -value)
-    elif op == "cos":
-        derivs = (value, -math.sin(x), -value)
-    elif op == "exp":
-        derivs = (value, value, value)
-    elif op == "ln":
-        inv = 1.0 / x
-        derivs = (value, inv, -inv * inv)
-    elif op == "sqrt":
-        if x == 0.0:
-            raise DomainError("sqrt derivative singular at zero", node)
-        inv = 0.5 / value
-        derivs = (value, inv, -0.5 * inv / x)
-    return derivs[: order + 1]
+RULES = {"sin": _sin, "cos": _cos, "exp": _exp, "ln": _ln, "sqrt": _sqrt}
+"""The rule of each function of the grammar (``expr.FUNCTIONS``)."""
+
+_reciprocal = partial(_pow, -1.0)
 
 
-_reciprocal = partial(_pow_derivatives, -1.0)
+def rule_of(node: Expr):
+    """The rule of a scalar-map node: a function's, or ``pow``'s with the
+    node's constant exponent bound."""
+    return partial(_pow, node.right.value) if node.op == "pow" else RULES[node.op]

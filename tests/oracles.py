@@ -4,8 +4,9 @@ The package itself evaluates every expression through the compiled programs
 of ``tensor_invariants.jets``; these routes reach the same numbers another
 way, or one expression at a time:
 
-- :func:`evaluate`, the plain recursive tree walk, applying the scalar rules
-  of ``expr`` node by node, independent of the compiled programs;
+- :func:`evaluate`, the plain recursive tree walk, node by node: the rule
+  ``jets`` holds for each scalar map, and its own ``+ - * /``, independent of
+  the compiled programs;
 - :func:`eval_jet`, one expression's value and partials at one point,
   through a one-entry program;
 - :func:`riemannian_weyl`, the projective Weyl assembly reduced for a
@@ -16,11 +17,12 @@ way, or one expression at a time:
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from tensor_invariants.expr import Const, Expr, Unary, Var, _apply_binary, _apply_unary
+from tensor_invariants.expr import Const, DomainError, Expr, Unary, Var
 from tensor_invariants.geometry import (
     RICCI_LAST,
     Space,
@@ -29,7 +31,7 @@ from tensor_invariants.geometry import (
     ricci_arrays,
 )
 from tensor_invariants.invariants import omega, omega_square_expanded
-from tensor_invariants.jets import compile_program, run_program
+from tensor_invariants.jets import compile_program, rule_of, run_program
 from tensor_invariants.sampling import random_omega_spec
 from tensor_invariants.tensor import PointBatch
 
@@ -40,11 +42,24 @@ def evaluate(node: Expr, point) -> float:
         return node.value
     if isinstance(node, Var):
         return float(point[node.index])
-    if isinstance(node, Unary):
-        return _apply_unary(node.op, evaluate(node.arg, point), node)
+    if isinstance(node, Unary) and node.op == "neg":
+        return -evaluate(node.arg, point)
+    if isinstance(node, Unary) or node.op == "pow":
+        arg = evaluate(node.arg if isinstance(node, Unary) else node.left, point)
+        return rule_of(node)(arg, node, 0)[0]
     left = evaluate(node.left, point)
     right = evaluate(node.right, point)
-    return _apply_binary(node.op, left, right, node)
+    if node.op == "div" and right == 0.0:
+        raise DomainError("division by zero", node)
+    return _ARITHMETIC[node.op](left, right)
+
+
+_ARITHMETIC = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
 
 
 class Jet(NamedTuple):

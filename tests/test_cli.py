@@ -193,6 +193,37 @@ def test_overflowing_field_value_is_a_math_error(tmp_path, capsys):
     assert "inf" not in out and "nan" not in out
 
 
+@pytest.mark.parametrize(
+    "form", ["sin({})", "cos({})", "exp({})", "ln({})", "sqrt({})", "({})^1.5", "({})^(-2)"]
+)
+@pytest.mark.parametrize(
+    "argument, u",
+    [
+        ("u", "0"),
+        ("u", "-2.5"),
+        ("u", "709.9"),
+        ("u", "710"),
+        ("u*u", "1e200"),  # the product overflows to inf
+        ("u*u - u*u", "1e200"),  # inf - inf is NaN
+    ],
+)
+def test_scalar_maps_at_edge_arguments_exit_cleanly(form, argument, u, tmp_path, capsys):
+    # every map at every edge argument either evaluates or is a math error
+    # naming a subexpression: never a traceback, never a bare math message
+    config = {
+        "chart": ["u", "v"],
+        "space": {"connection": {"1,1,1": form.format(argument)}},
+        "points": {"list": [[1.0, 1.0]]},
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(config))
+    code = run_cli("christoffel", "--config", str(path), f"--point={u},1")
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("math error:") and " in subexpression '" in err, err
+
+
 def test_small_scale_metric_is_accepted(capsys):
     # diag(u^2, v^2, w^2) at 1e-3 has det 1e-18 but condition number 1
     assert run_cli("christoffel", "--config", "example-r3", "--point", "1e-3,1e-3,1e-3") == 0

@@ -1,7 +1,6 @@
 import math
 import operator
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from oracles import eval_jet, evaluate
 from tensor_invariants import jets
 from tensor_invariants.expr import (
+    FUNCTIONS,
     Binary,
     Chart,
     Const,
@@ -99,6 +99,61 @@ def test_domain_error_propagates():
         eval_jet(parse("ln(u-5)", CHART), (1.0, 2.0, 3.0))
     with pytest.raises(DomainError):
         eval_jet(parse("sqrt(u-1)", CHART), (1.0, 2.0, 3.0))  # derivative pole at 0
+
+
+# (text, u, the lowest failing order, reason, the failing subexpression); the
+# other coordinates are v = 2, w = 3
+DOMAIN_ERRORS = [
+    ("v + ln(u)*w", 0.0, 0, "ln of non-positive value 0.0", "ln(u)"),
+    ("v + ln(u)*w", -1.5, 0, "ln of non-positive value -1.5", "ln(u)"),
+    ("v*sqrt(u)", -4.0, 0, "sqrt of negative value -4.0", "sqrt(u)"),
+    ("v*sqrt(u)", 0.0, 1, "sqrt derivative singular at zero", "sqrt(u)"),
+    ("exp(u) - w", 710.0, 0, "exp overflow at 710.0", "exp(u)"),
+    ("v + u^(-2)", 0.0, 0, "zero base with negative exponent", "u^(-2)"),
+    ("v + u^0.5", -1.0, 0, "negative base -1.0 with non-integer exponent", "u^0.5"),
+    ("v*u^300", 100.0, 0, "pow overflow", "u^300"),
+    ("v*u^1.5", 0.0, 2, "pow derivative singular at zero base", "u^1.5"),
+    ("v*u^0.5", 1e-320, 2, "pow derivative overflow", "u^0.5"),
+    ("w + v/u", 0.0, 0, "division by zero", "v/u"),
+]
+
+
+@pytest.mark.parametrize("text, u, lowest, reason, failing", DOMAIN_ERRORS)
+def test_domain_errors_keep_their_reason_and_subexpression(text, u, lowest, reason, failing):
+    # on a plain point and as the middle row of a batch, at every order: the
+    # orders below the lowest failing one never form the failing derivative
+    program = compile_program(parse(text, CHART))
+    point = (u, 2.0, 3.0)
+    batch = np.array([(1.5, 2.0, 3.0), point, (0.75, 2.0, 3.0)])
+    for order in range(3):
+        for at in (point, batch):
+            if order < lowest:
+                run_program(program, at, order)
+                continue
+            with pytest.raises(DomainError) as raised:
+                run_program(program, at, order)
+            assert raised.value.reason == reason, (order, at)
+            assert raised.value.node == parse(failing, CHART), (order, at)
+
+
+@pytest.mark.parametrize(
+    "text, u, reason",
+    [
+        ("sin(u*u)", 1e200, "sin of non-finite value inf"),  # the product overflows
+        ("cos(u*u)", -1e200, "cos of non-finite value inf"),
+        ("exp(u)", 709.9, "exp overflow at 709.9"),  # math.exp raises here
+    ],
+)
+def test_overflowing_map_arguments_are_domain_errors(text, u, reason):
+    program = compile_program(parse(text, CHART))
+    for order in range(3):
+        with pytest.raises(DomainError) as raised, np.errstate(over="ignore"):
+            run_program(program, (u, 2.0, 3.0), order)
+        assert raised.value.reason == reason and raised.value.node == parse(text, CHART)
+
+
+def test_every_function_of_the_grammar_has_one_rule():
+    assert set(FUNCTIONS) == set(jets.RULES)
 
 
 # --- finite-difference oracle ----------------------------------------------
@@ -285,18 +340,18 @@ def test_field_applies_each_distinct_scalar_map_once_per_point(monkeypatch):
     # mirrored entries, and sin(u) in three distinct entries: sin(u), ln(1+v^2)
     # and v^2 are the only maps, each applied once per point at every order
     applied = Counter()
-    unary, power = jets._unary_derivatives, jets._pow_derivatives
+    rule_of = jets.rule_of
 
-    def counted_unary(op, x, node, order):
-        applied[(op, x)] += 1
-        return unary(op, x, node, order)
+    def counted_rule_of(node):
+        rule, name = rule_of(node), node.right.value if node.op == "pow" else node.op
 
-    def counted_power(p, x, node, order):
-        applied[(p, x)] += 1
-        return power(p, x, node, order)
+        def counted(x, node, order):
+            applied[(name, x)] += 1
+            return rule(x, node, order)
 
-    monkeypatch.setattr(jets, "_unary_derivatives", counted_unary)
-    monkeypatch.setattr(jets, "_pow_derivatives", counted_power)
+        return counted
+
+    monkeypatch.setattr(jets, "rule_of", counted_rule_of)
     chart = Chart(("u", "v"))
     mixed = "sin(u) + u*v"
     field = TensorField(chart, "ll", [["sin(u)*v", mixed], [mixed, "ln(1+v^2)*sin(u)"]])
@@ -335,23 +390,30 @@ def test_field_entries_equal_their_one_entry_programs_bit_for_bit():
 
 def test_compile_builds_each_scalar_map_rule_once(monkeypatch):
     # mirrored entries and a repeated sin(u) and u^2: one rule per map op,
-    # none built for a subtree that is already an op
+    # none looked up for a subtree that is already an op
     built = []
+    rule_of = jets.rule_of
 
-    def counted(*args):
-        built.append(args)
-        return partial(*args)
+    def counted(node):
+        built.append(node)
+        return rule_of(node)
 
     chart = Chart(("u", "v"))
     mixed = "sin(u) + u^2*v"
     texts = [["sin(u)*u^2", mixed], [mixed, "ln(1+u^2)*sin(u) - sin(u)"]]
     entries = [parse(text, chart) for row in texts for text in row]
-    monkeypatch.setattr(jets, "partial", counted)
+    monkeypatch.setattr(jets, "rule_of", counted)
     program = compile_program(*entries)
     monkeypatch.undo()
     maps = [op for op in program.ops if op[0] == "map"]
     assert len(maps) == 3  # sin(u), u^2, ln(1+u^2)
-    assert len(built) == len(maps)
+    assert built == [op[2] for op in maps]
+    # a function's op carries the rule of its name, pow's its exponent's
+    for _, rule, node, _, _ in maps:
+        if node.op == "pow":
+            assert rule.func is jets.rule_of(node).func and rule.args == (node.right.value,)
+        else:
+            assert rule is jets.RULES[node.op]
     field = TensorField(chart, "ll", texts)
     points = [(0.5, 1.5), (0.75, 1.25), (1.25, 0.5)]
     for point in (points[0], PointBatch(points)):
