@@ -9,10 +9,14 @@ claim fails numerically; the measurement quantifies by how much), or
 
 A sweep over sample points evaluates its objects once on the points as one
 batch (``tensor.PointBatch``) and takes the maximum over it.  A finding over
-many random draws of spaces makes one batch per draw, so its cache holds one
-draw; the omega-square finding, whose draws carry no space, reads each
-draw's field values on a batch of its own and then evaluates all its draws
-as one stack, with a leading draw axis before the point axis.
+many random draws reads each draw's field values, or its connection jet and
+field jets, on a batch of its own, which dies with the draw; then it
+evaluates all its draws as one stack, with a leading draw axis before the
+point axis, through the array cores of ``deformation``, ``invariants`` and
+``geometry`` (each s-value a ``(draws, 1)`` array): the omega-square
+finding's 50 specs, and the 10 spaces and specs of each of the basic-Weyl
+modes and correlation findings (:func:`invariants.stack_draws`).  So each kernel runs once
+per finding, and each draw's residual keeps the bits of its own evaluators.
 """
 
 from __future__ import annotations
@@ -26,22 +30,35 @@ import numpy as np
 
 from .configs import builtin_config
 from .expr import parse
-from .geometry import RICCI_LAST, _alt, curvature, delta_bracket, ricci, weyl
+from .geometry import (
+    RICCI_LAST,
+    _alt,
+    curvature,
+    curvature_arrays,
+    ricci,
+    ricci_arrays,
+    thomas_arrays,
+    weyl_arrays,
+)
+from .deformation import omega_arrays, omega_square_arrays
 from .invariants import (
-    MODE_DIRECT,
     MODE_STRUCTURED,
     SValues,
     basic_weyl,
+    basic_weyl_arrays,
     calF_jet,
     dee,
+    dee_arrays,
     derived_thomas,
-    derived_thomas_correlation_residual,
+    derived_thomas_arrays,
+    derived_thomas_correlation_arrays,
     derived_weyl_chain,
     nu_jet,
-    omega_arrays,
-    omega_square_arrays,
-    reduced_space,
+    reduced_arrays,
+    stack_draws,
+    weyl_correlation_arrays,
     zeta,
+    zeta_arrays,
 )
 from .jets import compile_program, run_program
 from .mappings import (
@@ -53,7 +70,7 @@ from .mappings import (
     verify_invariance,
 )
 from .sampling import random_connection_space, random_mapping, random_omega_spec
-from .tensor import PointBatch, delta_product, scale_field
+from .tensor import PointBatch, scale_field
 
 __all__ = ["Finding", "run_paper_audit", "findings_to_json"]
 
@@ -184,63 +201,77 @@ def _omega_square_finding(chart, rng, points) -> Finding:
         values.append(spec.values(PointBatch(points[:3])))
     s = tuple(np.array(s_values).T[:, :, None])  # each s-value (draws, 1)
     fields = [np.stack(draws) for draws in zip(*values)]
+    # the expansion first, so that its peak does not hold the contraction too
+    expanded = omega_square_arrays(s, *fields)
     w = omega_arrays(s, *fields)
-    direct = np.einsum("...ajm,...ian->...ijmn", w, w)
-    worst = _largest(direct - omega_square_arrays(s, *fields))
+    residual = np.einsum("...ajm,...ian->...ijmn", w, w)
+    residual -= expanded
     return Finding(
         id="omega-square-expansion",
         claim="term-by-term expansion of omega^a_{jm} omega^i_{an}",
-        measurement={"max_residual_50_specs": worst},
+        measurement={"max_residual_50_specs": _largest(residual)},
         verdict="confirmed",
     )
+
+
+def _random_draws(chart, rng, count: int = 10):
+    """`count` random connection spaces, each with a random omega spec, drawn
+    as they are read."""
+    for _ in range(count):
+        yield random_connection_space(chart, rng), random_omega_spec(chart, rng)
+
+
+def _weyl_of(conn_jet) -> np.ndarray:
+    """The projective Weyl tensor of a connection jet (the shipped Ricci)."""
+    riemann = curvature_arrays(*conn_jet)
+    return weyl_arrays(riemann, ricci_arrays(riemann, RICCI_LAST))
+
+
+def _weyl_modes(s, conn, rho, calF_group, sphi_group) -> tuple:
+    """The direct and the structured basic Weyl invariant of stacked draws
+    (:func:`invariants.stack_draws`), each kernel run once for all of them."""
+    direct = curvature_arrays(*reduced_arrays(s, conn, calF_group[2:], sphi_group[2:], rho))
+    z = zeta_arrays(s, *rho, conn[0], calF_group[:2], sphi_group[:2])
+    d = dee_arrays(s, conn[0], (calF_group, sphi_group))
+    return direct, basic_weyl_arrays(curvature_arrays(*conn), z, d)
 
 
 def _weyl_modes_finding(chart, rng, points) -> Finding:
-    worst = 0.0
-    for _ in range(10):
-        space = random_connection_space(chart, rng)
-        spec = random_omega_spec(chart, rng)
-        batch = PointBatch(points[:3])
-        direct = basic_weyl(space, spec, MODE_DIRECT)(batch)
-        structured = basic_weyl(space, spec, MODE_STRUCTURED)(batch)
-        worst = max(worst, _largest(direct - structured))
+    direct, structured = _weyl_modes(*stack_draws(_random_draws(chart, rng), points[:3]))
     return Finding(
         id="basic-weyl-direct-vs-structured",
         claim="the zeta/D regrouping of the basic Weyl invariant equals the direct substitution",
-        measurement={"max_residual": worst},
+        measurement={"max_residual": _largest(direct - structured)},
         verdict="confirmed",
     )
 
 
-def _weyl_correlation_residual(space, spec, point) -> np.ndarray:
-    """The chain's ``final`` minus W(Lambda') + d^i_j A_mn / (N+1)
-    - (d^i_m B_jn - d^i_n B_jm) / (N^2-1) (Lambda' = L - omega without rho,
-    A_mn = D^a_{amn} - D^a_{anm}, B_jm = (N+1) (D^a_{jma} - D^a_{jam}) + A_jm),
-    which vanishes under the shipped Ricci convention."""
-    final = derived_weyl_chain(space, spec, RICCI_LAST).final(point)
-    d = dee(space, spec)(point)  # the D the chain read, from the batch's cache
-    trace = _alt(np.einsum("...aamn->...mn", d))
-    mix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
-    n = space.dim
-    out = final - weyl(reduced_space(space, spec, rho=False), RICCI_LAST)(point)
-    out -= delta_product("ij,mn->ijmn", trace) / (n + 1)
-    return out + delta_bracket((n + 1) * mix + trace) / (n * n - 1)
+def _correlations(s, conn, rho, calF_group, sphi_group) -> tuple:
+    """The Thomas correlation residual
+    (:func:`invariants.derived_thomas_correlation_residual`) and the Weyl
+    one (:func:`invariants.weyl_correlation_arrays`) of stacked draws
+    (:func:`invariants.stack_draws`; rho is not read), each kernel run once
+    for all of them."""
+    reduced = reduced_arrays(s, conn, calF_group[2:], sphi_group[2:])
+    derived = derived_thomas_arrays(s, reduced[0], thomas_arrays(reduced[0]))
+    fields = calF_group[:2] + sphi_group[:2]
+    thomas_residual = derived_thomas_correlation_arrays(s, conn[0], derived, *fields)
+    d = dee_arrays(s, conn[0], (calF_group, sphi_group))
+    final = _weyl_of(conn) + _alt(d)  # the chain's final
+    return thomas_residual, weyl_correlation_arrays(final, _weyl_of(reduced), d)
 
 
 def _correlation_finding(chart, rng, points) -> Finding:
-    worst_t = 0.0
-    worst_w = 0.0
-    for _ in range(10):
-        space = random_connection_space(chart, rng)
-        spec = random_omega_spec(chart, rng)
-        batch = PointBatch(points[:2])
-        residual = derived_thomas_correlation_residual(space, spec)(batch)
-        worst_t = max(worst_t, _largest(residual))
-        worst_w = max(worst_w, _largest(_weyl_correlation_residual(space, spec, batch)))
+    thomas_residual, weyl_residual = _correlations(
+        *stack_draws(_random_draws(chart, rng), points[:2])
+    )
     return Finding(
         id="correlation-identities",
         claim="derived invariants relate to the classical Thomas parameter and Weyl tensor by the printed correlation identities",
-        measurement={"thomas_max_residual": worst_t, "weyl_max_residual": worst_w},
+        measurement={
+            "thomas_max_residual": _largest(thomas_residual),
+            "weyl_max_residual": _largest(weyl_residual),
+        },
         verdict="confirmed",
     )
 

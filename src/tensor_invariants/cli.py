@@ -262,7 +262,8 @@ def _run_verify(args, job) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(report.to_json())
+        with open(out_dir / "report.json", "w") as out:
+            out.writelines(report.json_pieces())  # a row at a time
         (out_dir / "report.txt").write_text(report.to_text() + "\n")
     return 0 if report.passed else 3
 

@@ -23,6 +23,7 @@ naming the failing subexpression.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -209,7 +210,7 @@ def _parse_factor(toks: _Tokens, chart: Chart) -> Expr:
 def _parse_base(toks: _Tokens, chart: Chart) -> Expr:
     kind, tok, pos = toks.next()
     if kind == "number":
-        return Const(float(tok))
+        return Const(_number(tok, pos))
     if kind == "ident":
         if tok in FUNCTIONS:
             kind2, tok2, pos2 = toks.next()
@@ -232,7 +233,7 @@ def _parse_exponent(toks: _Tokens, chart: Chart) -> float:
     kind, tok, pos = toks.peek()
     if kind == "number":
         toks.next()
-        value = float(tok)
+        value = _number(tok, pos)
     elif kind == "op" and tok == "(":
         toks.next()
         sign = 1.0
@@ -243,14 +244,28 @@ def _parse_exponent(toks: _Tokens, chart: Chart) -> float:
         kind2, tok2, pos2 = toks.next()
         if kind2 != "number":
             raise ParseError("pow exponent must be a constant", pos2)
-        value = sign * float(tok2)
+        value = sign * _number(tok2, pos2)
         _expect(toks, ")")
     else:
         raise ParseError("pow exponent must be a constant", pos)
-    kind, tok, _ = toks.peek()
+    kind, tok, pos = toks.peek()
     if kind == "op" and tok == "^":
         toks.next()
-        value = value ** _parse_exponent(toks, chart)
+        exponent = _parse_exponent(toks, chart)
+        try:
+            value = value**exponent
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        # a fold may also give a complex number (a negative base)
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise ParseError("chained exponent is not a finite real number", pos)
+    return value
+
+
+def _number(tok: str, pos: int) -> float:
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ParseError(f"number {tok} is not finite", pos)
     return value
 
 

@@ -1,15 +1,11 @@
 """The omega-parameterized family of mapping invariants.
 
-The deformation object
-
-    omega^i_{jk} = s1 (d^i_j rho_k + d^i_k rho_j)
-                 + s2 (F^i_j sigma_k + F^i_k sigma_j)
-                 + s3 sigma_{jk} phi^i
-
-is bundled as an :class:`OmegaSpec`.  From it the module assembles the basic
-invariants of Thomas and Weyl type, the zeta and D building blocks, the
-derived (trace-reduced) invariants, and the correlation identities tying the
-derived objects back to the classical Thomas parameter and Weyl tensor.
+From the deformation object omega of an :class:`OmegaSpec` (see
+``deformation``, whose names this module also exports) the module
+assembles the basic invariants of Thomas and Weyl type, the zeta and D
+building blocks, the derived (trace-reduced) invariants, and the
+correlation identities tying the derived objects back to the classical
+Thomas parameter and Weyl tensor.
 
 Several of these are classical objects of a reduced connection
 (:func:`reduced_space`).  The basic Thomas invariant is Lambda = L - omega
@@ -21,9 +17,6 @@ from the Thomas parameter of Lambda' = L - s2 calF - s3 sigma_{jk} phi^i
 zeta / D regrouping and the printed chain stages are assembled from their
 formulas: they are the claims under audit.  Every covariant derivative
 inside a space's invariant uses that space's own symmetric connection.
-Zeta, D, the reduced spaces and the calF and sigma_{jk} phi^i jets keep
-their results in the batch's cache (``tensor.memo``) under keys that name
-the fields that enter, so each is computed once per batch by any reader.
 
 The derived Weyl chain ships two versions of its first stage: the formula as
 conventionally printed (``first_printed``) and a re-derived variant
@@ -33,14 +26,24 @@ invariance verifier and the audit report measure which of the two is actually
 invariant under general mappings.  The paper audit checks ``final``
 against W(Lambda') and the D traces.
 
-Every builder and evaluator takes one point or a ``tensor.PointBatch`` and
-then gives arrays with a leading batch axis, each point's entries
-bit-identical to its evaluation alone (see ``tensor``).  An evaluator that
-reads several cached parts makes a plain point one batch first, so that its
-parts share that batch's cache.  omega and its printed square expansion also
-have array cores (``omega_arrays``, ``omega_square_arrays``) that take the
-field values, so that the values of many omega specs, stacked on a leading
-draw axis, are evaluated in one call.
+Every evaluator takes one point or a ``tensor.PointBatch`` and then gives
+arrays with a leading batch axis, each point's entries bit-identical to its
+evaluation alone (see ``tensor``).  An evaluator that reads several cached
+parts makes a plain point one batch first, so that its parts share that
+batch's cache.  Zeta, D, the structured basic Weyl invariant, the derived
+Thomas invariant and its correlation residual are thin evaluators over
+array cores (``zeta_arrays``, ``dee_arrays``, ``basic_weyl_arrays``,
+``derived_thomas_arrays``, ``derived_thomas_correlation_arrays``), as omega
+is in ``deformation``: the evaluator reads the batch, keeps the cache key
+(the reduced space's key plus the kind, so each is computed once per batch
+by any reader) and the branches that leave a term group with a zero s-value
+unread, and the core does the arithmetic, with s-values stacked as
+``deformation`` describes.  So the audit evaluates many random draws of
+spaces and specs as one stack, each draw's entries the bits of its own
+evaluators: :func:`stack_draws` reads each draw on a batch of its own and
+stacks what the cores read, :func:`reduced_arrays` sums the reduced
+connections as the reduced spaces do, and :func:`weyl_correlation_arrays`
+is the core of the Weyl correlation identity.
 """
 
 from __future__ import annotations
@@ -50,7 +53,26 @@ from functools import partial
 
 import numpy as np
 
-from .expr import Chart
+from .deformation import (
+    OmegaSpec,
+    SValues,
+    _calF_arrays,
+    _delta_pair,
+    _delta_pair_jet,
+    _lift,
+    _nu,
+    _pair,
+    _sphi_arrays,
+    _sphi_jet,
+    calF_jet,
+    nu_jet,
+    omega,
+    omega_arrays,
+    omega_jet,
+    omega_jet_arrays,
+    omega_square_arrays,
+    omega_square_expanded,
+)
 from .geometry import (
     RICCI_LAST,
     Space,
@@ -62,15 +84,7 @@ from .geometry import (
     thomas_arrays,
     weyl,
 )
-from .tensor import (
-    PointField,
-    _batch,
-    batch_shape,
-    contract,
-    delta_product,
-    memo,
-    zero_field,
-)
+from .tensor import PointBatch, PointField, _batch, batch_shape, contract, delta_product, memo
 
 __all__ = [
     "SValues",
@@ -83,12 +97,20 @@ __all__ = [
     "omega_square_expanded",
     "omega_square_arrays",
     "reduced_space",
+    "reduced_arrays",
+    "stack_draws",
     "basic_thomas",
     "zeta",
+    "zeta_arrays",
     "dee",
+    "dee_arrays",
     "basic_weyl",
+    "basic_weyl_arrays",
     "derived_thomas",
+    "derived_thomas_arrays",
     "derived_thomas_correlation_residual",
+    "derived_thomas_correlation_arrays",
+    "weyl_correlation_arrays",
     "WeylChain",
     "derived_weyl_chain",
     "MODE_DIRECT",
@@ -97,233 +119,6 @@ __all__ = [
 
 MODE_DIRECT = "direct"
 MODE_STRUCTURED = "structured"
-
-
-@dataclass(frozen=True)
-class SValues:
-    s1: float
-    s2: float
-    s3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.s1, self.s2, self.s3)
-
-
-@dataclass
-class OmegaSpec:
-    """Fields parameterizing omega: 1-forms rho, sigma; affinor F; vector phi;
-    symmetric covariant tensor sigma2."""
-
-    chart: Chart
-    s: SValues
-    rho: object = None
-    sigma: object = None
-    F: object = None
-    phi: object = None
-    sigma2: object = None
-
-    def __post_init__(self):
-        if self.rho is None:
-            self.rho = zero_field(self.chart, "l")
-        if self.sigma is None:
-            self.sigma = zero_field(self.chart, "l")
-        if self.F is None:
-            self.F = zero_field(self.chart, "ul")
-        if self.phi is None:
-            self.phi = zero_field(self.chart, "u")
-        if self.sigma2 is None:
-            self.sigma2 = zero_field(self.chart, "ll")
-
-    def validate(self, points, tol: float = 1e-12) -> None:
-        """Check sigma2 symmetry at sample points."""
-        for point in points:
-            s2 = self.sigma2.value(point)
-            skew = np.max(np.abs(s2 - s2.T))
-            if skew > tol:
-                raise ValueError(
-                    f"sigma2 is not symmetric at {tuple(point)} (max skew {skew:.3e})"
-                )
-
-    def values(self, point):
-        return (
-            self.rho.value(point),
-            self.sigma.value(point),
-            self.F.value(point),
-            self.phi.value(point),
-            self.sigma2.value(point),
-        )
-
-
-def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A^i_j v_k + A^i_k v_j; calF is _pair(F, sigma)."""
-    half = contract("ij,k->ijk", A, v)
-    return half + np.swapaxes(half, -1, -2)
-
-
-def _delta_pair(v: np.ndarray) -> np.ndarray:
-    """d^i_j v_k + d^i_k v_j."""
-    half = delta_product("ij,k->ijk", v)
-    return half + np.swapaxes(half, -1, -2)
-
-
-def _nu(F: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """nu_j = calF^a_{ja} = tr(F) sigma_j + F^a_j sigma_a."""
-    return contract(",j->j", contract("aa->", F), sigma) + contract("aj,a->j", F, sigma)
-
-
-def _delta_pair_jet(v, point) -> tuple[np.ndarray, np.ndarray]:
-    """d^i_j v_k + d^i_k v_j with its first partials, from a 1-form field."""
-    value, grad = v.jet(point)
-    return (
-        _delta_pair(value),
-        delta_product("ij,kn->ijkn", grad) + delta_product("ik,jn->ijkn", grad),
-    )
-
-
-def calF_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
-    """calF^i_{jk} = F^i_j sigma_k + F^i_k sigma_j with its first partials,
-    from an affinor field and a 1-form field; once per batch."""
-
-    def build(point):
-        Fv, dF = F.jet(point)
-        sv, ds = sigma.jet(point)
-        half = contract("ijn,k->ijkn", dF, sv) + contract("ij,kn->ijkn", Fv, ds)
-        return _pair(Fv, sv), half + np.swapaxes(half, -3, -2)
-
-    return memo(point, ("calF", F, sigma), build)
-
-
-def nu_jet(F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
-    """The trace nu_j = calF^a_{ja} with its first partials, built directly
-    rather than from the full calF jet."""
-    Fv, dF = F.jet(point)
-    sv, ds = sigma.jet(point)
-    grad = (
-        contract("aan,j->jn", dF, sv)
-        + contract(",jn->jn", contract("aa->", Fv), ds)
-        + contract("ajn,a->jn", dF, sv)
-        + contract("aj,an->jn", Fv, ds)
-    )
-    return _nu(Fv, sv), grad
-
-
-def _sphi_jet(sigma2, phi, point) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_{jk} phi^i with its first partials; once per batch."""
-
-    def build(point):
-        (p, dp), (s, ds) = phi.jet(point), sigma2.jet(point)
-        grad = contract("jkn,i->ijkn", ds, p) + contract("jk,in->ijkn", s, dp)
-        return contract("jk,i->ijk", s, p), grad
-
-    return memo(point, ("sigma2 phi", sigma2, phi), build)
-
-
-def _lift(s: tuple, rank: int) -> tuple:
-    """The s-values as they scale a term of `rank` index slots: a float as it
-    is, an array with `rank` unit axes appended."""
-    return tuple(x if np.ndim(x) == 0 else x.reshape(x.shape + (1,) * rank) for x in s)
-
-
-def omega(spec: OmegaSpec, point) -> np.ndarray:
-    """omega^i_{jk}; symmetric in (j, k) by construction."""
-    return omega_arrays(spec.s.as_tuple(), *spec.values(_batch(point)))
-
-
-def omega_arrays(s: tuple, rho, sigma, F, phi, sigma2) -> np.ndarray:
-    """omega^i_{jk} from the s-values (s1, s2, s3) and the values of rho,
-    sigma, F, phi and sigma_{jk}, over any leading axes.
-
-    Each s-value is a float, or an array over a leading draw axis, with unit
-    axes for the other leading axes (``(D, 1)`` for leading axes ``(D, P)``),
-    so that the values of D omega specs, stacked, are evaluated in one call,
-    each draw's entries the same bits as its own call.
-    """
-    s1, s2, s3 = _lift(s, 3)
-    out = s1 * _delta_pair(rho)
-    out += s2 * _pair(F, sigma)
-    out += s3 * contract("jk,i->ijk", sigma2, phi)
-    return out
-
-
-def omega_jet(spec: OmegaSpec, point) -> tuple[np.ndarray, np.ndarray]:
-    """omega with its first partials, from the term groups whose s-value is
-    nonzero: the fields of the other groups are not evaluated."""
-    s1, s2, s3 = spec.s.as_tuple()
-    n = spec.chart.dim
-    value = np.zeros(batch_shape(point) + (n,) * 3)
-    grad = np.zeros(value.shape + (n,))
-    if s1 != 0.0:
-        rho_pair, drho_pair = _delta_pair_jet(spec.rho, point)
-        value += s1 * rho_pair
-        grad += s1 * drho_pair
-    if s2 != 0.0:
-        calF, dcalF = calF_jet(spec.F, spec.sigma, point)
-        value += s2 * calF
-        grad += s2 * dcalF
-    if s3 != 0.0:
-        sphi, dsphi = _sphi_jet(spec.sigma2, spec.phi, point)
-        value += s3 * sphi
-        grad += s3 * dsphi
-    return value, grad
-
-
-def omega_square_expanded(spec: OmegaSpec, point) -> np.ndarray:
-    """The expanded form of omega^a_{jm} omega^i_{an}, term group by term group.
-
-    Audits the printed expansion against the direct contraction; the two must
-    agree to rounding.
-    """
-    return omega_square_arrays(spec.s.as_tuple(), *spec.values(_batch(point)))
-
-
-def omega_square_arrays(s: tuple, rho, sigma, F, phi, sigma2) -> np.ndarray:
-    """:func:`omega_square_expanded` from the s-values and the field values,
-    stacked like :func:`omega_arrays`."""
-    s1, s2, s3 = _lift(s, 4)
-    n1, n2, n3 = _lift(s, 2)  # the s-values that scale coeff_n
-    F2 = contract("ia,aj->ij", F, F)
-    FTr = contract("aj,a->j", F, rho)  # F^a_j rho_a
-    FTs = contract("aj,a->j", F, sigma)  # F^a_j sigma_a
-    Sp = contract("ja,a->j", sigma2, phi)  # sigma_{ja} phi^a
-    FS = contract("am,an->mn", F, sigma2)  # F^a_m sigma_{an}
-    rho_phi = contract("a,a->", rho, phi)
-    sigma_phi = contract("a,a->", sigma, phi)
-    Fphi = contract("ia,a->i", F, phi)
-
-    rho2 = contract("j,m->jm", rho, rho)
-    out = s1 * s1 * delta_product("ij,mn->ijmn", rho2)
-    out += s1 * s1 * delta_product("im,jn->ijmn", rho2)
-    coeff_n = 2.0 * n1 * n1 * rho2
-    coeff_n += n1 * n2 * (contract("m,j->jm", FTr, sigma) + contract("j,m->jm", FTr, sigma))
-    coeff_n += n1 * n3 * contract("jm,->jm", sigma2, rho_phi)
-    out += delta_product("in,jm->ijmn", coeff_n)
-    out += s2 * s2 * (
-        contract("in,m,j->ijmn", F, FTs, sigma)
-        + contract("in,j,m->ijmn", F, FTs, sigma)
-        + contract("im,j,n->ijmn", F2, sigma, sigma)
-        + contract("ij,m,n->ijmn", F2, sigma, sigma)
-    )
-    out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
-    out += s1 * s2 * (
-        contract("in,j,m->ijmn", F, rho, sigma)
-        + contract("in,m,j->ijmn", F, rho, sigma)
-        + contract("im,j,n->ijmn", F, rho, sigma)
-        + contract("im,n,j->ijmn", F, rho, sigma)
-        + contract("ij,m,n->ijmn", F, rho, sigma)
-        + contract("ij,n,m->ijmn", F, rho, sigma)
-    )
-    out += s1 * s3 * (
-        contract("mn,j,i->ijmn", sigma2, rho, phi)
-        + contract("jn,m,i->ijmn", sigma2, rho, phi)
-        + contract("jm,n,i->ijmn", sigma2, rho, phi)
-    )
-    out += s2 * s3 * (
-        contract("j,mn,i->ijmn", sigma, FS, phi)
-        + contract("m,jn,i->ijmn", sigma, FS, phi)
-        + contract(",in,jm->ijmn", sigma_phi, F, sigma2)
-        + contract("i,n,jm->ijmn", Fphi, sigma, sigma2)
-    )
-    return out
 
 
 def _key(kind: str, space: Space, spec: OmegaSpec, rho: bool) -> tuple:
@@ -352,7 +147,7 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
         base = reduced_space(space, spec, rho=False)
 
         def fn(point):
-            return tuple(-spec.s.s1 * x for x in _delta_pair_jet(spec.rho, point))
+            return tuple(-spec.s.s1 * x for x in _delta_pair_jet(*spec.rho.jet(point)))
 
     else:
         base, part = space, replace(spec, s=replace(spec.s, s1=0.0))
@@ -365,9 +160,64 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     return reduced
 
 
+def stack_draws(draws, points) -> tuple:
+    """What the array cores read of the (space, spec) `draws`, stacked on a
+    leading draw axis: the s-values, each with a unit axis per batch axis;
+    the jets (values, partials) of the connection and of rho; and D's term
+    groups (:func:`dee_arrays`), the values of F and sigma with the calF
+    jet, and of sigma_{jk} and phi with the sigma_{jk} phi^i jet.
+    Each draw is read on a batch of `points` (one point or a list) of its
+    own; taken from an iterator, the draw and its batch die at its turn's
+    end."""
+    s_values, jets = [], []
+    for space, spec in draws:
+        batch = PointBatch(points)
+        fields = (spec.rho, spec.F, spec.sigma, spec.sigma2, spec.phi)
+        s_values.append(spec.s.as_tuple())
+        jets.append([space.connection_jet(batch)] + [f.jet(batch) for f in fields])
+    lead = (len(s_values),) + (1,) * (np.ndim(points) - 1)
+    s = tuple(np.reshape(column, lead) for column in zip(*s_values))
+    conn, rho, F, sigma, sigma2, phi = (
+        tuple(np.stack(channel) for channel in zip(*field)) for field in zip(*jets)
+    )
+    calF_group = (F[0], sigma[0]) + _calF_arrays(*F, *sigma)
+    sphi_group = (sigma2[0], phi[0]) + _sphi_arrays(*sigma2, *phi)
+    return s, conn, rho, calF_group, sphi_group
+
+
+def reduced_arrays(s, conn_jet, calF_jet, sphi_jet, rho_jet=None) -> tuple:
+    """The connection jet of :func:`reduced_space` from stacked arrays:
+    Lambda' = L + (-omega') from the jets of L, calF and sigma_{jk} phi^i;
+    given the rho jet too, Lambda = Lambda' + (-s1 (d^i_j rho_k + d^i_k
+    rho_j)).  These are the deformed spaces' sums in their order (x - y is
+    x + (-y) in IEEE arithmetic), so each draw keeps its bits."""
+    conn = conn_jet[0]
+    omega_part = omega_jet_arrays(s, (None, calF_jet, sphi_jet), conn.shape, conn.dtype)
+    out = tuple(x - y for x, y in zip(conn_jet, omega_part))
+    if rho_jet is None:
+        return out
+    weights = _lift(s[:1], 3) + _lift(s[:1], 4)
+    return tuple(x - w * y for x, w, y in zip(out, weights, _delta_pair_jet(*rho_jet)))
+
+
 def basic_thomas(space: Space, spec: OmegaSpec):
     """Basic invariant of the Thomas type: Lambda = Lsym - omega."""
     return reduced_space(space, spec).connection
+
+
+def _groups(spec: OmegaSpec, point, jets: bool):
+    """Yields the s2 and the s3 term group that the zeta and D cores read,
+    each read when it is asked for, None where the s-value is zero: the
+    values of F and sigma, and of sigma_{jk} and phi, each followed by the
+    jet of calF, respectively sigma_{jk} phi^i, if `jets`."""
+    for s, a, b, jet in (
+        (spec.s.s2, spec.F, spec.sigma, calF_jet),
+        (spec.s.s3, spec.sigma2, spec.phi, _sphi_jet),
+    ):
+        if s == 0.0:
+            yield None
+        else:
+            yield (a.value(point), b.value(point)) + (jet(a, b, point) if jets else ())
 
 
 def zeta(space: Space, spec: OmegaSpec):
@@ -376,23 +226,31 @@ def zeta(space: Space, spec: OmegaSpec):
     keyed like Lambda, whose omega it reads."""
 
     def evaluate(point) -> np.ndarray:
-        s1, s2, s3 = spec.s.as_tuple()
-        if s1 == 0.0:
+        if spec.s.s1 == 0.0:
             return np.zeros(batch_shape(point) + (spec.chart.dim,) * 2)
         rho, drho = spec.rho.jet(point)
         conn = space.connection(point)
-        rho_cov = covariant_derivative_arrays(rho, drho, "l", conn)
-        out = s1 * rho_cov + s1 * s1 * contract("i,j->ij", rho, rho)
-        if s2 != 0.0:
-            sigma = spec.sigma.value(point)
-            FTr = contract("ai,a->i", spec.F.value(point), rho)
-            out += s1 * s2 * (contract("i,j->ij", FTr, sigma) + contract("i,j->ij", sigma, FTr))
-        if s3 != 0.0:
-            rho_phi = contract("a,a->", rho, spec.phi.value(point))
-            out += s1 * s3 * contract("ij,->ij", spec.sigma2.value(point), rho_phi)
-        return out
+        return zeta_arrays(spec.s.as_tuple(), rho, drho, conn, *_groups(spec, point, False))
 
     return partial(memo, key=_key("zeta", space, spec, True), fn=evaluate)
+
+
+def zeta_arrays(s: tuple, rho, drho, conn, F_sigma=None, sigma2_phi=None) -> np.ndarray:
+    """zeta from the s-values (stacked as in :func:`omega_arrays`), the values
+    and partials of rho, the connection values, the values (F, sigma) of the
+    s2 group and (sigma_{jk}, phi) of the s3 group; a group given as None is
+    left out."""
+    s1, s2, s3 = _lift(s, 2)
+    rho_cov = covariant_derivative_arrays(rho, drho, "l", conn)
+    out = s1 * rho_cov + s1 * s1 * contract("i,j->ij", rho, rho)
+    if F_sigma is not None:
+        F, sigma = F_sigma
+        FTr = contract("ai,a->i", F, rho)
+        out += s1 * s2 * (contract("i,j->ij", FTr, sigma) + contract("i,j->ij", sigma, FTr))
+    if sigma2_phi is not None:
+        sigma2, phi = sigma2_phi
+        out += s1 * s3 * contract("ij,->ij", sigma2, contract("a,a->", rho, phi))
+    return out
 
 
 def dee(space: Space, spec: OmegaSpec):
@@ -400,43 +258,52 @@ def dee(space: Space, spec: OmegaSpec):
     Lambda', whose omega it reads."""
 
     def evaluate(point) -> np.ndarray:
-        s1, s2, s3 = spec.s.as_tuple()
-        n = spec.chart.dim
-        out = np.zeros(batch_shape(point) + (n,) * 4)
-        if s2 == 0.0 and s3 == 0.0:
-            return out
+        if spec.s.s2 == 0.0 and spec.s.s3 == 0.0:
+            return np.zeros(batch_shape(point) + (spec.chart.dim,) * 4)
         conn = space.connection(point)
-        if s2 != 0.0:
-            sigma = spec.sigma.value(point)
-            F = spec.F.value(point)
-            FTs = contract("aj,a->j", F, sigma)
-            F2 = contract("ia,aj->ij", F, F)
-            out += s2 * s2 * (
-                contract("in,m,j->ijmn", F, FTs, sigma)
-                + contract("in,j,m->ijmn", F, FTs, sigma)
-                + contract("im,j,n->ijmn", F2, sigma, sigma)
-            )
-            calF, dcalF = calF_jet(spec.F, spec.sigma, point)
-            out -= s2 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
-        if s3 != 0.0:
-            phi = spec.phi.value(point)
-            sigma2 = spec.sigma2.value(point)
-            Sp = contract("ja,a->j", sigma2, phi)
-            out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
-            sphi, dsphi = _sphi_jet(spec.sigma2, spec.phi, point)
-            out -= s3 * covariant_derivative_arrays(sphi, dsphi, "ull", conn)
-        if s2 != 0.0 and s3 != 0.0:
-            FS = contract("am,an->mn", F, sigma2)
-            Fphi = contract("ia,a->i", F, phi)
-            out += s2 * s3 * (
-                contract("j,mn,i->ijmn", sigma, FS, phi)
-                + contract("m,jn,i->ijmn", sigma, FS, phi)
-                - contract(",im,jn->ijmn", contract("a,a->", sigma, phi), F, sigma2)
-                - contract("i,m,jn->ijmn", Fphi, sigma, sigma2)
-            )
-        return out
+        return dee_arrays(spec.s.as_tuple(), conn, _groups(spec, point, True))
 
     return partial(memo, key=_key("dee", space, spec, False), fn=evaluate)
+
+
+def dee_arrays(s: tuple, conn, groups) -> np.ndarray:
+    """D from the s-values (stacked as in :func:`omega_arrays`), the
+    connection values and its two term groups, as values: (F, sigma, calF,
+    its partials) for s2, then (sigma_{jk}, phi, sigma_{jk} phi^i, its
+    partials) for s3.  A group given as None is left out.  The sum starts
+    from zeros and adds one group at a time; the s3 group is taken from
+    `groups` only after the s2 group is summed, so that an evaluator that
+    passes a generator forms its jet no earlier."""
+    s1, s2, s3 = _lift(s, 4)
+    out = np.zeros(conn.shape + conn.shape[-1:], conn.dtype)
+    groups = iter(groups)
+    calF_group = next(groups)
+    if calF_group is not None:
+        F, sigma, calF, dcalF = calF_group
+        FTs = contract("aj,a->j", F, sigma)
+        F2 = contract("ia,aj->ij", F, F)
+        out += s2 * s2 * (
+            contract("in,m,j->ijmn", F, FTs, sigma)
+            + contract("in,j,m->ijmn", F, FTs, sigma)
+            + contract("im,j,n->ijmn", F2, sigma, sigma)
+        )
+        out -= s2 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
+    sphi_group = next(groups)
+    if sphi_group is not None:
+        sigma2, phi, sphi, dsphi = sphi_group
+        Sp = contract("ja,a->j", sigma2, phi)
+        out += s3 * s3 * contract("jm,n,i->ijmn", sigma2, Sp, phi)
+        out -= s3 * covariant_derivative_arrays(sphi, dsphi, "ull", conn)
+    if calF_group is not None and sphi_group is not None:
+        FS = contract("am,an->mn", F, sigma2)
+        Fphi = contract("ia,a->i", F, phi)
+        out += s2 * s3 * (
+            contract("j,mn,i->ijmn", sigma, FS, phi)
+            + contract("m,jn,i->ijmn", sigma, FS, phi)
+            - contract(",im,jn->ijmn", contract("a,a->", sigma, phi), F, sigma2)
+            - contract("i,m,jn->ijmn", Fphi, sigma, sigma2)
+        )
+    return out
 
 
 def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
@@ -444,8 +311,7 @@ def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
 
     DIRECT is the curvature of Lambda = L - omega, which equals
         R - omega_{jm|n} + omega_{jn|m} + omega^a_{jm} omega^i_{an} - (m<->n).
-    STRUCTURED uses the zeta / D regrouping:
-        R - d^i_j zeta_[mn] - d^i_m zeta_{jn} + d^i_n zeta_{jm} + D_{j[mn]}.
+    STRUCTURED uses the zeta / D regrouping (:func:`basic_weyl_arrays`).
     Both are exposed so the regrouping itself can be audited numerically.
     """
     if mode not in (MODE_DIRECT, MODE_STRUCTURED):
@@ -458,13 +324,18 @@ def basic_weyl(space: Space, spec: OmegaSpec, mode: str = MODE_DIRECT):
 
     def evaluate(point) -> np.ndarray:
         point = _batch(point)  # one batch, so the parts share its cache
-        r = riemann(point)
-        z = zeta_eval(point)
-        out = r - delta_product("ij,mn->ijmn", _alt(z))
-        out -= delta_bracket(z)
-        return out + _alt(dee_eval(point))
+        return basic_weyl_arrays(riemann(point), zeta_eval(point), dee_eval(point))
 
     return evaluate
+
+
+def basic_weyl_arrays(riemann, z, d) -> np.ndarray:
+    """The structured basic Weyl invariant
+        R - d^i_j zeta_[mn] - d^i_m zeta_{jn} + d^i_n zeta_{jm} + D_{j[mn]}
+    from the curvature, zeta and D, over any leading axes."""
+    out = riemann - delta_product("ij,mn->ijmn", _alt(z))
+    out -= delta_bracket(z)
+    return out + _alt(d)
 
 
 def derived_thomas(space: Space, spec: OmegaSpec):
@@ -476,14 +347,20 @@ def derived_thomas(space: Space, spec: OmegaSpec):
     """
     reduced = reduced_space(space, spec, rho=False)
     reduced_thomas = thomas(reduced)
-    s1 = spec.s.s1
 
     def evaluate(point) -> np.ndarray:
         point = _batch(point)
         conn = reduced.connection(point)
-        return conn - s1 * (conn - reduced_thomas(point))
+        return derived_thomas_arrays(spec.s.as_tuple(), conn, reduced_thomas(point))
 
     return evaluate
+
+
+def derived_thomas_arrays(s: tuple, conn, conn_thomas) -> np.ndarray:
+    """The derived Thomas invariant from the s-values (stacked as in
+    :func:`omega_arrays`), the values of Lambda' and its Thomas parameter."""
+    s1 = _lift(s, 3)[0]
+    return conn - s1 * (conn - conn_thomas)
 
 
 def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
@@ -493,23 +370,47 @@ def derived_thomas_correlation_residual(space: Space, spec: OmegaSpec):
 
     def evaluate(point) -> np.ndarray:
         point = _batch(point)
-        s1, s2, s3 = spec.s.as_tuple()
-        n = spec.chart.dim
         conn = space.connection(point)
-        t_classical = thomas_arrays(conn)
-        sigma = spec.sigma.value(point)
-        F = spec.F.value(point)
-        phi = spec.phi.value(point)
-        sigma2 = spec.sigma2.value(point)
-        # s2 nu_k + s3 sigma_{ka} phi^a
-        bterm = s2 * _nu(F, sigma) + s3 * contract("ka,a->k", sigma2, phi)
-        rhs = s1 * t_classical + (1.0 - s1) * conn
-        rhs -= s2 * _pair(F, sigma)
-        rhs -= s3 * contract("jk,i->ijk", sigma2, phi)
-        rhs += (s1 / (n + 1)) * _delta_pair(bterm)
-        return derived(point) - rhs
+        values = [f.value(point) for f in (spec.F, spec.sigma, spec.sigma2, spec.phi)]
+        return derived_thomas_correlation_arrays(spec.s.as_tuple(), conn, derived(point), *values)
 
     return evaluate
+
+
+def derived_thomas_correlation_arrays(s: tuple, conn, derived, F, sigma, sigma2, phi):
+    """The derived Thomas invariant `derived` minus its correlation form
+        s1 T + (1 - s1) L - s2 calF - s3 sigma_{jk} phi^i
+        + s1/(N+1) (d^i_j b_k + d^i_k b_j),  b = s2 nu + s3 sigma_{ka} phi^a,
+    from the s-values (stacked as in :func:`omega_arrays`), the connection
+    values L and the field values."""
+    s1, s2, s3 = _lift(s, 3)
+    b2, b3 = _lift(s, 1)[1:]
+    n = conn.shape[-1]
+    bterm = b2 * _nu(F, sigma) + b3 * contract("ka,a->k", sigma2, phi)
+    rhs = s1 * thomas_arrays(conn) + (1.0 - s1) * conn
+    rhs -= s2 * _pair(F, sigma)
+    rhs -= s3 * contract("jk,i->ijk", sigma2, phi)
+    rhs += (s1 / (n + 1)) * _delta_pair(bterm)
+    return derived - rhs
+
+
+def _dee_traces(d):
+    """D^a_{a[mn]} and D^a_{j[ma]}: the D traces of the Weyl chain."""
+    trace = _alt(np.einsum("...aamn->...mn", d))
+    return trace, np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
+
+
+def weyl_correlation_arrays(final, reduced_weyl, d) -> np.ndarray:
+    """The chain's ``final`` minus W(Lambda') + d^i_j A_mn / (N+1)
+    - (d^i_m B_jn - d^i_n B_jm) / (N^2-1) (Lambda' = L - omega without rho,
+    A_mn = D^a_{amn} - D^a_{anm}, B_jm = (N+1) (D^a_{jma} - D^a_{jam}) + A_jm),
+    which vanishes under the shipped Ricci convention, from ``final``,
+    W(Lambda') and D over any leading axes."""
+    trace, mix = _dee_traces(d)
+    n = d.shape[-1]
+    out = final - reduced_weyl
+    out -= delta_product("ij,mn->ijmn", trace) / (n + 1)
+    return out + delta_bracket((n + 1) * mix + trace) / (n * n - 1)
 
 
 @dataclass
@@ -535,10 +436,7 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
 
     def pieces_at(point):
         d = dee_eval(point)
-        # D^a_{a[mn]} and D^a_{j[ma]}
-        dtrace_alt = _alt(np.einsum("...aamn->...mn", d))
-        dmix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
-        return classical_eval(point), _alt(d), dtrace_alt, dmix
+        return (classical_eval(point), _alt(d)) + _dee_traces(d)
 
     # shared by the four stages, so each batch assembles them once
     pieces = partial(memo, key=pieces_at, fn=pieces_at)

@@ -142,7 +142,7 @@ def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
     """Target space of the F-planar mapping with the given defining data."""
 
     def fn(point):
-        psi_pair, dpsi_pair = _delta_pair_jet(f.psi, point)
+        psi_pair, dpsi_pair = _delta_pair_jet(*f.psi.jet(point))
         calF, dcalF = calF_jet(f.F, f.sigma, point)
         return psi_pair + calF, dpsi_pair + dcalF
 
@@ -294,22 +294,32 @@ class InvarianceReport:
         }
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), indent=2)``, written
+        """The text of ``json.dumps(self.to_dict(), indent=2)``: the pieces
+        of :meth:`json_pieces` joined."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """The text of :meth:`to_json` in pieces, one per row, written
         directly: ``indent`` selects json's pure-Python encoder, which costs
-        more than the verdict on a report of a few thousand points.  The rows
-        of a verify report share their point tuples, so each point's text is
-        formatted once; it is keyed by identity, since equal points may print
-        differently (0.0 and -0.0, 1 and 1.0)."""
+        more than the verdict on a report of a few thousand points.  A writer
+        that takes the pieces in turn holds one row's text at a time.  The
+        rows of a verify report share their point tuples, so each point's text
+        is formatted once; it is keyed by identity, since equal points may
+        print differently (0.0 and -0.0, 1 and 1.0)."""
+        head = f'{{\n  "tol": {_json_number(self.tol)},\n  "passed": {_json_number(self.passed)},\n'
+        if not self.rows:
+            yield head + '  "invariants": []\n}'
+            return
+        yield head + '  "invariants": [\n'
         point_text: dict = {}
-        rows = []
-        for row in self.rows:
-            head = [
+        for k, row in enumerate(self.rows):
+            fields = [
                 f'      "name": {json.dumps(row.name)}',
                 f'      "max_discrepancy": {_json_number(row.max_discrepancy)}',
                 f'      "passed": {_json_number(row.passed)}',
             ]
             if not row.finite:
-                head.append('      "non_finite": true')
+                fields.append('      "non_finite": true')
             entries = []
             for point, disc in row.discrepancies:
                 text = point_text.get(id(point))
@@ -319,12 +329,9 @@ class InvarianceReport:
                     f'        {{\n          "point": {text},\n'
                     f'          "discrepancy": {_json_number(disc)}\n        }}'
                 )
-            head.append('      "points": ' + _json_block(entries, "      "))
-            rows.append("    {\n" + ",\n".join(head) + "\n    }")
-        return (
-            f'{{\n  "tol": {_json_number(self.tol)},\n  "passed": {_json_number(self.passed)},\n'
-            f'  "invariants": {_json_block(rows, "  ")}\n}}'
-        )
+            fields.append('      "points": ' + _json_block(entries, "      "))
+            yield (",\n" if k else "") + "    {\n" + ",\n".join(fields) + "\n    }"
+        yield "\n  ]\n}"
 
     def to_text(self) -> str:
         width = max((len(row.name) for row in self.rows), default=10)

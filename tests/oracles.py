@@ -12,7 +12,11 @@ way, or one expression at a time:
 - :func:`riemannian_weyl`, the projective Weyl assembly reduced for a
   symmetric Ricci tensor;
 - :func:`omega_square_residual`, the audit's omega-square measurement one
-  random draw at a time, each on a batch of its own.
+  random draw at a time, each on a batch of its own;
+- :func:`weyl_modes_residual` and :func:`correlation_residuals`, the
+  measurements of the audit's basic-Weyl modes and correlation findings the
+  same way, and :func:`weyl_correlation_residual`, the Weyl correlation
+  residual of one draw, assembled from the evaluators' results.
 """
 
 from __future__ import annotations
@@ -26,14 +30,26 @@ from tensor_invariants.expr import Const, DomainError, Expr, Unary, Var
 from tensor_invariants.geometry import (
     RICCI_LAST,
     Space,
+    _alt,
     curvature,
     delta_bracket,
     ricci_arrays,
+    weyl,
 )
-from tensor_invariants.invariants import omega, omega_square_expanded
+from tensor_invariants.invariants import (
+    MODE_DIRECT,
+    MODE_STRUCTURED,
+    basic_weyl,
+    dee,
+    derived_thomas_correlation_residual,
+    derived_weyl_chain,
+    omega,
+    omega_square_expanded,
+    reduced_space,
+)
 from tensor_invariants.jets import compile_program, rule_of, run_program
-from tensor_invariants.sampling import random_omega_spec
-from tensor_invariants.tensor import PointBatch
+from tensor_invariants.sampling import random_connection_space, random_omega_spec
+from tensor_invariants.tensor import PointBatch, delta_product
 
 
 def evaluate(node: Expr, point) -> float:
@@ -102,3 +118,51 @@ def omega_square_residual(chart, rng, points) -> float:
         direct = np.einsum("...ajm,...ian->...ijmn", w, w)
         worst = max(worst, float(np.max(np.abs(direct - omega_square_expanded(spec, batch)))))
     return worst
+
+
+def _largest(array) -> float:
+    return float(np.max(np.abs(array)))
+
+
+def weyl_modes_residual(chart, rng, points) -> float:
+    """The largest gap between the direct and the structured basic Weyl
+    invariant over 10 random spaces and omega specs drawn from `rng`, each
+    evaluated on the first 3 `points` as a batch of its own."""
+    worst = 0.0
+    for _ in range(10):
+        space = random_connection_space(chart, rng)
+        spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:3])
+        direct = basic_weyl(space, spec, MODE_DIRECT)(batch)
+        structured = basic_weyl(space, spec, MODE_STRUCTURED)(batch)
+        worst = max(worst, _largest(direct - structured))
+    return worst
+
+
+def weyl_correlation_residual(space, spec, point) -> np.ndarray:
+    """The chain's ``final`` minus W(Lambda') + d^i_j A_mn / (N+1)
+    - (d^i_m B_jn - d^i_n B_jm) / (N^2-1) (Lambda' = L - omega without rho,
+    A_mn = D^a_{amn} - D^a_{anm}, B_jm = (N+1) (D^a_{jma} - D^a_{jam}) + A_jm),
+    which vanishes under the shipped Ricci convention."""
+    final = derived_weyl_chain(space, spec, RICCI_LAST).final(point)
+    d = dee(space, spec)(point)  # the D the chain read, from the batch's cache
+    trace = _alt(np.einsum("...aamn->...mn", d))
+    mix = np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
+    n = space.dim
+    out = final - weyl(reduced_space(space, spec, rho=False), RICCI_LAST)(point)
+    out -= delta_product("ij,mn->ijmn", trace) / (n + 1)
+    return out + delta_bracket((n + 1) * mix + trace) / (n * n - 1)
+
+
+def correlation_residuals(chart, rng, points) -> tuple[float, float]:
+    """The largest Thomas and Weyl correlation residuals over 10 random
+    spaces and omega specs drawn from `rng`, each evaluated on the first 2
+    `points` as a batch of its own."""
+    worst_t = worst_w = 0.0
+    for _ in range(10):
+        space = random_connection_space(chart, rng)
+        spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:2])
+        worst_t = max(worst_t, _largest(derived_thomas_correlation_residual(space, spec)(batch)))
+        worst_w = max(worst_w, _largest(weyl_correlation_residual(space, spec, batch)))
+    return worst_t, worst_w

@@ -17,8 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import eval_jet, evaluate, riemannian_weyl
-from tensor_invariants.audit import _weyl_correlation_residual, run_paper_audit
+from oracles import eval_jet, evaluate, riemannian_weyl, weyl_correlation_residual
+from tensor_invariants.audit import run_paper_audit
 from tensor_invariants.cli import main as cli_main
 from tensor_invariants.expr import Chart, parse
 from tensor_invariants.geometry import (
@@ -253,7 +253,7 @@ def test_criterion_08_correlation_identities(chart):
         point = tuple(rng.uniform(1.0, 2.0, 3))
         worst = max(worst, float(np.max(np.abs(
             derived_thomas_correlation_residual(space, spec)(point)))))
-        worst = max(worst, float(np.max(np.abs(_weyl_correlation_residual(space, spec, point)))))
+        worst = max(worst, float(np.max(np.abs(weyl_correlation_residual(space, spec, point)))))
     passed = worst < 1e-12
     report(8, passed, "Thomas and Weyl correlation identities", f"max residual {worst:.2e}")
     assert passed

@@ -3,23 +3,46 @@ gets on its own, bit for bit, and the error it raises on its own.  Likewise
 a stack of omega draws must give every draw the result of its own call."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import evaluate, omega_square_residual
-from tensor_invariants import mappings
+from oracles import (
+    correlation_residuals,
+    evaluate,
+    omega_square_residual,
+    weyl_correlation_residual,
+    weyl_modes_residual,
+)
+from tensor_invariants import audit, geometry, mappings
 from tensor_invariants.audit import run_paper_audit
 from tensor_invariants.cli import main
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart, DomainError, parse
 from tensor_invariants.geometry import RICCI_LAST, SingularMetricError, Space
+from tensor_invariants.deformation import _delta_pair_jet, omega_jet_arrays
 from tensor_invariants.invariants import (
+    MODE_DIRECT,
+    MODE_STRUCTURED,
     SValues,
+    basic_weyl,
+    basic_weyl_arrays,
+    dee,
+    dee_arrays,
+    derived_thomas,
+    derived_thomas_arrays,
+    derived_thomas_correlation_residual,
     omega,
     omega_arrays,
+    omega_jet,
     omega_square_arrays,
     omega_square_expanded,
+    reduced_arrays,
+    reduced_space,
+    stack_draws,
+    zeta,
+    zeta_arrays,
 )
 from tensor_invariants.mappings import (
     _evaluator_pairs,
@@ -111,6 +134,137 @@ def test_stacked_omega_draws_are_bit_identical_to_each_draw(dim):
                 alone = own(spec, point)
                 assert stacked[k].shape == alone.shape
                 assert stacked[k].tobytes() == alone.tobytes(), (core.__name__, k)
+
+
+def _own_results(space, spec, point) -> dict:
+    """Each evaluator's result for one (space, spec) draw at `point`."""
+    return {
+        "omega jet": omega_jet(spec, point),
+        "Lambda'": reduced_space(space, spec, rho=False).connection_jet(point),
+        "Lambda": reduced_space(space, spec).connection_jet(point),
+        "zeta": zeta(space, spec)(point),
+        "dee": dee(space, spec)(point),
+        "basic Weyl direct": basic_weyl(space, spec, MODE_DIRECT)(point),
+        "basic Weyl structured": basic_weyl(space, spec, MODE_STRUCTURED)(point),
+        "derived Thomas": derived_thomas(space, spec)(point),
+        "Thomas correlation": derived_thomas_correlation_residual(space, spec)(point),
+        "Weyl correlation": weyl_correlation_residual(space, spec, point),
+    }
+
+
+def _stacked_results(stack, off=None) -> dict:
+    """The cores' results for stacked draws (:func:`stack_draws`), with the
+    term group of s-value `off` (0, 1 or 2) left out, as its evaluators do."""
+    s, conn, rho, calF_group, sphi_group = stack
+    groups = [calF_group, sphi_group]
+    if off in (1, 2):
+        groups[off - 1] = None
+    calF_group, sphi_group = groups
+
+    def part(group, cut):
+        return None if group is None else group[cut]
+
+    calF, sphi = part(calF_group, slice(2, None)), part(sphi_group, slice(2, None))
+    rho_pair = None if off == 0 else _delta_pair_jet(*rho)
+    lam = reduced_arrays(s, conn, calF, sphi)
+    if off == 0:  # zeta's evaluator gives zeros without the core
+        z = np.zeros(conn[0].shape[:-1])
+    else:
+        z = zeta_arrays(s, *rho, conn[0], part(calF_group, slice(2)), part(sphi_group, slice(2)))
+    d = dee_arrays(s, conn[0], (calF_group, sphi_group))
+    out = {
+        "omega jet": omega_jet_arrays(s, (rho_pair, calF, sphi), conn[0].shape),
+        "Lambda'": lam,
+        "Lambda": reduced_arrays(s, conn, calF, sphi, rho),
+        "zeta": z,
+        "dee": d,
+        "basic Weyl structured": basic_weyl_arrays(geometry.curvature_arrays(*conn), z, d),
+        "derived Thomas": derived_thomas_arrays(s, lam[0], geometry.thomas_arrays(lam[0])),
+    }
+    if off is None:  # what the findings compute, all groups on
+        out["basic Weyl direct"], structured = audit._weyl_modes(*stack)
+        assert structured.tobytes() == out["basic Weyl structured"].tobytes()
+        out["Thomas correlation"], out["Weyl correlation"] = audit._correlations(*stack)
+    return out
+
+
+def _assert_each_draw_has_its_bits(stacked: dict, draws, point):
+    for k, (space, spec) in enumerate(draws):
+        own = _own_results(space, spec, point)
+        for name, value in stacked.items():
+            mine = own[name] if isinstance(own[name], tuple) else (own[name],)
+            theirs = value if isinstance(value, tuple) else (value,)
+            for a, b in zip(theirs, mine, strict=True):
+                assert a[k].shape == b.shape, (name, k)
+                assert a[k].tobytes() == b.tobytes(), (name, k)
+
+
+def _point_forms(points):
+    """(evaluator argument, coordinates for :func:`stack_draws`): a point, a
+    batch made from one point, a one-point batch and a batch."""
+    return (
+        (points[0], points[0]),
+        (PointBatch(points[0]), points[0]),
+        (PointBatch(points[:1]), points[:1]),
+        (PointBatch(points), points),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_cores_give_each_draw_its_evaluators_bits(dim):
+    # draws stacked on a leading axis and run once through the cores (and
+    # through the two findings' arithmetic) give each draw the bytes of its
+    # own evaluator calls, on a point, one-point batches and a batch
+    rng = np.random.default_rng(80 + dim)
+    chart = Chart(tuple(f"x{i + 1}" for i in range(dim)))
+    draws = [(random_connection_space(chart, rng), random_omega_spec(chart, rng)) for _ in range(3)]
+    assert all(x != 0.0 for _, spec in draws for x in spec.s.as_tuple())
+    points = sample_points([[1.0, 2.0]] * dim, 3, seed=dim)
+    for point, coordinates in _point_forms(points):
+        stacked = _stacked_results(stack_draws(draws, coordinates))
+        assert len(stacked) == 10
+        _assert_each_draw_has_its_bits(stacked, draws, point)
+
+
+@pytest.mark.parametrize("off", [0, 1, 2])
+def test_stacked_cores_keep_each_zero_s_branch(off):
+    # draws that share a zero s-value leave its term group out of the cores
+    # (None), as the evaluators' zero-s branches do, with the same bytes
+    rng = np.random.default_rng(90 + off)
+    chart = Chart(("x1", "x2", "x3"))
+    draws = []
+    for _ in range(3):
+        s = rng.uniform(-1.0, 1.0, 3)
+        s[off] = 0.0
+        spec = random_omega_spec(chart, rng, SValues(*map(float, s)))
+        draws.append((random_connection_space(chart, rng), spec))
+    points = sample_points([[1.0, 2.0]] * 3, 3, seed=off)
+    for point, coordinates in _point_forms(points):
+        stacked = _stacked_results(stack_draws(draws, coordinates), off)
+        _assert_each_draw_has_its_bits(stacked, draws, point)
+
+
+@pytest.mark.parametrize("finding", ["_weyl_modes_finding", "_correlation_finding"])
+def test_stacked_findings_run_the_curvature_kernel_twice(finding, monkeypatch):
+    # two curvatures per finding (L and a reduced connection) for all its
+    # draws together, whatever their count: 2, not 2 per draw
+    shapes = []
+    original = geometry.curvature_arrays
+
+    def counted(conn, dconn):
+        shapes.append(conn.shape)
+        return original(conn, dconn)
+
+    for module in (audit, geometry):
+        monkeypatch.setattr(module, "curvature_arrays", counted)
+    chart = builtin_config("example-r3").chart
+    points = sample_points([[1.0, 2.0]] * 3, 8, seed=1)
+    draws = audit._random_draws
+    for count in (2, 10):
+        monkeypatch.setattr(audit, "_random_draws", partial(draws, count=count))
+        shapes.clear()
+        getattr(audit, finding)(chart, np.random.default_rng(count), points)
+        assert [shape[0] for shape in shapes] == [count, count]
 
 
 def _connection_space():
@@ -310,3 +464,20 @@ def test_omega_square_finding_matches_the_per_draw_loop(seed):
     finding = run_paper_audit(seed=seed)[3]
     assert finding.id == "omega-square-expansion"
     assert finding.measurement == {"max_residual_50_specs": expected}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_stacked_findings_match_the_per_draw_loops(seed):
+    # the basic-Weyl modes and correlation findings evaluate their 10 draws
+    # each as one stack; loops over the draws, each on a batch of its own,
+    # measure the same residuals
+    chart = builtin_config("example-r3").chart
+    points = sample_points([[1.0, 2.0]] * 3, 8, seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    omega_square_residual(chart, rng, points)  # the draws of the finding before
+    modes = weyl_modes_residual(chart, rng, points)
+    thomas, weyl = correlation_residuals(chart, rng, points)
+    findings = run_paper_audit(seed=seed)[4:6]
+    assert [f.id for f in findings] == ["basic-weyl-direct-vs-structured", "correlation-identities"]
+    assert findings[0].measurement == {"max_residual": modes}
+    assert findings[1].measurement == {"thomas_max_residual": thomas, "weyl_max_residual": weyl}

@@ -50,6 +50,23 @@ def test_verify_fplanar_demo_exit_code_3(tmp_path, capsys):
     assert by_name["fplanar_wbasic"]["passed"] is False
 
 
+def test_report_file_is_written_a_row_at_a_time(tmp_path, monkeypatch, capsys):
+    # the CLI writes report.json from the report's pieces, one per row: the
+    # file holds the text of to_json, which equals json.dumps(to_dict())
+    real, reports = cli.verify_invariance, []
+
+    def verify(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_invariance", verify)
+    assert run_cli("verify", "--config", "fplanar-demo", "--out", str(tmp_path)) == 3
+    (report,) = reports
+    assert len(list(report.json_pieces())) == len(report.rows) + 2
+    text = (tmp_path / "report.json").read_text()
+    assert text == report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
 def test_bad_config_exit_code_1(capsys):
     assert run_cli("thomas", "--config", "no-such-config") == 1
     assert run_cli("thomas") == 1
@@ -222,6 +239,23 @@ def test_scalar_maps_at_edge_arguments_exit_cleanly(form, argument, u, tmp_path,
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("math error:") and " in subexpression '" in err, err
+
+
+@pytest.mark.parametrize(
+    "entry, point, reason",
+    [
+        ("u^10^400", "2,1", "chained exponent is not a finite real number (at position 4)"),
+        ("u^1e999", "-2,1", "number 1e999 is not finite (at position 2)"),
+    ],
+)
+def test_non_finite_number_in_a_config_is_a_config_error(entry, point, reason, tmp_path, capsys):
+    # the fold 10^400 overflows and 1e999 reads as inf: each is rejected where
+    # it is written, as a config error naming the position, not a traceback
+    config = {"chart": ["u", "v"], "space": {"connection": {"1,1,1": entry}}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("christoffel", "--config", str(path), f"--point={point}") == 1
+    assert capsys.readouterr().err == f"config error: connection: {reason}\n"
 
 
 def test_small_scale_metric_is_accepted(capsys):

@@ -93,5 +93,7 @@ def test_traced_audit_reaches_every_audit_span(tmp_path):
     spans = result["spans"]
     empty = [name for name in AUDIT_ONLY_SPANS if counts.get(f"{name}.{spans[name]}", 0) < 1]
     assert not empty, f"audit spans with no call: {empty}"
-    # the omega-square finding contracts all of its 50 draws in one einsum
-    assert counts["numpy.einsum.calls"] == 145
+    # the omega-square finding contracts all of its 50 draws in one einsum,
+    # and the correlation finding takes each of its 7 traces (2 Ricci, 2
+    # Thomas, 3 of D) once for its 10 draws, not once per draw (145 before)
+    assert counts["numpy.einsum.calls"] == 52

@@ -66,6 +66,31 @@ def test_negative_exponent_needs_parens():
         parse("u^-2", CHART)
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("1e999 + u", 0, "number 1e999 is not finite"),
+        ("u^1e999", 2, "number 1e999 is not finite"),
+        ("u^(-1e999)", 4, "number 1e999 is not finite"),
+        ("u^10^400", 4, "chained exponent is not a finite real number"),  # overflows
+        ("u^0^(-1)", 3, "chained exponent is not a finite real number"),  # 1/0
+        ("u^(-8)^0.5", 6, "chained exponent is not a finite real number"),  # complex
+        ("u^2^10^400", 6, "chained exponent is not a finite real number"),  # inner fold
+    ],
+)
+def test_non_finite_numbers_are_parse_errors(text, position, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, CHART)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_finite_chained_exponents_still_fold():
+    assert parse("u^2^(-1)", CHART) == Binary("pow", Var(0), Const(0.5))
+    assert parse("u^(-2)^3", CHART) == Binary("pow", Var(0), Const(-8.0))
+    assert parse("1e308*u", CHART) == Binary("mul", Const(1e308), Var(0))
+
+
 def test_precedence_mul_over_add():
     assert parse("u+v*w", CHART) == Binary("add", Var(0), Binary("mul", Var(1), Var(2)))
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tensor_invariants.audit import _weyl_correlation_residual
+from oracles import weyl_correlation_residual
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import RICCI_LAST, RICCI_MIDDLE, Space, curvature, thomas, weyl
 from tensor_invariants.invariants import (
@@ -344,7 +344,7 @@ def test_weyl_chain_correlation_residual():
             space = build(chart, rng)
             spec = random_omega_spec(chart, rng)
             final = derived_weyl_chain(space, spec).final(batch)
-            residual = _weyl_correlation_residual(space, spec, batch)
+            residual = weyl_correlation_residual(space, spec, batch)
             assert np.all(np.abs(residual) <= 1e-12 * np.maximum(1.0, np.abs(final)))
             # the trace terms are far from rounding, so their signs are checked
             w = weyl(reduced_space(space, spec, rho=False))(batch)
@@ -436,3 +436,53 @@ def test_reduced_spaces_are_shared_by_s_and_fields(chart):
             if not rho:
                 spec = replace(spec, s=SValues(0.0, s.s2, s.s3))
             _assert_close(reduced.connection(P0), space.connection(P0) - omega(spec, P0))
+
+
+# --- symbolic certificates of the array cores ---------------------------------------------
+
+
+def _symbolic_jet(sp, name: str, shape: tuple, xs, key=lambda index: index):
+    """Values and first partials of a generic field of `shape`: one undefined
+    function of the coordinates `xs` per entry, entries of equal `key` equal."""
+    value = np.empty(shape, dtype=object)
+    for index in np.ndindex(shape):
+        value[index] = sp.Function(name + "".join(map(str, key(index))))(*xs)
+    grad = np.empty(shape + (len(xs),), dtype=object)
+    for index in np.ndindex(grad.shape):
+        grad[index] = sp.diff(value[index[:-1]], xs[index[-1]])
+    return value, grad
+
+
+def test_basic_weyl_direct_equals_structured_identically_at_n2():
+    # the zeta / D regrouping is an identity: at N = 2, with a general
+    # symmetric connection, general fields and symbolic s-values, the direct
+    # basic Weyl invariant (the curvature of Lambda = L - omega) and the
+    # structured assembly agree in every component, run through the cores
+    sp = pytest.importorskip("sympy")
+    from tensor_invariants.deformation import _calF_arrays, _sphi_arrays
+    from tensor_invariants.geometry import curvature_arrays
+    from tensor_invariants.invariants import (
+        basic_weyl_arrays,
+        dee_arrays,
+        reduced_arrays,
+        zeta_arrays,
+    )
+
+    xs = sp.symbols("x y")
+    s = sp.symbols("s1 s2 s3")
+    conn = _symbolic_jet(sp, "L", (2, 2, 2), xs, key=lambda i: (i[0],) + tuple(sorted(i[1:])))
+    rho = _symbolic_jet(sp, "rho", (2,), xs)
+    sigma = _symbolic_jet(sp, "sigma", (2,), xs)
+    F = _symbolic_jet(sp, "F", (2, 2), xs)
+    phi = _symbolic_jet(sp, "phi", (2,), xs)
+    sigma2 = _symbolic_jet(sp, "S", (2, 2), xs, key=lambda i: tuple(sorted(i)))
+    calF_group = (F[0], sigma[0]) + _calF_arrays(*F, *sigma)
+    sphi_group = (sigma2[0], phi[0]) + _sphi_arrays(*sigma2, *phi)
+
+    direct = curvature_arrays(*reduced_arrays(s, conn, calF_group[2:], sphi_group[2:], rho))
+    z = zeta_arrays(s, *rho, conn[0], calF_group[:2], sphi_group[:2])
+    d = dee_arrays(s, conn[0], (calF_group, sphi_group))
+    structured = basic_weyl_arrays(curvature_arrays(*conn), z, d)
+    assert direct.shape == structured.shape == (2, 2, 2, 2)
+    assert all(sp.expand(gap) == 0 for gap in (direct - structured).ravel())
+    assert any(sp.expand(entry) != 0 for entry in z.ravel())  # not a vacuous zero

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tensor_invariants import geometry, invariants, mappings, tensor
+from tensor_invariants import deformation, geometry, invariants, mappings, tensor
 from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import thomas, weyl
@@ -94,7 +94,7 @@ def _check_against_oracle(build, points, monkeypatch):
     def no_memo(point, key, fn):
         return fn(point if isinstance(point, tensor.PointBatch) else tensor.PointBatch(point))
 
-    for module in (tensor, geometry, invariants, mappings):
+    for module in (tensor, geometry, deformation, invariants, mappings):
         monkeypatch.setattr(module, "memo", no_memo)
     for row in report.rows:
         for index, point in enumerate(points):
@@ -295,7 +295,7 @@ def test_verify_omega_work_counts(monkeypatch):
     # calF jets, asked for by omega (the target's deformation), L - omega
     # without rho and D, per (F, sigma, block)
     calF_calls, calF_builds = Counter(), Counter()
-    memo = invariants.memo
+    memo = deformation.memo  # calF_jet's
 
     def counting_memo(point, key, fn):
         if isinstance(key, tuple) and key[0] == "calF":
@@ -309,7 +309,7 @@ def test_verify_omega_work_counts(monkeypatch):
             return memo(point, key, build)
         return memo(point, key, fn)
 
-    monkeypatch.setattr(invariants, "memo", counting_memo)
+    monkeypatch.setattr(deformation, "memo", counting_memo)
     report = verify_invariance(source, target, mapping, points)
     assert len(report.rows) == 10
     runs = _check_runs(calls, points, 2)
