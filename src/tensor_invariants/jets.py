@@ -10,24 +10,22 @@ repeated within or across entries (mirror entries, a shared ``sin(u)``) is
 computed once, with the bits a program of one entry gives.  ``node`` is the
 op's tree node, so a ``DomainError`` names the subexpression that failed.
 A scalar map (a function, or ``pow`` with its constant exponent folded in)
-carries its rule as ``arg`` (:func:`rule_of`), the one place that checks the
-map's domain and gives its value and derivatives by ``math``, only up to the
-requested order: the order-1 jet of ``u^1.5`` at u = 0 is fine, its order-2
-jet is singular.
+carries its rule as ``arg`` (:func:`rule_of`): numpy ufuncs on a whole value
+(a constant subtree's float, or a ``(P,)`` array, in its dtype) give the
+value, the derivatives up to the requested order and the domain checks, each
+a mask of the rows that fail it: the order-1 jet of ``u^1.5`` at u = 0 is
+fine, its order-2 jet is singular.
 
 :func:`run_program` runs a program over a ``(P, N)`` array of points, one
 point as one row: values ``(P,)``, and at order 1 or 2 gradients ``(P, N)``
 and Hessians ``(P, N, N)`` by truncated Taylor arithmetic (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13), exact up to rounding.  The
-arithmetic is elementwise and each scalar map applies its float rule to
-each row in turn (numpy's ``exp``/``log``/``power`` can differ from ``math``
-by an ulp), so a row's channels are bit-identical to a run of that row
-alone.  A constant subtree stays a float; its zero gradient and a linear
-subtree's zero Hessian are None and cost no array work.  Order 2 is the
-most the library needs (second partials of a metric give the first partials
-of its Christoffel symbols).  Floats overflow to inf/NaN without raising:
-callers run programs with numpy's overflow warnings off and check the
-results.
+Walther, *Evaluating Derivatives*, ch. 13), exact up to rounding.  Every step
+is elementwise and each ufunc gives a row the same bits in any batch (pinned
+by ``tests/test_jets.py``), so a row's channels are bit-identical to a run of
+that row alone.  A constant subtree stays a float; its zero gradient and a
+linear subtree's zero Hessian are None and cost no array work.  Order 2 is
+the most the library needs (second partials of a metric give the first
+partials of its Christoffel symbols).
 """
 
 from __future__ import annotations
@@ -82,6 +80,7 @@ def compile_program(*entries: Expr) -> Program:
     roots = []
     for owner, node in enumerate(entries):
         roots.append(visit(node))
+    del visit  # its closure holds itself, ops and the trees: no cycle left for the GC
     return Program(tuple(ops), tuple(roots), tuple(owners))
 
 
@@ -92,31 +91,27 @@ def run_program(program: Program, point, order: int):
 
     `point` is one point (N coordinates), or a ``(P, N)`` array of points;
     then the channels are ``(E, P)``, ``(E, P, N)`` and ``(E, P, N, N)``
-    arrays, each row bit-identical to a run at that row alone: the Taylor
-    arithmetic is elementwise, and scalar maps (and the reciprocal inside
-    ``div``) apply their float rules to each row in turn.  A run raises
-    the ``DomainError`` of its first failing entry, at that entry's first
-    failing row, as one-entry programs run in entry order do.
+    arrays, in the points' floating dtype.  Floats overflow to inf/NaN with
+    numpy's warnings off.  A run whose checks fire raises the ``DomainError``
+    of its first failing entry at that entry's first failing row, as runs of
+    each row alone in turn would.
     """
-    points = np.asarray(point, dtype=float)
+    points = np.asarray(point)
+    if points.dtype.kind != "f":
+        points = points.astype(float)
     rows = points if points.ndim == 2 else points[None]
-    try:
-        out = _run(program, rows, order)
-    except DomainError:
-        # a row alone raises at the first failing op of its first failing
-        # entry, since a lower entry's ops all run first: the row whose
-        # failing op has the lowest owner, the first of them, is the one
-        first = None
-        for r in range(len(rows)):
-            try:
-                _run(program, rows[r : r + 1], order)
-            except DomainError as error:
-                owner = next(o for op, o in zip(program.ops, program.owners) if op[2] is error.node)
-                if first is None or owner < first[0]:
-                    first = owner, error
-        if first is None:
-            raise
-        raise first[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out, failures = _run(program, rows, order)
+    if failures:
+        # each row's first failing check, then the first row whose check has
+        # the lowest owner (with no rows, only a constant's check can fire)
+        first = np.full(max(len(rows), 1), len(failures))
+        for k in range(len(failures) - 1, -1, -1):
+            first[failures[k][2]] = k
+        owners = np.array([failure[0] for failure in failures] + [len(program.roots)])
+        row = int(np.argmin(owners[first]))
+        _, node, _, reason, x = failures[first[row]]
+        raise DomainError(reason.format(float(x[row] if isinstance(x, np.ndarray) else x)), node)
     if points.ndim != 2:
         out = [channel[:, 0] for channel in out]
     return tuple(out) if order else out[0]
@@ -125,33 +120,37 @@ def run_program(program: Program, point, order: int):
 _ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def _run(program: Program, points: np.ndarray, order: int) -> list:
+def _run(program: Program, points: np.ndarray, order: int) -> tuple:
+    """The channels of every entry, and ``(owner, node, fails, reason, x)``
+    of each check that fired, in run order."""
     slots: list = []
+    failures: list = []
     push = slots.append
     rows, n = points.shape
     second = order == 2
-    for code, arg, node, i, j in program.ops:
+    for (code, arg, node, i, j), owner in zip(program.ops, program.owners):
         if order == 0:
             if code == "const":
                 push(arg)
             elif code == "var":
                 push(points[:, arg])
             elif code == "map":
-                push(_each(arg, slots[i], node, 0)[0])
+                x = slots[i]
+                push(_checked(arg(x, 0), failures, owner, node, x)[0])
             elif code == "neg":
                 push(-slots[i])
             elif code != "div":
                 push(_ARITHMETIC[code](slots[i], slots[j]))
-            elif np.any(slots[j] == 0.0):
-                raise DomainError("division by zero", node)
             else:
-                push(slots[i] / slots[j])
+                b = slots[j]
+                _checked(_divisor(b, 0), failures, owner, node, b)
+                push(np.divide(slots[i], b))
         elif code == "mul":
             a, b = slots[i], slots[j]
             push(_product(a, b, a[0] * b[0], second))
         elif code == "map":
             a, ga, ha = slots[i]
-            push(_chain(_each(arg, a, node, order), ga, ha, second))
+            push(_chain(_checked(arg(a, order), failures, owner, node, a), ga, ha, second))
         elif code == "add":
             (a, ga, ha), (b, gb, hb) = slots[i], slots[j]
             push((a + b, _plus(ga, gb), _plus(ha, hb)))
@@ -159,37 +158,36 @@ def _run(program: Program, points: np.ndarray, order: int) -> list:
             (a, ga, ha), (b, gb, hb) = slots[i], slots[j]
             push((a - b, _minus(ga, gb), _minus(ha, hb)))
         elif code == "var":
-            grad = np.zeros((rows, n))
+            grad = np.zeros((rows, n), points.dtype)
             grad[:, arg] = 1.0
             push((points[:, arg], grad, None))
         elif code == "const":
             push((arg, None, None))
         elif code == "div":
             a, (b, gb, hb) = slots[i], slots[j]
-            if np.any(b == 0.0):
-                raise DomainError("division by zero", node)
-            reciprocal = _chain(_each(_reciprocal, b, node, order), gb, hb, second)
-            push(_product(a, reciprocal, a[0] / b, second))
+            reciprocal = _checked(_divisor(b, order), failures, owner, node, b)
+            push(_product(a, _chain(reciprocal, gb, hb, second), np.divide(a[0], b), second))
         elif code == "neg":
             a, ga, ha = slots[i]
             push((-a, _minus(None, ga), _minus(None, ha)))
         else:
             raise ValueError(f"unknown binary op {code!r}")
     # channels by entry; a None channel of an entry stays zero
-    out = [np.zeros((len(program.roots), rows) + (n,) * k) for k in range(order + 1)]
+    out = [np.zeros((len(program.roots), rows) + (n,) * k, points.dtype) for k in range(order + 1)]
     for entry, slot in enumerate(program.roots):
         for channel, part in zip(out, slots[slot] if order else (slots[slot],)):
             if part is not None:
                 channel[entry] = part
-    return out
+    return out, failures
 
 
-def _each(rule, x, node: Expr, order: int):
-    """A scalar map's value and derivatives at `x`: a float (a constant
-    subtree), or each entry of an array in turn (then one row per derivative)."""
-    if not isinstance(x, np.ndarray):
-        return rule(x, node, order)
-    return np.array([rule(v, node, order) for v in x.tolist()]).T
+def _checked(rule_result, failures: list, owner: int, node: Expr, x):
+    """A rule's derivatives; each of its checks that fires is recorded."""
+    derivs, checks = rule_result
+    for fails, reason in checks:
+        if np.count_nonzero(fails):
+            failures.append((owner, node, fails, reason, x))
+    return derivs
 
 
 # -- Taylor arithmetic on (value, grad, hess), None for a zero channel ---------
@@ -244,88 +242,89 @@ def _chain(f, grad, hess, second: bool) -> tuple:
     return f[0], _col(f[1]) * grad, out
 
 
-# -- scalar maps: a rule takes a float, the map's node (for its DomainError)
-# and the order, and gives the map's value and derivatives up to the order.
+# -- scalar maps: a rule takes a whole value (a float, or a (P,) array) and
+# the order, and gives the value and derivatives up to the order and its
+# domain checks in order, (fails, reason) pairs whose "{!r}" takes the failing
+# row's argument.  Nothing raises: a failing row computes inf/NaN, unread.
 
-def _sin(x: float, node: Expr, order: int) -> tuple:
-    if math.isinf(x):
-        raise DomainError(f"sin of non-finite value {x!r}", node)
-    value = math.sin(x)
-    return (value, math.cos(x), -value)[: order + 1] if order else (value,)
-
-
-def _cos(x: float, node: Expr, order: int) -> tuple:
-    if math.isinf(x):
-        raise DomainError(f"cos of non-finite value {x!r}", node)
-    value = math.cos(x)
-    return (value, -math.sin(x), -value)[: order + 1] if order else (value,)
+def _sin(x, order: int) -> tuple:
+    value = np.sin(x)
+    derivs = (value, np.cos(x)) if order else (value,)
+    derivs += (-value,) if order == 2 else ()
+    return derivs, ((np.isinf(x), "sin of non-finite value {!r}"),)
 
 
-def _exp(x: float, node: Expr, order: int) -> tuple:
-    try:
-        value = math.exp(x)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"exp overflow at {x!r}", node)
-    return (value,) * (order + 1)
+def _cos(x, order: int) -> tuple:
+    value = np.cos(x)
+    derivs = (value, -np.sin(x)) if order else (value,)
+    derivs += (-value,) if order == 2 else ()
+    return derivs, ((np.isinf(x), "cos of non-finite value {!r}"),)
 
 
-def _ln(x: float, node: Expr, order: int) -> tuple:
-    if x <= 0.0:
-        raise DomainError(f"ln of non-positive value {x!r}", node)
-    value = math.log(x)
+def _exp(x, order: int) -> tuple:
+    value = np.exp(x)
+    return (value,) * (order + 1), ((~np.isfinite(value), "exp overflow at {!r}"),)
+
+
+def _ln(x, order: int) -> tuple:
+    checks = ((np.less_equal(x, 0.0), "ln of non-positive value {!r}"),)
     if not order:
-        return (value,)
-    inv = 1.0 / x
-    return (value, inv, -inv * inv)[: order + 1]
+        return (np.log(x),), checks
+    inv = np.divide(1.0, x)
+    return ((np.log(x), inv) if order == 1 else (np.log(x), inv, -inv * inv)), checks
 
 
-def _sqrt(x: float, node: Expr, order: int) -> tuple:
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}", node)
-    value = math.sqrt(x)
+def _sqrt(x, order: int) -> tuple:
+    checks = [(np.less(x, 0.0), "sqrt of negative value {!r}")]
+    value = np.sqrt(x)
     if not order:
-        return (value,)
-    if x == 0.0:
-        raise DomainError("sqrt derivative singular at zero", node)
+        return (value,), checks
+    checks.append((np.equal(x, 0.0), "sqrt derivative singular at zero"))
     inv = 0.5 / value
-    return (value, inv, -0.5 * inv / x)[: order + 1]
+    return ((value, inv) if order == 1 else (value, inv, -0.5 * inv / x)), checks
 
 
-def _pow(p: float, x: float, node: Expr, order: int) -> list[float]:
+def _pow(p: float, x, order: int) -> tuple:
     """``x^p`` for a constant exponent `p`."""
-    if x == 0.0 and p < 0:
-        raise DomainError("zero base with negative exponent", node)
-    if x < 0.0 and p != int(p):
-        raise DomainError(f"negative base {x!r} with non-integer exponent", node)
-    try:
-        value = x ** p
-    except OverflowError:
-        raise DomainError("pow overflow", node) from None
-    if not math.isfinite(value):
-        raise DomainError("pow overflow", node)
+    checks = []
+    if p < 0:
+        checks.append((np.equal(x, 0.0), "zero base with negative exponent"))
+    if p != int(p):
+        checks.append((np.less(x, 0.0), "negative base {!r} with non-integer exponent"))
+    value = np.power(x, p)
+    checks.append((~np.isfinite(value), "pow overflow"))
     derivs = [value]
     coeff = 1.0
     for k in range(1, order + 1):
         coeff *= p - (k - 1)
-        if coeff == 0.0:
-            derivs.append(0.0)
+        exponent = p - k
+        if coeff == 0.0 or exponent == 0:  # x^0 is 1
+            derivs.append(coeff)
+        elif exponent == 1:  # x^1 is x, exactly
+            derivs.append(coeff * x)
         else:
-            exponent = p - k
-            if x == 0.0 and exponent < 0:
-                raise DomainError("pow derivative singular at zero base", node)
-            try:
-                derivs.append(coeff * x ** exponent)
-            except OverflowError:
-                raise DomainError("pow derivative overflow", node) from None
-    return derivs
+            power = np.power(x, exponent)
+            # past x^p's checks, only p - k < 0 fails: at zero (if p >= 0), by overflow
+            if exponent < 0:
+                if p >= 0:
+                    checks.append((np.equal(x, 0.0), "pow derivative singular at zero base"))
+                checks.append((np.isinf(power), "pow derivative overflow"))
+            derivs.append(coeff * power)
+    return derivs, checks
+
+
+def _divisor(x, order: int) -> tuple:
+    """``div``'s rule for its divisor: the zero check, then above order 0 the
+    reciprocal's rule, whose jet the quotient's derivatives take."""
+    zero = (np.equal(x, 0.0), "division by zero")
+    if not order:
+        return (), (zero,)
+    derivs, checks = _pow(-1.0, x, order)
+    return derivs, [zero] + checks[1:]  # checks[0], the zero base, is the same test
 
 
 RULES = {"sin": _sin, "cos": _cos, "exp": _exp, "ln": _ln, "sqrt": _sqrt}
 """The rule of each function of the grammar (``expr.FUNCTIONS``)."""
-
-_reciprocal = partial(_pow, -1.0)
 
 
 def rule_of(node: Expr):

@@ -384,12 +384,11 @@ class TensorField:
 
 def _entry_arrays(program, entries, shape, order, point):
     """Entry values at order 0, else (value, grad[, hess]), with the batch
-    axis first and derivative axes last.  Floats overflow to inf/NaN without
-    raising, so a non-finite value or derivative is caught here, naming its
-    entry (at the first point of a batch that has one)."""
+    axis first and derivative axes last.  A run overflows to inf/NaN without
+    raising or warning, so a non-finite value or derivative is caught here,
+    naming its entry (at the first point of a batch that has one)."""
     lead = batch_shape(point)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = run_program(program, point.array, order)
+    result = run_program(program, point.array, order)
     channels = result if order else (result,)
     if not all(np.isfinite(c).all() for c in channels):
         finite = np.logical_and.reduce(

@@ -62,7 +62,12 @@ def evaluate(node: Expr, point) -> float:
         return -evaluate(node.arg, point)
     if isinstance(node, Unary) or node.op == "pow":
         arg = evaluate(node.arg if isinstance(node, Unary) else node.left, point)
-        return rule_of(node)(arg, node, 0)[0]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            (value,), checks = rule_of(node)(arg, 0)
+        for fails, reason in checks:
+            if fails:
+                raise DomainError(reason.format(arg), node)
+        return float(value)
     left = evaluate(node.left, point)
     right = evaluate(node.right, point)
     if node.op == "div" and right == 0.0:

@@ -15,6 +15,7 @@ MODULES = [
     "tensor_invariants.audit",
     "tensor_invariants.cli",
     "tensor_invariants.configs",
+    "tensor_invariants.deformation",
     "tensor_invariants.expr",
     "tensor_invariants.geometry",
     "tensor_invariants.invariants",
