@@ -214,10 +214,14 @@ def _omega_square_finding(chart, rng, points) -> Finding:
     )
 
 
-def _random_draws(chart, rng, count: int = 10):
-    """`count` random connection spaces, each with a random omega spec, drawn
-    as they are read."""
-    for _ in range(count):
+# random draws of the basic-Weyl-modes and the correlation finding
+_DRAWS = 10
+
+
+def _random_draws(chart, rng):
+    """`_DRAWS` random connection spaces, each with a random omega spec,
+    drawn as they are read."""
+    for _ in range(_DRAWS):
         yield random_connection_space(chart, rng), random_omega_spec(chart, rng)
 
 
@@ -250,8 +254,8 @@ def _correlations(s, conn, rho, calF_group, sphi_group) -> tuple:
     """The Thomas correlation residual
     (:func:`invariants.derived_thomas_correlation_residual`) and the Weyl
     one (:func:`invariants.weyl_correlation_arrays`) of stacked draws
-    (:func:`invariants.stack_draws`; rho is not read), each kernel run once
-    for all of them."""
+    (:func:`invariants.stack_draws`; rho is not read, and the finding
+    stacks none), each kernel run once for all of them."""
     reduced = reduced_arrays(s, conn, calF_group[2:], sphi_group[2:])
     derived = derived_thomas_arrays(s, reduced[0], thomas_arrays(reduced[0]))
     fields = calF_group[:2] + sphi_group[:2]
@@ -263,7 +267,7 @@ def _correlations(s, conn, rho, calF_group, sphi_group) -> tuple:
 
 def _correlation_finding(chart, rng, points) -> Finding:
     thomas_residual, weyl_residual = _correlations(
-        *stack_draws(_random_draws(chart, rng), points[:2])
+        *stack_draws(_random_draws(chart, rng), points[:2], rho=False)
     )
     return Finding(
         id="correlation-identities",

@@ -41,8 +41,15 @@ from .invariants import (
     derived_weyl_chain,
     zeta,
 )
-from .mappings import FPlanarSpec, apply_mapping, fplanar_as_omega, fplanar_build, verify_invariance
-from .tensor import PointBatch
+from .mappings import (
+    FPlanarSpec,
+    UnknownInvariantError,
+    apply_mapping,
+    evaluate_points,
+    fplanar_as_omega,
+    fplanar_build,
+    verify_invariance,
+)
 
 COMMANDS = (
     "christoffel",
@@ -111,7 +118,7 @@ def _resolve_points(args, job: JobConfig) -> list[tuple]:
     for point in points:
         for name, x in zip(job.chart.names, point):
             if not math.isfinite(x):
-                raise ValueError(f"coordinate {name} = {x!r} is not finite")
+                raise ValueError(f"coordinate {name} = {float(x)!r} is not finite")
     return points
 
 
@@ -174,14 +181,9 @@ def _emit_tables(args, job, objects, points) -> None:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    # point-major, one evaluation per (object, point): every object at one
-    # point, one batch, before the next, so the objects share the results in
-    # its cache and the connection is computed once per point
-    per_object = [[] for _ in objects]
-    for point in points:
-        batch = PointBatch(point)
-        for arrays, (_, _, evaluate) in zip(per_object, objects):
-            arrays.append(np.asarray(evaluate(batch)))
+    # verify's block loop: every object on a block of points before the
+    # next, so the objects share the results in the block's cache
+    per_object = evaluate_points([evaluate for _, _, evaluate in objects], points)
     for (name, variance, _), arrays in zip(objects, per_object):
         rows = _rows(points, arrays)
         if out_dir:
@@ -307,7 +309,7 @@ def main(argv=None) -> int:
         points = _resolve_points(args, job)
         _emit_tables(args, job, objects, points)
         return 0
-    except ConfigError as err:
+    except (ConfigError, UnknownInvariantError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except DomainError as err:

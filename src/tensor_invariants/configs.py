@@ -66,7 +66,24 @@ def points_seed(value) -> int:
     return _integer(value, 0, "points seed")
 
 
+def _number(value, label: str) -> float:
+    """`value` (a number or its text, "nan" too) as a float, else a
+    ConfigError naming `label`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{label} must hold numbers, not {value!r}") from None
+
+
+def _grid(raw, rank: int) -> bool:
+    """Whether `raw` nests lists `rank` deep with text at the bottom."""
+    if rank == 0:
+        return isinstance(raw, str)
+    return isinstance(raw, list) and all(_grid(item, rank - 1) for item in raw)
+
+
 def _parse_entries(chart: Chart, variance: str, raw, label: str) -> TensorField:
+    _require(_grid(raw, len(variance)), f"{label} must be nested lists of expression strings")
     try:
         return TensorField(chart, variance, raw)
     except (ExprError, ValueError) as err:
@@ -77,6 +94,7 @@ def _connection_from_sparse(chart: Chart, mapping: dict) -> TensorField:
     n = chart.dim
     entries = [[["0"] * n for _ in range(n)] for _ in range(n)]
     for key, text in mapping.items():
+        _require(isinstance(text, str), f"connection entry {key!r} must be an expression string")
         parts = key.split(",")
         _require(len(parts) == 3, f"connection key {key!r} must be 'i,j,k'")
         try:
@@ -111,9 +129,13 @@ class JobConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "JobConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        _require("chart" in raw, "config needs a 'chart' list of coordinate names")
+        names = raw.get("chart")
+        _require(
+            isinstance(names, list) and all(isinstance(name, str) for name in names),
+            "config needs a 'chart' list of coordinate names",
+        )
         try:
-            chart = Chart(tuple(raw["chart"]))
+            chart = Chart(tuple(names))
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -167,7 +189,12 @@ class JobConfig:
 
         points = raw.get("points", {})
         _require(isinstance(points, dict), "points must be an object")
-        job.point_list = [tuple(float(x) for x in p) for p in points.get("list", [])]
+        listed = points.get("list", [])
+        _require(
+            isinstance(listed, list) and all(isinstance(p, list) for p in listed),
+            "points.list must be a list of points, each a list of coordinates",
+        )
+        job.point_list = [tuple(_number(x, "points.list") for x in p) for p in listed]
         for point in job.point_list:
             _require(len(point) == chart.dim, "explicit point of wrong dimension")
         job.seed = points_seed(points.get("seed", 7))
@@ -175,14 +202,19 @@ class JobConfig:
         box = points.get("box")
         if box is not None:
             _require(
-                len(box) == chart.dim and all(len(pair) == 2 for pair in box),
+                isinstance(box, list)
+                and len(box) == chart.dim
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in box),
                 "box must list one [lo, hi] pair per coordinate",
             )
-            job.box = [[float(a), float(b)] for a, b in box]
+            job.box = [[_number(a, "points.box"), _number(b, "points.box")] for a, b in box]
         job.tol = tolerance(raw.get("tol", 1e-8))
         inv = raw.get("invariants")
         if inv is not None:
-            _require(isinstance(inv, list), "invariants must be a list of names")
+            _require(
+                isinstance(inv, list) and inv and all(isinstance(name, str) for name in inv),
+                "invariants must be a non-empty list of names",
+            )
             job.invariants = list(inv)
         job._validate_omega_symmetry()
         return job
@@ -205,8 +237,9 @@ class JobConfig:
         if raw is None:
             return None
         _require(isinstance(raw, dict), f"{label} must be an object")
-        _require("s" in raw and len(raw["s"]) == 3, f"{label} needs s = [s1, s2, s3]")
-        s = SValues(*(float(x) for x in raw["s"]))
+        values = raw.get("s")
+        _require(isinstance(values, list) and len(values) == 3, f"{label} needs s = [s1, s2, s3]")
+        s = SValues(*(_number(x, f"{label}.s") for x in values))
         fields = {}
         for name, variance in (
             ("rho", "l"),

@@ -74,12 +74,12 @@ class OmegaSpec:
             if getattr(self, name) is None:
                 setattr(self, name, zero_field(self.chart, variance))
 
-    def validate(self, points, tol: float = 1e-12) -> None:
-        """Check sigma2 symmetry at sample points."""
+    def validate(self, points) -> None:
+        """Check sigma2 symmetry at sample points, to 1e-12."""
         for point in points:
             s2 = self.sigma2.value(point)
             skew = np.max(np.abs(s2 - s2.T))
-            if skew > tol:
+            if skew > 1e-12:
                 raise ValueError(
                     f"sigma2 is not symmetric at {tuple(point)} (max skew {skew:.3e})"
                 )

@@ -1,11 +1,9 @@
 """Affine connection spaces and the classical projective machinery.
 
-A :class:`Space` is a chart together with connection coefficients
-``L^i_{jk}``.  Non-symmetric coefficients are accepted but immediately split
-into the symmetric part (used by everything downstream) and the torsion
-(stored, unused by the invariant computations).  Spaces may come from an
-explicit connection, from a metric (Levi-Civita), or from deforming another
-space (geometric mappings).
+A :class:`Space` is a chart together with symmetric connection
+coefficients ``L^i_{jk}``: non-symmetric coefficients are accepted and
+symmetrized.  Spaces may come from an explicit connection, from a metric
+(Levi-Civita), or from deforming another space (geometric mappings).
 
 Index layout for connection arrays: ``L[i, j, k]`` is ``L^i_{jk}`` and
 ``dL[i, j, k, n]`` is the partial ``L^i_{jk,n}``; the derivative axis is
@@ -45,7 +43,6 @@ from .expr import Chart
 from .tensor import (
     PointField,
     TensorField,
-    add_fields,
     batch_shape,
     contract,
     delta_product,
@@ -153,9 +150,8 @@ class Space:
     of ``invariants`` is given, so that equal reduced spaces share it.
     """
 
-    def __init__(self, chart: Chart, provider, torsion=None):
+    def __init__(self, chart: Chart, provider):
         self.chart = chart
-        self._torsion = torsion
         self._provider = provider
         self.key = object()
 
@@ -170,8 +166,7 @@ class Space:
 
     @classmethod
     def from_connection(cls, coefficients) -> "Space":
-        sym_field, torsion_field = symmetrize_connection(coefficients)
-        return cls(coefficients.chart, sym_field.jet, torsion=torsion_field)
+        return cls(coefficients.chart, symmetrize_connection(coefficients).jet)
 
     @classmethod
     def flat(cls, chart: Chart) -> "Space":
@@ -189,18 +184,9 @@ class Space:
     def connection(self, point) -> np.ndarray:
         return self.connection_jet(point)[0]
 
-    def torsion(self, point) -> np.ndarray:
-        n = self.dim
-        if self._torsion is None:
-            return np.zeros(batch_shape(point) + (n, n, n))
-        return self._torsion.value(point)
-
-    def deformed(self, deformation, torsion_delta=None) -> "Space":
+    def deformed(self, deformation) -> "Space":
         """New space with coefficients L + deformation (deformation symmetric)."""
-        torsion = self._torsion
-        if torsion_delta is not None:
-            torsion = torsion_delta if torsion is None else add_fields(torsion, torsion_delta)
-        return Space(self.chart, _SumConnection(self, deformation).jets, torsion)
+        return Space(self.chart, _SumConnection(self, deformation).jets)
 
 
 def christoffel(metric: TensorField) -> Space:
@@ -208,12 +194,9 @@ def christoffel(metric: TensorField) -> Space:
     return Space.from_metric(metric)
 
 
-def symmetrize_connection(coefficients) -> tuple[PointField, PointField]:
-    """Split (1,2) coefficients into symmetric part and torsion.
-
-    Lsym^i_{jk} = (L^i_{jk} + L^i_{kj}) / 2,  torsion = (L - L^T) / 2;
-    their sum reconstructs the input exactly.
-    """
+def symmetrize_connection(coefficients) -> PointField:
+    """The symmetric part of (1,2) coefficients,
+    Lsym^i_{jk} = (L^i_{jk} + L^i_{kj}) / 2."""
     chart = coefficients.chart
 
     def sym_fn(point):
@@ -223,14 +206,7 @@ def symmetrize_connection(coefficients) -> tuple[PointField, PointField]:
             0.5 * (grad + np.swapaxes(grad, -3, -2)),
         )
 
-    def torsion_fn(point):
-        value, grad = coefficients.jet(point)
-        return (
-            0.5 * (value - np.swapaxes(value, -2, -1)),
-            0.5 * (grad - np.swapaxes(grad, -3, -2)),
-        )
-
-    return PointField(chart, "ull", sym_fn), PointField(chart, "ull", torsion_fn)
+    return PointField(chart, "ull", sym_fn)
 
 
 def covariant_derivative_arrays(

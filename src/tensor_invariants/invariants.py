@@ -160,29 +160,29 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     return reduced
 
 
-def stack_draws(draws, points) -> tuple:
+def stack_draws(draws, points, rho: bool = True) -> tuple:
     """What the array cores read of the (space, spec) `draws`, stacked on a
     leading draw axis: the s-values, each with a unit axis per batch axis;
-    the jets (values, partials) of the connection and of rho; and D's term
-    groups (:func:`dee_arrays`), the values of F and sigma with the calF
-    jet, and of sigma_{jk} and phi with the sigma_{jk} phi^i jet.
-    Each draw is read on a batch of `points` (one point or a list) of its
-    own; taken from an iterator, the draw and its batch die at its turn's
-    end."""
+    the jets (values, partials) of the connection and, if `rho`, of rho
+    (else None); and D's term groups (:func:`dee_arrays`), the values of F
+    and sigma with the calF jet, and of sigma_{jk} and phi with the
+    sigma_{jk} phi^i jet.  Each draw is read on a batch of `points` (one
+    point or a list) of its own; taken from an iterator, the draw and its
+    batch die at its turn's end."""
     s_values, jets = [], []
     for space, spec in draws:
         batch = PointBatch(points)
-        fields = (spec.rho, spec.F, spec.sigma, spec.sigma2, spec.phi)
+        fields = (spec.F, spec.sigma, spec.sigma2, spec.phi) + ((spec.rho,) if rho else ())
         s_values.append(spec.s.as_tuple())
         jets.append([space.connection_jet(batch)] + [f.jet(batch) for f in fields])
     lead = (len(s_values),) + (1,) * (np.ndim(points) - 1)
     s = tuple(np.reshape(column, lead) for column in zip(*s_values))
-    conn, rho, F, sigma, sigma2, phi = (
+    conn, F, sigma, sigma2, phi, *rho_jet = (
         tuple(np.stack(channel) for channel in zip(*field)) for field in zip(*jets)
     )
     calF_group = (F[0], sigma[0]) + _calF_arrays(*F, *sigma)
     sphi_group = (sigma2[0], phi[0]) + _sphi_arrays(*sigma2, *phi)
-    return s, conn, rho, calF_group, sphi_group
+    return s, conn, rho_jet[0] if rho else None, calF_group, sphi_group
 
 
 def reduced_arrays(s, conn_jet, calF_jet, sphi_jet, rho_jet=None) -> tuple:

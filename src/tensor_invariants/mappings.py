@@ -1,8 +1,8 @@
 """Construct mapped spaces and verify invariance numerically.
 
 A mapping is specified by an omega pair (source and target OmegaSpec sharing
-the same s-values); the target connection is Lsym + (omega_bar - omega), plus
-an optional torsion difference.  F-planar mappings get dedicated builders:
+the same s-values); the target connection is Lsym + (omega_bar - omega).
+F-planar mappings get dedicated builders:
 
     Lbar^i_{jk} = L^i_{jk} + d^i_k psi_j + d^i_j psi_k + F^i_k sigma_j + F^i_j sigma_k.
 
@@ -25,15 +25,16 @@ printed Weyl-type reductions are assembled from their formulas.
 
 Verification is pointwise-numeric at seeded pseudorandom points inside a box
 that avoids coordinate singularities; jet-exact derivatives make random-point
-sampling a sound falsifier of the field identities.  The verifier evaluates
-the points in blocks (``tensor.PointBatch``) whose size follows from a byte
-budget, and each point's discrepancy is bit-identical to its evaluation
-alone.  Each block is cut from one batch of all the points, its run, so an
-expression field jets a span of several blocks in one pass
-(``tensor.TensorField``); what the rows share lives in the block's cache.  A
-block that raises, in its own rows or in a later block of a field's span, is
-redone one point at a time, each point one batch for every row, so the error
-is the one its first failing point raises alone.
+sampling a sound falsifier of the field identities.  The verifier and the
+table commands walk their points through one loop, :func:`evaluate_points`,
+in blocks (``tensor.PointBatch``) whose size follows from a byte budget, and
+each point's result is bit-identical to its evaluation alone.  Each block is
+cut from one batch of all the points, its run, so an expression field jets
+a span of several blocks in one pass (``tensor.TensorField``); what the
+evaluators share lives in the block's cache.  A block that raises, in its
+own rows or in a later block of a field's span, is redone one point at a
+time, each point one batch for every evaluator, so the error is the one its
+first failing point raises alone.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ from .tensor import (
 __all__ = [
     "MappingSpec",
     "FPlanarSpec",
+    "UnknownInvariantError",
     "apply_mapping",
     "fplanar_build",
     "fplanar_as_omega",
@@ -95,8 +97,14 @@ __all__ = [
     "fplanar_invariants",
     "InvarianceReport",
     "verify_invariance",
+    "evaluate_points",
     "sample_points",
 ]
+
+
+class UnknownInvariantError(ValueError):
+    """An invariant name that verify does not know for its mapping."""
+
 
 @dataclass
 class MappingSpec:
@@ -104,7 +112,6 @@ class MappingSpec:
 
     omega_src: OmegaSpec
     omega_tgt: OmegaSpec
-    torsion_delta: object = None
 
     def __post_init__(self):
         if self.omega_src.s != self.omega_tgt.s:
@@ -132,10 +139,10 @@ def _deformation_field(mapping: MappingSpec) -> PointField:
 
 
 def apply_mapping(source: Space, mapping: MappingSpec) -> Space:
-    """Target space with Lbar = L + (omega_bar - omega) (+ torsion delta)."""
+    """Target space with Lbar = L + (omega_bar - omega)."""
     if mapping.omega_src.chart != source.chart:
         raise ValueError("mapping fields live on a different chart than the space")
-    return source.deformed(_deformation_field(mapping), mapping.torsion_delta)
+    return source.deformed(_deformation_field(mapping))
 
 
 def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
@@ -432,8 +439,9 @@ def verify_invariance(
 
     `mapping` is a MappingSpec, an FPlanarSpec, or None (classical set only).
     `points` must hold at least one point, each of ``source.dim`` finite
-    coordinates; a ValueError names the first that does not, and a
-    tolerance that is not a finite, non-negative number.
+    coordinates, and `invariants` at least one known name; a ValueError
+    names the first point that does not, an unknown name, and a tolerance
+    that is not a finite, non-negative number.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, not {tol!r}")
@@ -450,31 +458,15 @@ def verify_invariance(
     else:
         unknown = [name for name in invariants if name not in pairs]
         if unknown:
-            raise ValueError(f"unknown invariants: {unknown}")
+            raise UnknownInvariantError(f"unknown invariants: {unknown}")
         names = list(invariants)
+    if not names:
+        raise ValueError("verify needs at least one invariant")  # no rows would PASS
 
-    # block-major: every requested invariant on one block of points before
-    # the next block, each result the rows share kept in the block's cache
-    evaluators = [pairs[name] for name in names]
-    per_row: list[list] = [[] for _ in names]
     points = _checked_points(points, source.dim)
-    size = block_size(source.dim)
-    for batch in PointBatch(points).blocks(size):
-        block = points[batch.start : batch.start + size]
-        try:
-            discs = [_discrepancies(pair, batch) for pair in evaluators]
-        except (ExprError, SingularMetricError):
-            # one point at a time, so the error is the one the first failing
-            # point raises on its own; each point is one batch for every row
-            discs = [[] for _ in evaluators]
-            for alone in map(PointBatch, block):
-                for pair, found in zip(evaluators, discs):
-                    found.extend(_discrepancies(pair, alone))
-        for rows, found in zip(per_row, discs):
-            rows.extend(zip(block, found))
-    return InvarianceReport(
-        [InvarianceRow(name, rows, tol) for name, rows in zip(names, per_row)], tol
-    )
+    found = evaluate_points([partial(_discrepancies, pairs[name]) for name in names], points)
+    rows = [list(zip(points, discs.tolist())) for discs in found]
+    return InvarianceReport([InvarianceRow(name, r, tol) for name, r in zip(names, rows)], tol)
 
 
 # bytes that one block may give an array of N^4 doubles (a curvature-sized
@@ -507,11 +499,29 @@ def _checked_points(points, dim: int) -> list[tuple]:
     return out
 
 
-def _discrepancies(pair, point) -> list[float]:
+def evaluate_points(evaluators, points) -> list[np.ndarray]:
+    """Each evaluator's results at `points` (a list of tuples), one array
+    per evaluator whose leading axis runs over the points.  An evaluator maps
+    a ``PointBatch`` to such an array (with no point axis for a batch made
+    from one point).  The blocks and the point-by-point redo are those of
+    the module docstring."""
+    size = block_size(len(points[0]))
+    parts = [[] for _ in evaluators]
+    for batch in PointBatch(points).blocks(size):
+        try:
+            found = [evaluate(batch) for evaluate in evaluators]
+        except (ExprError, SingularMetricError):
+            block = map(PointBatch, points[batch.start : batch.start + size])
+            each = [[evaluate(alone) for evaluate in evaluators] for alone in block]
+            found = [np.stack(results) for results in zip(*each)]
+        for results, new in zip(parts, found):
+            results.append(new)
+    return [np.concatenate(results) for results in parts]
+
+
+def _discrepancies(pair, point) -> np.ndarray:
     """Per-point maximum absolute difference of the two evaluators at a
     point or batch."""
     eval_src, eval_tgt = pair
     gap = np.abs(eval_src(point) - eval_tgt(point))
-    if batch_shape(point):
-        return np.max(gap.reshape(len(point.array), -1), axis=1).tolist()
-    return [float(np.max(gap))]
+    return np.max(gap.reshape(batch_shape(point) + (-1,)), axis=-1)

@@ -27,6 +27,9 @@ __all__ = [
     "random_mapping",
 ]
 
+# the upper bound of a random metric's diagonal coefficients, one ulp above 0.3
+_DIAGONAL_HIGH = 0.2 + 0.1
+
 
 def _coefficient(value: float) -> Expr:
     """``value`` rounded to 4 decimals, as ``parse`` reads its text: a
@@ -49,12 +52,12 @@ def _square(x: Expr) -> Expr:
     return Binary("pow", x, Const(2.0))
 
 
-def random_expr(chart: Chart, rng: np.random.Generator, scale: float = 0.3) -> Expr:
+def random_expr(chart: Chart, rng: np.random.Generator) -> Expr:
     """One random term as an expression tree: ``c``, ``c*x``, ``c*x*y``,
     ``c*sin(x)``, ``c*cos(x)`` or ``c*ln(1+x^2)``, with c uniform in
-    [-scale, scale] rounded to 4 decimals and x, y random coordinates."""
+    [-0.3, 0.3] rounded to 4 decimals and x, y random coordinates."""
     form = rng.integers(6)
-    c = _coefficient(rng.uniform(-scale, scale))
+    c = _coefficient(rng.uniform(-0.3, 0.3))
     if form == 0:
         return c
     x = Var(int(rng.integers(chart.dim)))
@@ -67,51 +70,49 @@ def random_expr(chart: Chart, rng: np.random.Generator, scale: float = 0.3) -> E
     return _mul(c, Unary("sin" if form == 3 else "cos", x))
 
 
-def _nested(chart: Chart, rng, depth: int, scale: float):
+def _nested(chart: Chart, rng, depth: int):
     if depth == 0:
-        return random_expr(chart, rng, scale)
-    return [_nested(chart, rng, depth - 1, scale) for _ in range(chart.dim)]
+        return random_expr(chart, rng)
+    return [_nested(chart, rng, depth - 1) for _ in range(chart.dim)]
 
 
-def random_field(chart: Chart, variance: str, rng, scale: float = 0.3) -> TensorField:
-    return TensorField(chart, variance, _nested(chart, rng, len(variance), scale))
+def random_field(chart: Chart, variance: str, rng) -> TensorField:
+    return TensorField(chart, variance, _nested(chart, rng, len(variance)))
 
 
-def random_symmetric_field(chart: Chart, rng, scale: float = 0.3) -> TensorField:
+def random_symmetric_field(chart: Chart, rng) -> TensorField:
     n = chart.dim
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            entries[j][k] = entries[k][j] = random_expr(chart, rng, scale)
+            entries[j][k] = entries[k][j] = random_expr(chart, rng)
     return TensorField(chart, "ll", entries)
 
 
-def random_omega_spec(
-    chart: Chart, rng, s: SValues | None = None, scale: float = 0.3
-) -> OmegaSpec:
+def random_omega_spec(chart: Chart, rng, s: SValues | None = None) -> OmegaSpec:
     if s is None:
         s = SValues(*(float(x) for x in rng.uniform(-1.0, 1.0, 3)))
     return OmegaSpec(
         chart,
         s,
-        rho=random_field(chart, "l", rng, scale),
-        sigma=random_field(chart, "l", rng, scale),
-        F=random_field(chart, "ul", rng, scale),
-        phi=random_field(chart, "u", rng, scale),
-        sigma2=random_symmetric_field(chart, rng, scale),
+        rho=random_field(chart, "l", rng),
+        sigma=random_field(chart, "l", rng),
+        F=random_field(chart, "ul", rng),
+        phi=random_field(chart, "u", rng),
+        sigma2=random_symmetric_field(chart, rng),
     )
 
 
-def random_connection_space(chart: Chart, rng, scale: float = 0.3) -> Space:
-    return Space.from_connection(random_field(chart, "ull", rng, scale))
+def random_connection_space(chart: Chart, rng) -> Space:
+    return Space.from_connection(random_field(chart, "ull", rng))
 
 
-def random_metric_space(chart: Chart, rng, scale: float = 0.2) -> Space:
+def random_metric_space(chart: Chart, rng) -> Space:
     """Diagonally dominant metric, invertible over positive boxes."""
     n = chart.dim
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
-        coefficient = _coefficient(rng.uniform(0.1, scale + 0.1))
+        coefficient = _coefficient(rng.uniform(0.1, _DIAGONAL_HIGH))
         entries[j][j] = Binary("add", Const(1.0 + j), _mul(coefficient, _square(Var(j))))
     for j in range(n):
         for k in range(j + 1, n):

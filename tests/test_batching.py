@@ -3,7 +3,6 @@ gets on its own, bit for bit, and the error it raises on its own.  Likewise
 a stack of omega draws must give every draw the result of its own call."""
 
 import json
-from functools import partial
 
 import numpy as np
 import pytest
@@ -244,6 +243,18 @@ def test_stacked_cores_keep_each_zero_s_branch(off):
         _assert_each_draw_has_its_bits(stacked, draws, point)
 
 
+def test_stacked_draws_without_rho_keep_every_other_array():
+    # the correlation finding stacks no rho jet; the rest keep their bytes
+    rng = np.random.default_rng(70)
+    chart = Chart(("x1", "x2", "x3"))
+    draws = [(random_connection_space(chart, rng), random_omega_spec(chart, rng)) for _ in range(3)]
+    points = sample_points([[1.0, 2.0]] * 3, 2, seed=70)
+    full, lean = stack_draws(draws, points), stack_draws(draws, points, rho=False)
+    assert lean[2] is None
+    for whole, part in zip(full[:2] + full[3:], lean[:2] + lean[3:], strict=True):
+        assert [a.tobytes() for a in whole] == [b.tobytes() for b in part]
+
+
 @pytest.mark.parametrize("finding", ["_weyl_modes_finding", "_correlation_finding"])
 def test_stacked_findings_run_the_curvature_kernel_twice(finding, monkeypatch):
     # two curvatures per finding (L and a reduced connection) for all its
@@ -259,9 +270,8 @@ def test_stacked_findings_run_the_curvature_kernel_twice(finding, monkeypatch):
         monkeypatch.setattr(module, "curvature_arrays", counted)
     chart = builtin_config("example-r3").chart
     points = sample_points([[1.0, 2.0]] * 3, 8, seed=1)
-    draws = audit._random_draws
     for count in (2, 10):
-        monkeypatch.setattr(audit, "_random_draws", partial(draws, count=count))
+        monkeypatch.setattr(audit, "_DRAWS", count)
         shapes.clear()
         getattr(audit, finding)(chart, np.random.default_rng(count), points)
         assert [shape[0] for shape in shapes] == [count, count]

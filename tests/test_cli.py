@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tensor_invariants import cli, geometry
+from tensor_invariants import cli, geometry, mappings
 from tensor_invariants.cli import main
 from tensor_invariants.configs import BUILTIN_CONFIGS, ConfigError, JobConfig, builtin_config
+from tensor_invariants.mappings import sample_points
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -302,17 +307,17 @@ def test_csv_and_json_outputs_identical_values(tmp_path):
 
 
 def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
-    # text, CSV and JSON come from one evaluation per (object, point), and
-    # every object is evaluated at a point before the next point, so the
-    # metric provider runs once per point
+    # text, CSV and JSON come from one evaluation per (object, block), every
+    # object on a block before the next block, so the metric provider runs
+    # once per block; blocks of two points cut the three points in two
     evaluated = Counter()
 
     def counting(make_objects):
         def counting_objects(*args):
             def counted(name, evaluate):
-                def wrapper(point):
-                    evaluated[(name, tuple(point))] += 1
-                    return evaluate(point)
+                def wrapper(batch):
+                    evaluated[(name, tuple(batch))] += 1
+                    return evaluate(batch)
 
                 return wrapper
 
@@ -330,14 +335,16 @@ def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_tensor_objects", counting(cli._tensor_objects))
     monkeypatch.setattr(cli, "_invariant_objects", counting(cli._invariant_objects))
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
-    points = {"list": [[1.0, 2.0, 3.0], [1.5, 1.25, 2.0], [2.0, 1.0, 1.5]]}
+    monkeypatch.setattr(mappings, "block_size", lambda dim: 2)
+    listed = [[1.0, 2.0, 3.0], [1.5, 1.25, 2.0], [2.0, 1.0, 1.5]]
+    blocks = {tuple(listed[0] + listed[1]), tuple(listed[2])}
     paths = {}
     for name in ("example-r3", "geodesic-demo"):
         config = dict(BUILTIN_CONFIGS[name])
-        config["points"] = points
+        config["points"] = {"list": listed}
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(config))
-    # command, config, objects per point
+    # command, config, objects
     cases = [
         ("curvature", "example-r3", 1),
         ("ricci", "example-r3", 2),
@@ -350,8 +357,105 @@ def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
             out = str(tmp_path / f"{command}-{fmt}")
             argv = ("--config", str(paths[name]), "--format", fmt, "--out", out)
             assert run_cli(command, *argv) == 0
-            assert len(evaluated) == 3 * count and set(evaluated.values()) == {1}, command
-            assert len(provided) == 3 and set(provided.values()) == {1}, command
+            assert len(evaluated) == 2 * count and set(evaluated.values()) == {1}, command
+            assert {batch for _, batch in evaluated} == blocks, command
+            assert set(provided) == blocks and set(provided.values()) == {1}, command
+
+
+_TABLE_COMMANDS = ("christoffel", "curvature", "ricci", "thomas", "weyl", "invariants")
+
+
+def _cli_output(capsys, *argv):
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("entry, bad", [("2+ln(w-1.3)", 1.2), ("w-1.5", 1.5)])
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
+def test_a_failing_table_names_the_point_alone_would(command, entry, bad, tmp_path, capsys):
+    # a table over listed points, of which the third fails (ln of a negative
+    # value, a singular metric), says what --point says at that point alone;
+    # the fourth fails too, in an earlier entry, which a whole block's run
+    # would name first
+    config = dict(BUILTIN_CONFIGS["geodesic-demo"])
+    metric = [["2+ln(u-1.15)", "0", "0"], ["0", "v^2", "0"], ["0", "0", entry]]
+    config["space"] = {"metric": metric}
+    listed = [[1.2, 1.3, 1.9], [1.4, 1.1, 1.7], [1.3, 1.2, bad], [1.1, 1.6, 1.9]]
+    config["points"] = {"list": listed}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _cli_output(capsys, command, "--config", str(path))
+    alone = _cli_output(capsys, command, "--config", str(path), "--point", "1.3,1.2," + str(bad))
+    assert code == 2 and out == "" and err.startswith("math error: ")
+    assert (code, out, err) == alone
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
+def test_a_table_over_points_is_its_one_point_runs_joined(command, fmt, tmp_path, capsys):
+    # each point's rows are those of a run at that point alone: each object's
+    # table is its opening line (text '# name', the CSV header, the JSON
+    # head) and then every one-point run's rows for it in turn
+    points = sample_points([[1.0, 2.0]] * 3, 5, seed=3)
+    config = dict(BUILTIN_CONFIGS["geodesic-demo"])
+    config["points"] = {"list": [list(map(float, p)) for p in points]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = (command, "--config", str(path), "--format", fmt)
+    code, out, err = _cli_output(capsys, *argv)
+    assert (code, err) == (0, "")
+    alone = []
+    for point in points:
+        text = ",".join(repr(float(x)) for x in point)
+        one = _cli_output(capsys, *argv, "--point", text)
+        assert one[0] == 0
+        alone.append(one[1])
+    if fmt == "json":
+        tables = _joined_json(alone)
+        assert out == "".join(json.dumps(table, indent=2) + "\n" for table in tables)
+    else:
+        start = "# " if fmt == "text" else "u,v,w,"  # the line that opens a table
+        assert _tables(out, start) == _joined_tables(alone, start)
+        assert out.endswith("\n")
+
+
+def _tables(text, start) -> list:
+    """The lines of each table in `text`, a table opened by a line that
+    begins with `start`."""
+    tables = []
+    for line in text.splitlines():
+        if line.startswith(start):
+            tables.append([])
+        tables[-1].append(line)
+    return tables
+
+
+def _joined_tables(runs, start) -> list:
+    """Per object, its opening line and every run's rows for it in turn."""
+    per_run = [_tables(run, start) for run in runs]
+    return [tables[0][:1] + [row for t in tables for row in t[1:]] for tables in zip(*per_run)]
+
+
+def _json_objects(text) -> list:
+    """The JSON documents of `text`, one per line break after each."""
+    decoder, out, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        value, at = decoder.raw_decode(text, at)
+        out.append(value)
+        at += 1
+    return out
+
+
+def _joined_json(runs) -> list:
+    """Per object, the first run's table with every run's points in turn."""
+    per_run = [_json_objects(run) for run in runs]
+    joined = []
+    for tables in zip(*per_run):
+        table = dict(tables[0])
+        table["points"] = [entry for t in tables for entry in t["points"]]
+        joined.append(table)
+    return joined
 
 
 def test_ricci_emits_antisymmetric_part(tmp_path):
@@ -536,3 +640,107 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
         os.close(write_end)
     assert done.returncode == code
     assert done.stderr == ""
+
+
+# --- malformed configs -------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (("chart",), 5, "'chart' list of coordinate names"),
+        (("chart",), ["u", 5, "w"], "'chart' list of coordinate names"),
+        (("space",), {"metric": 5}, "metric must be nested lists of expression strings"),
+        (("space", "metric"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "metric must be nested lists"),
+        (("space",), {"connection": {"1,1,1": 5}}, "connection entry '1,1,1' must be"),
+        (("omega", "s"), 5, "omega needs s = [s1, s2, s3]"),
+        (("omega", "s"), ["a", 1, 0], "omega.s must hold numbers, not 'a'"),
+        (("points",), {"box": 5}, "box must list one [lo, hi] pair per coordinate"),
+        (("points",), {"list": [1, 2]}, "points.list must be a list of points"),
+        (("points",), {"list": [["a", 1, 2]]}, "points.list must hold numbers, not 'a'"),
+        (("points", "box"), [["a", 1], [1, 2], [1, 2]], "points.box must hold numbers, not 'a'"),
+        (("invariants",), [["x"]], "invariants must be a non-empty list of names"),
+        (("invariants",), [], "invariants must be a non-empty list of names"),
+        (("invariants",), ["nope"], "unknown invariants: ['nope']"),
+    ],
+)
+def test_a_malformed_config_is_a_config_error(key, value, message, tmp_path, capsys):
+    # each used to end in a traceback, or in a math error (exit 2), or, for
+    # an empty invariant list, in an overall PASS with no rows
+    config = json.loads(json.dumps(BUILTIN_CONFIGS["geodesic-demo"]))
+    parent = config
+    for part in key[:-1]:
+        parent = parent[part]
+    parent[key[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("verify", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert message in captured.err
+
+
+def test_a_malformed_fplanar_block_is_a_config_error(tmp_path, capsys):
+    config = dict(BUILTIN_CONFIGS["fplanar-demo"], fplanar={"F": 5})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("verify", "--config", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "config error: fplanar.F must be nested lists of expression strings\n"
+    )
+
+
+def test_an_infinite_box_bound_names_the_coordinate(tmp_path, capsys):
+    config = dict(BUILTIN_CONFIGS["geodesic-demo"])
+    config["points"] = {"box": [[1.0, "inf"], [1.0, 2.0], [1.0, 2.0]], "count": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("verify", "--config", str(path)) == 2
+    assert capsys.readouterr().err == "math error: coordinate u = inf is not finite\n"
+
+
+# a config's keys, one level deep, each one the property below may replace
+_CONFIG_KEYS = [
+    (name, (key,) + ((sub,) if sub else ()))
+    for name in ("geodesic-demo", "fplanar-demo", "sphere2", "flat3")
+    for key, value in BUILTIN_CONFIGS[name].items()
+    for sub in [None] + (list(value) if isinstance(value, dict) else [])
+] + [("geodesic-demo", ("invariants",)), ("geodesic-demo", ("omega", "sigma2"))]
+
+_SMALL_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 24)  # a count of at most 24 points
+    | st.floats(-3.0, 3.0)
+    | st.sampled_from(["0", "u", "v*w", "ln(u)", "x", "nan", "inf", "1,1,1", "classical_weyl"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["list", "box", "seed", "count", "metric", "connection", "s", "F"])
+        | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    where=st.sampled_from(_CONFIG_KEYS),
+    value=_SMALL_JSON,
+    command=st.sampled_from(["verify", "christoffel", "invariants"]),
+)
+def test_any_small_json_in_a_config_gives_an_exit_code(where, value, command, tmp_path):
+    # one key of a built-in config replaced by an arbitrary small JSON
+    # value: the CLI ends with an exit code, never with a traceback
+    name, key = where
+    config = json.loads(json.dumps(BUILTIN_CONFIGS[name]))
+    parent = config
+    for part in key[:-1]:
+        parent = parent[part]
+    parent[key[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(command, "--config", str(path))
+    assert type(code) is int and 0 <= code <= 3

@@ -119,8 +119,7 @@ def test_asymmetric_metric_rejected(chart):
 
 def test_symmetrize_symmetric_input_has_no_torsion(chart):
     field = TensorField(chart, "ull", [[["u" if (j, k) in ((0, 1), (1, 0)) else "0" for k in range(3)] for j in range(3)] for _ in range(3)])
-    sym_part, torsion = symmetrize_connection(field)
-    assert np.max(np.abs(torsion.value(P0))) == 0.0
+    sym_part = symmetrize_connection(field)
     assert np.allclose(sym_part.value(P0), field.value(P0))
 
 
@@ -128,18 +127,14 @@ def test_symmetrize_splits_single_entry(chart):
     entries = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
     entries[0][1][2] = "1"
     field = TensorField(chart, "ull", entries)
-    sym_part, torsion = symmetrize_connection(field)
-    s, t = sym_part.value(P0), torsion.value(P0)
+    s = symmetrize_connection(field).value(P0)
     assert s[0, 1, 2] == 0.5 and s[0, 2, 1] == 0.5
-    assert t[0, 1, 2] == 0.5 and t[0, 2, 1] == -0.5
-    assert np.allclose(s + t, field.value(P0))
 
 
-def test_space_from_connection_stores_torsion(chart):
+def test_space_from_connection_symmetrizes(chart):
     entries = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
     entries[0][1][2] = "u"
     space = Space.from_connection(TensorField(chart, "ull", entries))
-    assert space.torsion(P0)[0, 1, 2] == 0.5
     assert space.connection(P0)[0, 1, 2] == 0.5  # symmetrized half
 
 

@@ -74,7 +74,7 @@ def test_zero_coefficient_fields_are_not_evaluated(chart):
         return PointField(chart, variance, fn)
 
     rng = np.random.default_rng(19)
-    coefficients = random_field(chart, "ull", rng, 0.3)
+    coefficients = random_field(chart, "ull", rng)
     full = random_omega_spec(chart, rng)
     cases = [SValues(0.0, -0.6, 0.8), SValues(0.7, 0.0, 0.8), SValues(0.7, -0.6, 0.0)]
     for s in cases + [SValues(0.0, 0.5, 0.0), SValues(1.0, 0.0, 0.0), SValues(0.0, 0.0, 0.0)]:

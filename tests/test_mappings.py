@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensor_invariants.expr import Chart
-from tensor_invariants.geometry import Space, symmetrize_connection, thomas
+from tensor_invariants.geometry import thomas
 from tensor_invariants.invariants import OmegaSpec, SValues
 from tensor_invariants.mappings import (
     FPlanarSpec,
@@ -80,37 +80,6 @@ def test_mapping_chart_mismatch_rejected(example_space):
     spec = OmegaSpec(other, SValues(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="chart"):
         apply_mapping(example_space, MappingSpec(spec, spec))
-
-
-def test_torsion_delta_reaches_target(example_space, chart):
-    entries = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
-    entries[0][1][2] = "1"
-    raw = TensorField(chart, "ull", entries)
-
-    from tensor_invariants.tensor import PointField
-
-    def antisym(point):
-        value, grad = raw.jet(point)
-        return value - value.transpose(0, 2, 1), grad - grad.transpose(0, 2, 1, 3)
-
-    tau_delta = PointField(chart, "ull", antisym)
-    spec = OmegaSpec(chart, SValues(1.0, 0.0, 0.0))
-    target = apply_mapping(example_space, MappingSpec(spec, spec, torsion_delta=tau_delta))
-    assert target.torsion(P0)[0, 1, 2] == 1.0
-    # symmetric part untouched by a pure torsion change
-    assert np.array_equal(target.connection(P0), example_space.connection(P0))
-
-
-def test_torsion_delta_adds_to_source_torsion(chart):
-    entries = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
-    entries[0][1][2] = "u"  # source torsion^1_23 = u/2
-    field = TensorField(chart, "ull", entries)
-    source = Space.from_connection(field)
-    spec = OmegaSpec(chart, SValues(1.0, 0.0, 0.0))
-    delta = scale_field(symmetrize_connection(field)[1], 3.0)
-    target = apply_mapping(source, MappingSpec(spec, spec, torsion_delta=delta))
-    assert target.torsion(P0)[0, 1, 2] == 4.0 * source.torsion(P0)[0, 1, 2]
-    assert target.torsion(P0)[0, 2, 1] == -2.0 * P0[0]
 
 
 # --- F-planar construction ------------------------------------------------------
@@ -326,6 +295,14 @@ def test_unknown_invariant_name_rejected(example_space, chart):
     target = apply_mapping(example_space, mapping)
     with pytest.raises(ValueError, match="unknown invariants"):
         verify_invariance(example_space, target, mapping, [P0], invariants=["nope"])
+
+
+def test_an_empty_invariant_list_is_rejected(example_space, chart):
+    # no row at all: the report would pass with nothing checked
+    mapping = geodesic_mapping(chart, ["1", "0", "0"])
+    target = apply_mapping(example_space, mapping)
+    with pytest.raises(ValueError, match="verify needs at least one invariant"):
+        verify_invariance(example_space, target, mapping, [P0], invariants=[])
 
 
 @pytest.mark.parametrize(

@@ -110,8 +110,8 @@ def test_random_fields_are_the_parsed_text():
         for variance in ("l", "ul", "ull"):
             field = sampling.random_field(chart, variance, rng)
             _assert_same_trees(field.entries, _oracle_field(chart, variance, oracle), chart)
-        field = sampling.random_symmetric_field(chart, rng, 0.5)
-        _assert_same_trees(field.entries, _oracle_symmetric(chart, oracle, 0.5), chart)
+        field = sampling.random_symmetric_field(chart, rng)
+        _assert_same_trees(field.entries, _oracle_symmetric(chart, oracle), chart)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
 
