@@ -10,7 +10,8 @@ claim fails numerically; the measurement quantifies by how much), or
 A sweep over sample points evaluates its objects once on the points as one
 batch (``tensor.PointBatch``) and takes the maximum over it.  A finding over
 many random draws reads each draw's field values, or its connection jet and
-field jets, on a batch of its own, which dies with the draw; then it
+field jets, on a batch of its own, which dies with the draw, all of them
+from one program run (``tensor.run_fields``); then it
 evaluates all its draws as one stack, with a leading draw axis before the
 point axis, through the array cores of ``deformation``, ``invariants`` and
 ``geometry`` (each s-value a ``(draws, 1)`` array): the omega-square
@@ -70,7 +71,7 @@ from .mappings import (
     verify_invariance,
 )
 from .sampling import random_connection_space, random_mapping, random_omega_spec
-from .tensor import PointBatch, scale_field
+from .tensor import PointBatch, run_fields, scale_field
 
 __all__ = ["Finding", "run_paper_audit", "findings_to_json"]
 
@@ -191,14 +192,17 @@ def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
 
 
 def _omega_square_finding(chart, rng, points) -> Finding:
-    # each draw's values are read on its own batch, which dies with its spec;
-    # then omega, the direct contraction and the expansion run once over the
-    # (draws, points) leading axes, each draw's residual the bits of its own
+    # each draw's values are read on its own batch, which dies with its spec,
+    # its five fields run as one program; then omega, the direct contraction
+    # and the expansion run once over the (draws, points) leading axes, each
+    # draw's residual the bits of its own
     s_values, values = [], []
     for _ in range(50):
         spec = random_omega_spec(chart, rng)
+        batch = PointBatch(points[:3])
+        run_fields((spec.rho, spec.sigma, spec.F, spec.phi, spec.sigma2), batch, 0)
         s_values.append(spec.s.as_tuple())
-        values.append(spec.values(PointBatch(points[:3])))
+        values.append(spec.values(batch))
     s = tuple(np.array(s_values).T[:, :, None])  # each s-value (draws, 1)
     fields = [np.stack(draws) for draws in zip(*values)]
     # the expansion first, so that its peak does not hold the contraction too

@@ -134,20 +134,20 @@ def _emit(text: str, end: str = "\n") -> None:
 
 # --- table rendering ---------------------------------------------------------
 
-def _rows(points, arrays):
-    rows = []
-    for point, data in zip(points, arrays):
-        for index in np.ndindex(*data.shape):
-            rows.append((point, tuple(i + 1 for i in index), float(data[index])))
-    return rows
+def _labels(shape) -> list:
+    """Each element's 1-based index as text, "i,j,..." ("" for a scalar),
+    row-major."""
+    return [",".join(str(i + 1) for i in index) for index in np.ndindex(*shape)]
 
 
-def _csv_text(job, rank, rows) -> str:
+def _csv_text(job, rank, points, arrays) -> str:
     header = list(job.chart.names) + [f"i{k + 1}" for k in range(rank)] + ["value"]
+    # a point's lines, formatted from its cells and then its element values
+    cells = (label + "," if label else "" for label in _labels(arrays.shape[1:]))
+    block = "\n".join(f"{{0}},{index}{{{k + 1}!r}}" for k, index in enumerate(cells))
     lines = [",".join(header)]
-    for point, index, value in rows:
-        cells = [repr(float(c)) for c in point] + [str(i) for i in index] + [repr(value)]
-        lines.append(",".join(cells))
+    for point, data in zip(points, arrays):
+        lines.append(block.format(",".join(repr(float(c)) for c in point), *data.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -164,16 +164,18 @@ def _json_text(job, name, variance, points, arrays) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _text_table(name, rows) -> str:
+def _text_table(name, points, arrays) -> str:
     lines = [f"# {name}"]
+    # a point's lines, formatted from its element values
+    heads = (f"  ({label}) = " if label else "  value = " for label in _labels(arrays.shape[1:]))
+    block = "\n".join(f"{head}{{{k}!r}}" for k, head in enumerate(heads))
     last_point = None
-    for point, index, value in rows:
+    for point, data in zip(points, arrays):
         if point != last_point:
             coords = ", ".join(f"{c:.6g}" for c in point)
             lines.append(f"at ({coords}):")
             last_point = point
-        label = "(" + ",".join(str(i) for i in index) + ")" if index else "value"
-        lines.append(f"  {label} = {value!r}")
+        lines.append(block.format(*data.ravel().tolist()))
     return "\n".join(lines)
 
 
@@ -185,16 +187,15 @@ def _emit_tables(args, job, objects, points) -> None:
     # next, so the objects share the results in the block's cache
     per_object = evaluate_points([evaluate for _, _, evaluate in objects], points)
     for (name, variance, _), arrays in zip(objects, per_object):
-        rows = _rows(points, arrays)
         if out_dir:
-            (out_dir / f"{name}.csv").write_text(_csv_text(job, len(variance), rows))
+            (out_dir / f"{name}.csv").write_text(_csv_text(job, len(variance), points, arrays))
             (out_dir / f"{name}.json").write_text(_json_text(job, name, variance, points, arrays))
         if args.format == "csv":
-            _emit(_csv_text(job, len(variance), rows), end="")
+            _emit(_csv_text(job, len(variance), points, arrays), end="")
         elif args.format == "json":
             _emit(_json_text(job, name, variance, points, arrays))
         else:
-            _emit(_text_table(name, rows))
+            _emit(_text_table(name, points, arrays))
 
 
 # --- commands ----------------------------------------------------------------

@@ -97,24 +97,31 @@ class Chart:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """A tree node's only slot beyond its fields: nodes are slotted (no
+    ``__dict__``), and a weak reference to one stays possible."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(_Node):
     index: int
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, slots=True)
+class Unary(_Node):
     op: str  # neg | sin | cos | ln | exp | sqrt
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, slots=True)
+class Binary(_Node):
     op: str  # add | sub | mul | div | pow
     left: "Expr"
     right: "Expr"

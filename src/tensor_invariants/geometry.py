@@ -147,8 +147,12 @@ class Space:
     `provider` maps a ``tensor.PointBatch`` to the symmetric coefficients and
     their first partials there.  What is computed from the space is cached
     per batch under ``key``: an object of its own, or the key a reduced space
-    of ``invariants`` is given, so that equal reduced spaces share it.
+    of ``invariants`` is given, so that equal reduced spaces share it.  A
+    space made from connection coefficients keeps them as ``coefficients``,
+    so that a reader can run them with other fields (``tensor.run_fields``).
     """
+
+    coefficients = None
 
     def __init__(self, chart: Chart, provider):
         self.chart = chart
@@ -166,7 +170,9 @@ class Space:
 
     @classmethod
     def from_connection(cls, coefficients) -> "Space":
-        return cls(coefficients.chart, symmetrize_connection(coefficients).jet)
+        space = cls(coefficients.chart, symmetrize_connection(coefficients).jet)
+        space.coefficients = coefficients
+        return space
 
     @classmethod
     def flat(cls, chart: Chart) -> "Space":

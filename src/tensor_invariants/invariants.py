@@ -84,7 +84,16 @@ from .geometry import (
     thomas_arrays,
     weyl,
 )
-from .tensor import PointBatch, PointField, _batch, batch_shape, contract, delta_product, memo
+from .tensor import (
+    PointBatch,
+    PointField,
+    _batch,
+    batch_shape,
+    contract,
+    delta_product,
+    memo,
+    run_fields,
+)
 
 __all__ = [
     "SValues",
@@ -167,12 +176,14 @@ def stack_draws(draws, points, rho: bool = True) -> tuple:
     (else None); and D's term groups (:func:`dee_arrays`), the values of F
     and sigma with the calF jet, and of sigma_{jk} and phi with the
     sigma_{jk} phi^i jet.  Each draw is read on a batch of `points` (one
-    point or a list) of its own; taken from an iterator, the draw and its
-    batch die at its turn's end."""
+    point or a list) of its own, its expression fields (the connection's
+    coefficients too) run as one program; taken from an iterator, the draw
+    and its batch die at its turn's end."""
     s_values, jets = [], []
     for space, spec in draws:
         batch = PointBatch(points)
         fields = (spec.F, spec.sigma, spec.sigma2, spec.phi) + ((spec.rho,) if rho else ())
+        run_fields((space.coefficients,) + fields, batch, 1)
         s_values.append(spec.s.as_tuple())
         jets.append([space.connection_jet(batch)] + [f.jet(batch) for f in fields])
     lead = (len(s_values),) + (1,) * (np.ndim(points) - 1)

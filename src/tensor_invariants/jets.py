@@ -1,10 +1,10 @@
 """One engine for field values and exact jets: compiled programs, and the one
 rule of each scalar map.
 
-:func:`compile_program` compiles the entries of a field (one expression, or
-every entry of a tensor) into one program of ``(code, arg, node, left,
-right)`` ops, one per distinct subtree, each writing a slot from its
-operands' slots.  An op's key is its code, the constant's bits (0.0 and -0.0
+:func:`compile_program` compiles the entries of a field (one expression,
+every entry of a tensor, or the entries of several fields run together) into
+one program of ``(code, arg, node, left, right)`` ops, one per distinct
+subtree, each writing a slot from its operands' slots.  An op's key is its code, the constant's bits (0.0 and -0.0
 stay apart), the variable's index and the operands' slots, so a subtree
 repeated within or across entries (mirror entries, a shared ``sin(u)``) is
 computed once, with the bits a program of one entry gives.  ``node`` is the

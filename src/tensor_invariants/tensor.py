@@ -25,6 +25,12 @@ field jet several whole blocks at once, its span, as many as keep its
 largest channel within one N^4 array per block; each block reads read-only
 row views of the span's result, bit-identical to a run of its own.
 
+An expression field (:class:`TensorField`) compiles its own ``jets``
+program when it first runs alone.  :func:`run_fields` runs several fields
+as one program in one run and keeps each field's channels under the cache
+key of its own run, so that a reader of many small fields (a random draw of
+the audit) pays one compile and one run for all of them.
+
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
 
@@ -38,12 +44,12 @@ N/(N^2-1) + 1/(N^2-1) = 1/(N-1).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import expr as ex
-from .jets import compile_program, run_program
+from .jets import Program, compile_program, run_program
 
 __all__ = [
     "TensorField",
@@ -56,6 +62,7 @@ __all__ = [
     "scale_field",
     "add_fields",
     "memo",
+    "run_fields",
 ]
 
 
@@ -298,8 +305,10 @@ def delta_product(spec: str, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class TensorField:
-    """Dense tensor of parsed scalar expressions, compiled once to one
-    ``jets`` program that gives every entry's values and partials."""
+    """Dense tensor of parsed scalar expressions, run through ``jets``
+    programs that give every entry's values and partials: its own, compiled
+    when it first runs alone, or one shared with the fields it is run with
+    (:func:`run_fields`)."""
 
     def __init__(self, chart: ex.Chart, variance: str, entries):
         self.chart = chart
@@ -322,12 +331,11 @@ class TensorField:
         collect(entries, 0)
         self.shape = shape
         self.entries = flat
-        self.program = compile_program(*flat)
-        # each order's run holds the program, not the field, so that a field
-        # left unused is freed at once rather than by the cycle collector
-        self._runs = tuple(
-            partial(_entry_arrays, self.program, flat, shape, order) for order in range(3)
-        )
+
+    @cached_property
+    def program(self) -> Program:
+        """The field's own program, compiled at its first run alone."""
+        return compile_program(*self.entries)
 
     def entry(self, *index) -> ex.Expr:
         flat = 0
@@ -356,8 +364,9 @@ class TensorField:
 
     def _rows(self, order, point, compute=True):
         """The channels up to `order` at the span of `point`, cut to its
-        rows: one run of the program, kept in the span's cache, serves every
-        block of the span.  Unless `compute`, None if the span has no run."""
+        rows: one run (:func:`run_fields`), kept in the span's cache, serves
+        every block of the span.  Unless `compute`, None if the span has no
+        run."""
         span, rows = _batch(point), None
         if span.run is not None:
             # blocks per span: as many as keep the largest channel, entries *
@@ -365,8 +374,9 @@ class TensorField:
             # that a verify block's budget is sized for
             n = self.chart.dim
             span, rows = span.span(max(1, n**4 // (len(self.entries) * n**order)))
-        key = (self, order)
-        out = memo(span, key, self._runs[order]) if compute else span.cache.get(key)
+        if compute:
+            run_fields((self,), span, order)
+        out = span.cache.get((self, order))
         if rows is None or out is None:
             return out
         return tuple(c[rows] for c in out) if order else out[rows]
@@ -382,23 +392,67 @@ class TensorField:
         return build(())
 
 
-def _entry_arrays(program, entries, shape, order, point):
-    """Entry values at order 0, else (value, grad[, hess]), with the batch
-    axis first and derivative axes last.  A run overflows to inf/NaN without
-    raising or warning, so a non-finite value or derivative is caught here,
-    naming its entry (at the first point of a batch that has one)."""
-    lead = batch_shape(point)
-    result = run_program(program, point.array, order)
+def run_fields(fields, point, order: int) -> None:
+    """Run the expression fields among `fields` at `point` up to `order` in
+    one program run, and keep each one's channels in the batch's cache under
+    the key of its own run, ``(field, order)``.  A field already there, and
+    anything that is not a :class:`TensorField` (a point-function field,
+    None), is skipped.
+
+    One field runs its own program.  Several run one program compiled over
+    all their entries, in which a subtree shared by fields is one op; each
+    op gives the bits it gives in a field's own program, so each field's
+    channels are those of its own run.  An error is the one that running the
+    fields one by one in order would raise: the joint run names the first
+    failing entry of all, but a field before it may go non-finite with no
+    check firing, so a failed joint run is redone field by field."""
+    batch = _batch(point)
+    todo = [
+        field
+        for field in dict.fromkeys(fields)
+        if isinstance(field, TensorField) and (field, order) not in batch.cache
+    ]
+    if not todo:
+        return
+    if len(todo) == 1:
+        program = todo[0].program
+    else:
+        program = compile_program(*(entry for field in todo for entry in field.entries))
+    try:
+        result = run_program(program, batch.array, order)
+    except ex.DomainError:
+        if len(todo) == 1:
+            raise
+        result = None  # redone outside the handler, so the error stands alone
+    if result is None:
+        for field in todo:
+            run_fields((field,), batch, order)
+        return
     channels = result if order else (result,)
+    start = 0
+    for field in todo:
+        stop = start + len(field.entries)
+        part = [c[start:stop] for c in channels]
+        batch.cache[(field, order)] = _read_only(_entry_arrays(field, part, batch, order))
+        start = stop
+
+
+def _entry_arrays(field, channels, point, order):
+    """A field's channels, cut from a run's: entry values at order 0, else
+    (value, grad[, hess]), with the batch axis first and derivative axes
+    last.  A run overflows to inf/NaN without raising or warning, so a
+    non-finite value or derivative is caught here, naming its entry (at the
+    first point of a batch that has one)."""
+    lead = batch_shape(point)
     if not all(np.isfinite(c).all() for c in channels):
         finite = np.logical_and.reduce(
             [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
         )
         bad = ~finite
         entry = int(np.argmax(bad[:, np.argmax(bad.any(0))] if lead else bad))
-        raise ex.DomainError("non-finite value or derivative", entries[entry])
+        raise ex.DomainError("non-finite value or derivative", field.entries[entry])
     out = tuple(
-        (c.swapaxes(0, 1) if lead else c).reshape(lead + shape + c.shape[1 + len(lead) :])
+        (c.swapaxes(0, 1) if lead else c).reshape(lead + field.shape + c.shape[1 + len(lead) :])
         for c in channels
     )
     return out if order else out[0]

@@ -14,7 +14,7 @@ from oracles import (
     weyl_correlation_residual,
     weyl_modes_residual,
 )
-from tensor_invariants import audit, geometry, mappings
+from tensor_invariants import audit, geometry, mappings, sampling, tensor
 from tensor_invariants.audit import run_paper_audit
 from tensor_invariants.cli import main
 from tensor_invariants.configs import builtin_config
@@ -253,6 +253,53 @@ def test_stacked_draws_without_rho_keep_every_other_array():
     assert lean[2] is None
     for whole, part in zip(full[:2] + full[3:], lean[:2] + lean[3:], strict=True):
         assert [a.tobytes() for a in whole] == [b.tobytes() for b in part]
+
+
+def _count_programs(monkeypatch) -> dict:
+    """Calls of the program compiler and interpreter, wherever bound."""
+    counts = {"compile_program": 0, "run_program": 0}
+    for name in counts:
+        original = getattr(tensor, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in (tensor, audit):
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("convention", ["last", "middle"])
+def test_an_audit_compiles_and_runs_one_program_per_draw(seed, convention, monkeypatch):
+    # the omega-square finding's 50 specs and the 20 draws of the basic-Weyl
+    # modes and correlation findings each compile one program and run it
+    # once (403 compiles and 405 runs when every field ran its own)
+    counts = _count_programs(monkeypatch)
+    run_paper_audit(seed=seed, convention=convention)
+    assert counts == {"compile_program": 102, "run_program": 115}
+
+
+@pytest.mark.parametrize(
+    "finding", ["_omega_square_finding", "_weyl_modes_finding", "_correlation_finding"]
+)
+def test_sampled_fields_are_never_compiled_on_their_own(finding, monkeypatch):
+    # each draw's fields (the connection's coefficients too) run in one
+    # program over all of them, so no field compiles its own
+    made = []
+
+    class Recorded(TensorField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sampling, "TensorField", Recorded)
+    chart = builtin_config("example-r3").chart
+    points = sample_points([[1.0, 2.0]] * 3, 8, seed=1)
+    getattr(audit, finding)(chart, np.random.default_rng(3), points)
+    assert len(made) == {"_omega_square_finding": 250}.get(finding, 60)
+    assert not any("program" in vars(field) for field in made)
 
 
 @pytest.mark.parametrize("finding", ["_weyl_modes_finding", "_correlation_finding"])

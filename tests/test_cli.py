@@ -420,6 +420,53 @@ def test_a_table_over_points_is_its_one_point_runs_joined(command, fmt, tmp_path
         assert out.endswith("\n")
 
 
+def _element_tables(name, payload, names) -> tuple:
+    """The text and CSV tables of one object's JSON table, formatted one
+    element at a time: the tables' reference format."""
+    text, csv, last = [f"# {name}"], [], None
+    for entry in payload["points"]:
+        point, data = tuple(entry["point"]), np.array(entry["data"])
+        if not csv:
+            csv.append(",".join(names + [f"i{k + 1}" for k in range(data.ndim)] + ["value"]))
+        if point != last:
+            text.append("at (" + ", ".join(f"{c:.6g}" for c in point) + "):")
+            last = point
+        for index in np.ndindex(*data.shape):
+            label = ",".join(str(i + 1) for i in index)
+            value = float(data[index])
+            text.append(f"  ({label}) = {value!r}")
+            csv.append(",".join([repr(c) for c in point] + [label, repr(value)]))
+    return "\n".join(text) + "\n", "\n".join(csv) + "\n"
+
+
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
+def test_tables_are_formatted_element_by_element(command, tmp_path, capsys):
+    # the text and CSV tables, each point formatted from its values at once,
+    # are the element-by-element format of the JSON table's values; a point
+    # repeated next to itself is listed under one "at" line in the text
+    points = [[1.25, 1.5, 1.75], [1.25, 1.5, 1.75], [1.0, 2.0, 1.5], [1.125, 1.75, 1.0]]
+    config = dict(BUILTIN_CONFIGS["geodesic-demo"])
+    config["points"] = {"list": points}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outputs = {}
+    for fmt in ("text", "csv"):
+        code, outputs[fmt], err = _cli_output(
+            capsys, command, "--config", str(path), "--format", fmt, "--out", str(tmp_path / fmt)
+        )
+        assert (code, err) == (0, "")
+    names = [line[2:] for line in outputs["text"].splitlines() if line.startswith("# ")]
+    expected = {"text": "", "csv": ""}
+    for name in names:
+        payload = json.loads((tmp_path / "text" / f"{name}.json").read_text())
+        text, csv = _element_tables(name, payload, ["u", "v", "w"])
+        assert (tmp_path / "text" / f"{name}.csv").read_text() == csv
+        expected["text"] += text
+        expected["csv"] += csv
+    assert outputs == expected
+    assert outputs["text"].count("at (1.25, 1.5, 1.75):") == len(names)
+
+
 def _tables(text, start) -> list:
     """The lines of each table in `text`, a table opened by a line that
     begins with `start`."""

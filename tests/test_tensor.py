@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from tensor_invariants import geometry, tensor
-from tensor_invariants.expr import Chart
+from tensor_invariants.expr import Chart, DomainError
 from tensor_invariants.geometry import weyl_arrays
-from tensor_invariants.tensor import TensorField, contract, delta_product
+from tensor_invariants.jets import compile_program, run_program
+from tensor_invariants.sampling import random_field, random_symmetric_field
+from tensor_invariants.tensor import (
+    PointBatch,
+    TensorField,
+    contract,
+    delta_product,
+    run_fields,
+    zero_field,
+)
 
 CHART = Chart(("u", "v", "w"))
 
@@ -33,6 +42,98 @@ def test_field_entries_share_chart():
     assert np.allclose(field.value((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0])
     with pytest.raises(Exception):
         TensorField(CHART, "l", ["u", "q", "w"])
+
+
+# --- fields run together ---------------------------------------------------
+
+_POINTS = [(1.25, 1.5, 1.75), (1.0, 2.0, 1.5), (1.75, 1.125, 1.0), (1.5, 1.25, 2.0)]
+
+
+def _point_forms():
+    """A batch made from one point, a one-point batch and a batch."""
+    return (PointBatch(_POINTS[0]), PointBatch(_POINTS[:1]), PointBatch(_POINTS))
+
+
+def _joint_fields():
+    # random fields of every rank, and text fields whose subtrees recur
+    # across fields (sin(u), u*v) and within one (mirror entries)
+    rng = np.random.default_rng(12)
+    return [
+        random_field(CHART, "ull", rng),
+        random_field(CHART, "ul", rng),
+        TensorField(CHART, "l", ["sin(u)*v", "u*v", "ln(1+w^2)"]),
+        random_symmetric_field(CHART, rng),
+        TensorField(CHART, "ll", [["u*v", "sin(u)", "0"], ["sin(u)", "u^3", "w/v"], ["0", "w/v", "1"]]),
+        random_field(CHART, "u", rng),
+    ]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fields_run_together_give_each_the_bytes_of_its_own_run(order):
+    fields = _joint_fields()
+    batches = _point_forms()
+    for batch in batches:
+        run_fields(fields, batch, order)
+    # the joint runs are read from the caches: no field compiled its own
+    joint = [[field._rows(order, batch) for field in fields] for batch in batches]
+    assert not any("program" in vars(field) for field in fields)
+    for batch, results in zip(batches, joint):
+        for field, together in zip(fields, results):
+            alone = field._rows(order, PointBatch(batch.array))
+            for a, b in zip(together if order else (together,), alone if order else (alone,)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+    # one field runs its own program, compiled once and kept; what is not an
+    # expression field is left to its own evaluation
+    field, batch = fields[0], PointBatch(_POINTS)
+    run_fields([field, None, zero_field(CHART, "l"), field], batch, order)
+    assert vars(field)["program"] is field.program
+    assert [key[0] for key in batch.cache] == [field]
+
+
+def _raised(run):
+    try:
+        run()
+    except DomainError as error:
+        return error
+    return None
+
+
+def _errors(fields, batch, order):
+    """The error (or None) of running `fields` together, and of running each
+    alone in turn on a fresh batch."""
+    fresh = PointBatch(batch.array)
+    together = _raised(lambda: run_fields(fields, batch, order))
+    alone = _raised(lambda: [run_fields((field,), fresh, order) for field in fields])
+    return together, alone
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fields_run_together_raise_the_error_of_their_runs_in_turn(order):
+    # `overflow` goes non-finite with no domain check firing (a product
+    # overflows) and `domain` fails ln's check at every point: in this order
+    # the overflow is the error, though one program over both names ln
+    overflow = TensorField(CHART, "l", ["u", "1e300*1e300*u", "v"])
+    domain = TensorField(CHART, "l", ["ln(u - 5)", "v", "w"])
+    joint = compile_program(*overflow.entries, *domain.entries)
+    for batch in _point_forms():
+        with pytest.raises(DomainError) as named:
+            run_program(joint, batch.array, order)
+        assert named.value.node is domain.entry(0)
+        together, alone = _errors((overflow, domain), batch, order)
+        assert str(together) == str(alone) and together.node is alone.node
+        assert together.reason == "non-finite value or derivative"
+        assert together.node is overflow.entry(1)
+    # the other way round, and with fields that fail at some points only:
+    # 1e306*w^8 overflows at w = 2 (the last point) at order 0 and at
+    # w = 1.75 too above it; sqrt(1.6 - u) fails at u = 1.75
+    late = TensorField(CHART, "l", ["u", "v", "1e306*w^8"])
+    checked = TensorField(CHART, "l", ["v", "sqrt(1.6 - u)", "w"])
+    for fields in [(domain, overflow), (late, domain), (checked, late, domain), (late, checked)]:
+        for batch in _point_forms():
+            together, alone = _errors(fields, batch, order)
+            assert str(together) == str(alone)
+            assert getattr(together, "node", None) is getattr(alone, "node", None)
 
 
 # --- the contraction kernel --------------------------------------------------
