@@ -18,6 +18,8 @@ point axis, through the array cores of ``deformation``, ``invariants`` and
 finding's 50 specs, and the 10 spaces and specs of each of the basic-Weyl
 modes and correlation findings (:func:`invariants.stack_draws`).  So each kernel runs once
 per finding, and each draw's residual keeps the bits of its own evaluators.
+The derived-Thomas and first-stage Weyl sign findings run their one random
+space's fields as one program too.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def _omega_square_finding(chart, rng, points) -> Finding:
     for _ in range(50):
         spec = random_omega_spec(chart, rng)
         batch = PointBatch(points[:3])
-        run_fields((spec.rho, spec.sigma, spec.F, spec.phi, spec.sigma2), batch, 0)
+        run_fields(spec.fields, batch, 0)
         s_values.append(spec.s.as_tuple())
         values.append(spec.values(batch))
     s = tuple(np.array(s_values).T[:, :, None])  # each s-value (draws, 1)
@@ -302,6 +304,9 @@ def _derived_thomas_general_s_finding(chart, rng, points) -> Finding:
         "unit": (derived_thomas(space, unit_src), derived_thomas(target, unit_tgt)),
     }
     batch = PointBatch(points[:5])
+    # the random space's fields run as one program
+    fields = (space.coefficients,) + mapping.omega_src.fields + mapping.omega_tgt.fields
+    run_fields(fields, batch, 1)
     worst = {
         key: _largest(eval_src(batch) - eval_tgt(batch))
         for key, (eval_src, eval_tgt) in evaluators.items()
@@ -357,6 +362,8 @@ def _weyl_first_sign_finding(chart, rng, points) -> Finding:
     spec = random_omega_spec(chart, rng, SValues(1.0, 0.5, -0.7))
     chain = derived_weyl_chain(space, spec)
     batch = PointBatch(points[:4])
+    # the random space's fields run as one program (the chain reads no rho)
+    run_fields((space.coefficients, spec.F, spec.sigma, spec.sigma2, spec.phi), batch, 1)
     gap = _largest(chain.first_printed(batch) - chain.first_corrected(batch))
     return Finding(
         id="weyl-first-stage-trace-sign",

@@ -84,9 +84,14 @@ class OmegaSpec:
                     f"sigma2 is not symmetric at {tuple(point)} (max skew {skew:.3e})"
                 )
 
+    @property
+    def fields(self) -> tuple:
+        """rho, sigma, F, phi and sigma2."""
+        return tuple(getattr(self, name) for name in _FIELDS)
+
     def values(self, point):
         """The values of rho, sigma, F, phi and sigma2 at a point."""
-        return tuple(getattr(self, name).value(point) for name in _FIELDS)
+        return tuple(field.value(point) for field in self.fields)
 
 
 def _pair(A: np.ndarray, v: np.ndarray) -> np.ndarray:

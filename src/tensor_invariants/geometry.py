@@ -148,15 +148,15 @@ class Space:
     their first partials there.  What is computed from the space is cached
     per batch under ``key``: an object of its own, or the key a reduced space
     of ``invariants`` is given, so that equal reduced spaces share it.  A
-    space made from connection coefficients keeps them as ``coefficients``,
-    so that a reader can run them with other fields (``tensor.run_fields``).
+    space made from connection coefficients keeps them as ``coefficients``
+    (else None), so that a reader can run them with other fields
+    (``tensor.run_fields``).
     """
 
-    coefficients = None
-
-    def __init__(self, chart: Chart, provider):
+    def __init__(self, chart: Chart, provider, coefficients=None):
         self.chart = chart
         self._provider = provider
+        self.coefficients = coefficients
         self.key = object()
 
     @classmethod
@@ -170,9 +170,8 @@ class Space:
 
     @classmethod
     def from_connection(cls, coefficients) -> "Space":
-        space = cls(coefficients.chart, symmetrize_connection(coefficients).jet)
-        space.coefficients = coefficients
-        return space
+        symmetric = symmetrize_connection(coefficients)
+        return cls(coefficients.chart, symmetric.jet, coefficients)
 
     @classmethod
     def flat(cls, chart: Chart) -> "Space":

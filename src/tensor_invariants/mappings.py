@@ -310,17 +310,15 @@ class InvarianceReport:
         directly: ``indent`` selects json's pure-Python encoder, which costs
         more than the verdict on a report of a few thousand points.  A writer
         that takes the pieces in turn holds one row's text at a time.  The
-        rows of a verify report share their point tuples, so each point's
-        text, up to its discrepancy, is formatted once per report; it is
-        keyed by identity, since equal points may print differently (0.0 and
-        -0.0, 1 and 1.0).  A row is one join, its numbers by
-        ``float.__repr__`` when every one is finite."""
+        rows of a verify report share their point tuples, so each point's text
+        is formatted once; it is keyed by identity, since equal points may
+        print differently (0.0 and -0.0, 1 and 1.0)."""
         head = f'{{\n  "tol": {_json_number(self.tol)},\n  "passed": {_json_number(self.passed)},\n'
         if not self.rows:
             yield head + '  "invariants": []\n}'
             return
         yield head + '  "invariants": [\n'
-        point_heads: dict = {}
+        point_text: dict = {}
         for k, row in enumerate(self.rows):
             fields = [
                 f'      "name": {json.dumps(row.name)}',
@@ -329,23 +327,16 @@ class InvarianceReport:
             ]
             if not row.finite:
                 fields.append('      "non_finite": true')
-            heads = []
-            for point, _ in row.discrepancies:
-                text = point_heads.get(id(point))
+            entries = []
+            for point, disc in row.discrepancies:
+                text = point_text.get(id(point))
                 if text is None:
-                    text = point_heads[id(point)] = (
-                        '        {\n          "point": '
-                        + _json_list(point, " " * 10)
-                        + ',\n          "discrepancy": '
-                    )
-                heads.append(text)
-            numbers = map(
-                float.__repr__ if row.finite else _json_number,
-                [disc for _, disc in row.discrepancies],
-            )
-            entries = "\n        },\n".join(map(str.__add__, heads, numbers))
-            points = f"[\n{entries}\n        }}\n      ]" if heads else "[]"
-            fields.append('      "points": ' + points)
+                    text = point_text[id(point)] = _json_list(point, " " * 10)
+                entries.append(
+                    f'        {{\n          "point": {text},\n'
+                    f'          "discrepancy": {_json_number(disc)}\n        }}'
+                )
+            fields.append('      "points": ' + _json_block(entries, "      "))
             yield (",\n" if k else "") + "    {\n" + ",\n".join(fields) + "\n    }"
         yield "\n  ]\n}"
 

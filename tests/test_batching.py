@@ -273,17 +273,25 @@ def _count_programs(monkeypatch) -> dict:
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("convention", ["last", "middle"])
 def test_an_audit_compiles_and_runs_one_program_per_draw(seed, convention, monkeypatch):
-    # the omega-square finding's 50 specs and the 20 draws of the basic-Weyl
-    # modes and correlation findings each compile one program and run it
-    # once (403 compiles and 405 runs when every field ran its own)
+    # the omega-square finding's 50 specs, the 20 draws of the basic-Weyl
+    # modes and correlation findings, and the random space of the derived
+    # Thomas and first-stage Weyl sign findings each compile one program and
+    # run it once (403 compiles and 405 runs when every field ran its own)
     counts = _count_programs(monkeypatch)
     run_paper_audit(seed=seed, convention=convention)
-    assert counts == {"compile_program": 102, "run_program": 115}
+    assert counts == {"compile_program": 88, "run_program": 97}
 
 
-@pytest.mark.parametrize(
-    "finding", ["_omega_square_finding", "_weyl_modes_finding", "_correlation_finding"]
-)
+_SAMPLED = {
+    "_omega_square_finding": 250,
+    "_weyl_modes_finding": 60,
+    "_correlation_finding": 60,
+    "_derived_thomas_general_s_finding": 11,
+    "_weyl_first_sign_finding": 6,
+}
+
+
+@pytest.mark.parametrize("finding", list(_SAMPLED))
 def test_sampled_fields_are_never_compiled_on_their_own(finding, monkeypatch):
     # each draw's fields (the connection's coefficients too) run in one
     # program over all of them, so no field compiles its own
@@ -298,7 +306,7 @@ def test_sampled_fields_are_never_compiled_on_their_own(finding, monkeypatch):
     chart = builtin_config("example-r3").chart
     points = sample_points([[1.0, 2.0]] * 3, 8, seed=1)
     getattr(audit, finding)(chart, np.random.default_rng(3), points)
-    assert len(made) == {"_omega_square_finding": 250}.get(finding, 60)
+    assert len(made) == _SAMPLED[finding]
     assert not any("program" in vars(field) for field in made)
 
 
