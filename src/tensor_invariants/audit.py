@@ -332,9 +332,6 @@ def _theorem2_general_finding(chart, rng, points, convention) -> Finding:
     space = random_connection_space(chart, rng)
     mapping = random_mapping(chart, rng, SValues(1.0, -0.6, 0.8))
     target = apply_mapping(space, mapping)
-    report = verify_invariance(
-        space, target, mapping, points[:6], tol=1e-10, convention=convention
-    )
     chain_names = (
         "basic_thomas",
         "basic_weyl_direct",
@@ -342,6 +339,9 @@ def _theorem2_general_finding(chart, rng, points, convention) -> Finding:
         "weyl_first_corrected",
         "weyl_second",
         "weyl_final",
+    )
+    report = verify_invariance(
+        space, target, mapping, points[:6], chain_names, tol=1e-10, convention=convention
     )
     measurement = {name: report.row(name).max_discrepancy for name in chain_names}
     measurement["note"] = (

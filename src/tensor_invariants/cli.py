@@ -261,13 +261,14 @@ def _run_verify(args, job) -> int:
         tol=tol,
         convention=args.ricci_convention,
     )
-    _emit(report.to_text())
+    text = report.to_text()
+    _emit(text)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "report.json", "w") as out:
             out.writelines(report.json_pieces())  # a row at a time
-        (out_dir / "report.txt").write_text(report.to_text() + "\n")
+        (out_dir / "report.txt").write_text(text + "\n")
     return 0 if report.passed else 3
 
 

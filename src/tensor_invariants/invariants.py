@@ -293,10 +293,11 @@ def dee_arrays(s: tuple, conn, groups) -> np.ndarray:
         F, sigma, calF, dcalF = calF_group
         FTs = contract("aj,a->j", F, sigma)
         F2 = contract("ia,aj->ij", F, F)
+        # a j<->m swapped view is the mirror term, bit for bit: the same
+        # products in the same operand order
+        FFs = contract("in,m,j->ijmn", F, FTs, sigma)
         out += s2 * s2 * (
-            contract("in,m,j->ijmn", F, FTs, sigma)
-            + contract("in,j,m->ijmn", F, FTs, sigma)
-            + contract("im,j,n->ijmn", F2, sigma, sigma)
+            FFs + FFs.swapaxes(-3, -2) + contract("im,j,n->ijmn", F2, sigma, sigma)
         )
         out -= s2 * covariant_derivative_arrays(calF, dcalF, "ull", conn)
     sphi_group = next(groups)
@@ -308,9 +309,10 @@ def dee_arrays(s: tuple, conn, groups) -> np.ndarray:
     if calF_group is not None and sphi_group is not None:
         FS = contract("am,an->mn", F, sigma2)
         Fphi = contract("ia,a->i", F, phi)
+        sFp = contract("j,mn,i->ijmn", sigma, FS, phi)
         out += s2 * s3 * (
-            contract("j,mn,i->ijmn", sigma, FS, phi)
-            + contract("m,jn,i->ijmn", sigma, FS, phi)
+            sFp
+            + sFp.swapaxes(-3, -2)
             - contract(",im,jn->ijmn", contract("a,a->", sigma, phi), F, sigma2)
             - contract("i,m,jn->ijmn", Fphi, sigma, sigma2)
         )
@@ -447,16 +449,18 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
 
     def pieces_at(point):
         d = dee_eval(point)
-        return (classical_eval(point), _alt(d)) + _dee_traces(d)
+        return (classical_eval(point) + _alt(d),) + _dee_traces(d)
 
-    # shared by the four stages, so each batch assembles them once
+    # shared by the four stages, so each batch assembles them once: the
+    # final stage W + D_{j[mn]}, and D's traces
     pieces = partial(memo, key=pieces_at, fn=pieces_at)
 
     def first(point, trace_sign: float) -> np.ndarray:
-        classical, d_alt, dtrace_alt, dmix = pieces(point)
-        n = classical.shape[-1]
-        out = classical + d_alt
-        out -= delta_product("ij,mn->ijmn", dtrace_alt) / (n + 1)
+        # the head is formed per stage: kept in the cache, it would hold one
+        # more N^4 array per block for a subtraction
+        final, dtrace_alt, dmix = pieces(point)
+        n = final.shape[-1]
+        out = final - delta_product("ij,mn->ijmn", dtrace_alt) / (n + 1)
         bracket_m = (n + 1) * dmix + trace_sign * dtrace_alt
         return out + delta_bracket(bracket_m) / (n * n - 1)
 
@@ -467,11 +471,10 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
         return first(point, trace_sign=+1.0)
 
     def second(point) -> np.ndarray:
-        classical, d_alt, _, dmix = pieces(point)
-        return classical + d_alt + delta_bracket(dmix) / (classical.shape[-1] - 1)
+        final, _, dmix = pieces(point)
+        return final + delta_bracket(dmix) / (final.shape[-1] - 1)
 
     def final(point) -> np.ndarray:
-        classical, d_alt, _, _ = pieces(point)
-        return classical + d_alt
+        return pieces(point)[0]
 
     return WeylChain(first_printed, first_corrected, second, final)

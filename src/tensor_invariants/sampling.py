@@ -4,10 +4,15 @@ Everything is expression-backed so jets stay exact; coefficients are kept
 small so connections remain tame over the default [1, 2]^N sampling box.
 Fields are built as expression trees, not as text: each tree is the one
 ``expr.parse`` gives for the term's printed text (a coefficient rounded to
-4 decimals), drawn in the same order, so a seed gives the same fields.
+4 decimals), drawn in the same order, so a seed gives the same fields.  A
+term builds only its coefficient and its products: the subtrees x, sin(x),
+cos(x) and ln(1+x^2) of each coordinate are built once per chart dimension
+and shared by every term that uses them, so a compile walks each once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +57,17 @@ def _square(x: Expr) -> Expr:
     return Binary("pow", x, Const(2.0))
 
 
+@lru_cache(maxsize=None)
+def _factors(dim: int) -> tuple:
+    """Per coordinate of a chart of dimension `dim`, the factors of the
+    random terms, indexed by form: x, x, sin(x), cos(x), ln(1+x^2)."""
+    out = []
+    for x in map(Var, range(dim)):
+        ln = Unary("ln", Binary("add", Const(1.0), _square(x)))
+        out.append((x, x, Unary("sin", x), Unary("cos", x), ln))
+    return tuple(out)
+
+
 def random_expr(chart: Chart, rng: np.random.Generator) -> Expr:
     """One random term as an expression tree: ``c``, ``c*x``, ``c*x*y``,
     ``c*sin(x)``, ``c*cos(x)`` or ``c*ln(1+x^2)``, with c uniform in
@@ -60,14 +76,11 @@ def random_expr(chart: Chart, rng: np.random.Generator) -> Expr:
     c = _coefficient(rng.uniform(-0.3, 0.3))
     if form == 0:
         return c
-    x = Var(int(rng.integers(chart.dim)))
-    if form == 1:
-        return _mul(c, x)
+    factors = _factors(chart.dim)
+    node = Binary("mul", c, factors[rng.integers(chart.dim)][form - 1])
     if form == 2:
-        return _mul(c, x, Var(int(rng.integers(chart.dim))))
-    if form == 5:
-        return _mul(c, Unary("ln", Binary("add", Const(1.0), _square(x))))
-    return _mul(c, Unary("sin" if form == 3 else "cos", x))
+        return Binary("mul", node, factors[rng.integers(chart.dim)][0])
+    return node
 
 
 def _nested(chart: Chart, rng, depth: int):

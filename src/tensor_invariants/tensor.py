@@ -405,7 +405,12 @@ def run_fields(fields, point, order: int) -> None:
     channels are those of its own run.  An error is the one that running the
     fields one by one in order would raise: the joint run names the first
     failing entry of all, but a field before it may go non-finite with no
-    check firing, so a failed joint run is redone field by field."""
+    check firing, so a failed joint run is redone field by field.  A run
+    overflows to inf/NaN without raising or warning, so its channels are
+    checked for finiteness, once for the whole run; only if that check
+    fails are the fields checked in order, and the first with a non-finite
+    value or derivative raises, naming its entry (at the first point of a
+    batch that has one), with the fields before it kept."""
     batch = _batch(point)
     todo = [
         field
@@ -429,28 +434,37 @@ def run_fields(fields, point, order: int) -> None:
             run_fields((field,), batch, order)
         return
     channels = result if order else (result,)
+    finite = all(np.isfinite(c).all() for c in channels)
     start = 0
     for field in todo:
         stop = start + len(field.entries)
         part = [c[start:stop] for c in channels]
+        if not finite:
+            _check_finite(field, part, batch)
         batch.cache[(field, order)] = _read_only(_entry_arrays(field, part, batch, order))
         start = stop
+
+
+def _check_finite(field, channels, point) -> None:
+    """Raise naming the field's first entry with a non-finite value or
+    derivative in its channels cut from a run, at the first point of a
+    batch that has one."""
+    lead = batch_shape(point)
+    if all(np.isfinite(c).all() for c in channels):
+        return
+    finite = np.logical_and.reduce(
+        [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
+    )
+    bad = ~finite
+    entry = int(np.argmax(bad[:, np.argmax(bad.any(0))] if lead else bad))
+    raise ex.DomainError("non-finite value or derivative", field.entries[entry])
 
 
 def _entry_arrays(field, channels, point, order):
     """A field's channels, cut from a run's: entry values at order 0, else
     (value, grad[, hess]), with the batch axis first and derivative axes
-    last.  A run overflows to inf/NaN without raising or warning, so a
-    non-finite value or derivative is caught here, naming its entry (at the
-    first point of a batch that has one)."""
+    last."""
     lead = batch_shape(point)
-    if not all(np.isfinite(c).all() for c in channels):
-        finite = np.logical_and.reduce(
-            [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
-        )
-        bad = ~finite
-        entry = int(np.argmax(bad[:, np.argmax(bad.any(0))] if lead else bad))
-        raise ex.DomainError("non-finite value or derivative", field.entries[entry])
     out = tuple(
         (c.swapaxes(0, 1) if lead else c).reshape(lead + field.shape + c.shape[1 + len(lead) :])
         for c in channels

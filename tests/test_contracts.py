@@ -85,16 +85,31 @@ def test_traced_verify_reaches_every_verify_span():
     assert counts["numpy.einsum.calls"] == 18
 
 
-def test_traced_audit_reaches_every_audit_span(tmp_path):
+@pytest.fixture(scope="module")
+def traced_audit(tmp_path_factory):
+    out = tmp_path_factory.mktemp("audit")
+    return _traced("audit-paper", "--points-seed", "7", "--out", str(out))
+
+
+def test_traced_audit_reaches_every_audit_span(traced_audit):
     # the tracer wraps what the audit module imports, so a change to those
-    # imports must keep install() working and the audit's spans recorded
-    result = _traced("audit-paper", "--points-seed", "7", "--out", str(tmp_path))
+    # imports must keep install() working; the benchmark requires a call of
+    # every span of audit-paper, the Theorem 2 finding's verify among them
+    result = traced_audit
     assert result["code"] == 0
     counts = result["counts"]
-    spans = result["spans"]
-    empty = [name for name in AUDIT_ONLY_SPANS if counts.get(f"{name}.{spans[name]}", 0) < 1]
+    spans = result["spans"].items()
+    empty = [name for name, kind in spans if counts.get(f"{name}.{kind}", 0) < 1]
     assert not empty, f"audit spans with no call: {empty}"
     # the omega-square finding contracts all of its 50 draws in one einsum,
-    # and the correlation finding takes each of its 7 traces (2 Ricci, 2
-    # Thomas, 3 of D) once for its 10 draws, not once per draw (145 before)
-    assert counts["numpy.einsum.calls"] == 52
+    # the correlation finding takes each of its 7 traces (2 Ricci, 2 Thomas,
+    # 3 of D) once for its 10 draws, not once per draw (145 before), and the
+    # Theorem 2 finding asks verify for its six rows only (52 with all ten)
+    assert counts["numpy.einsum.calls"] == 48
+    assert counts["mappings.rows"] == 36
+
+
+def test_traced_audits_at_one_seed_count_alike(traced_audit, tmp_path):
+    # the benchmark fails a traced run whose counts differ between its jobs
+    again = _traced("audit-paper", "--points-seed", "7", "--out", str(tmp_path))
+    assert again["counts"] == traced_audit["counts"]

@@ -4,12 +4,13 @@ import operator
 import warnings
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 from oracles import eval_jet, evaluate
-from tensor_invariants import jets
+from tensor_invariants import jets, sampling
 from tensor_invariants.expr import (
     FUNCTIONS,
     Binary,
@@ -627,6 +628,41 @@ def test_compile_builds_each_scalar_map_rule_once(monkeypatch):
                     flat = joint.reshape(lead + (len(entries),) + single.shape[1 + len(lead) :])
                     by_entry = np.moveaxis(flat, len(lead), 0)
                     assert by_entry[e].tobytes() == single[0].tobytes(), (e, order)
+
+
+def _copy(node):
+    """An equal tree that shares no node object with `node`."""
+    if isinstance(node, Unary):
+        return Unary(node.op, _copy(node.arg))
+    if isinstance(node, Binary):
+        return Binary(node.op, _copy(node.left), _copy(node.right))
+    return Const(node.value) if isinstance(node, Const) else Var(node.index)
+
+
+def _layout(program) -> tuple:
+    ops = []
+    for code, arg, node, left, right in program.ops:
+        rule = (arg.func, arg.args) if isinstance(arg, partial) else arg
+        ops.append((code, repr(rule) if code == "const" else rule, node, left, right))
+    return ops, program.roots, program.owners
+
+
+def test_shared_subtree_objects_compile_like_unshared_copies():
+    # a node object met again takes the slot of its first visit, which its
+    # key would find: the ops (each naming its first node), roots and owners
+    # are those of equal trees that share no object
+    leaf, zero = Unary("sin", Var(0)), Const(-0.0)
+    square = Binary("pow", leaf, Const(2.0))
+    handmade = [
+        Binary("mul", leaf, leaf),
+        Binary("add", Binary("mul", zero, square), Unary("sin", Var(0))),
+        Binary("sub", square, Binary("mul", Const(0.0), leaf)),
+    ]
+    spec = sampling.random_omega_spec(CHART, np.random.default_rng(6))
+    sampled = [entry for field in spec.fields for entry in field.entries]
+    for entries in (handmade, sampled):
+        copies = [_copy(entry) for entry in entries]
+        assert _layout(compile_program(*entries)) == _layout(compile_program(*copies))
 
 
 def test_signed_zero_constants_are_not_merged():

@@ -134,6 +134,30 @@ def test_random_omega_spec_is_the_parsed_text():
         assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+def _factors(term) -> list:
+    """The factors after the coefficient of a sampled term."""
+    if not isinstance(term, Binary) or term.op != "mul":
+        return []
+    return _factors(term.left) + [term.right]
+
+
+def test_sampled_subtrees_are_shared_within_a_chart_dimension():
+    # every term's x, sin(x), cos(x) and ln(1+x^2) is one object per
+    # coordinate, whichever chart of the dimension, field or draw it is in
+    for n in range(2, 7):
+        charts = (Chart(NAMES[:n]), Chart(tuple(f"q{k}" for k in range(n))))
+        specs = [sampling.random_omega_spec(chart, np.random.default_rng(n)) for chart in charts]
+        specs += [sampling.random_omega_spec(charts[0], np.random.default_rng(n + 1))]
+        objects = {}
+        for spec in specs:
+            for field in spec.fields:
+                for term in field.entries:
+                    for factor in _factors(term):
+                        objects.setdefault(factor, set()).add(id(factor))
+        assert all(len(ids) == 1 for ids in objects.values()), n
+        assert len(objects) <= 4 * n
+
+
 @pytest.mark.parametrize(
     "value, text, tree",
     [

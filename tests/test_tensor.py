@@ -302,3 +302,26 @@ def test_delta_product_keeps_non_finite_entries(spec):
     assert np.isfinite(got[0]).all()
     assert np.isnan(got[1]).sum() == n and np.isinf(got[2]).sum() == n
     assert not np.isnan(got[2]).any()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_later_fields_non_finite_gradient_names_that_field(order):
+    # 1e308*u*u stays finite for u up to 1.34 while its derivatives in u
+    # (2e308*u, 2e308) overflow, and no check fires: the joint run's one
+    # finiteness check fails, and the fields checked in turn name the later
+    # field's entry, the earlier field's channels kept, as runs in turn would
+    first = TensorField(CHART, "l", ["u", "sin(v)", "w"])
+    later = TensorField(CHART, "l", ["v", "1e308*u*u", "w"])
+    points = [(1.25, 1.5, 1.75), (1.0, 2.0, 1.5)]
+    joint = compile_program(*first.entries, *later.entries)
+    for batch in (PointBatch(points[0]), PointBatch(points)):
+        value, *derivatives = run_program(joint, batch.array, order)
+        assert np.isfinite(value).all()
+        for channel in derivatives:
+            assert not np.isfinite(channel[4]).all()
+            assert np.isfinite(np.delete(channel, 4, axis=0)).all()
+        together, alone = _errors((first, later), batch, order)
+        assert str(together) == str(alone) and together.node is alone.node
+        assert together.node is later.entry(1)
+        assert (first, order) in batch.cache and (later, order) not in batch.cache
+        run_fields((first, later), batch, 0)  # the values alone are finite
