@@ -135,35 +135,44 @@ Expr = Const | Var | Unary | Binary
 # ---------------------------------------------------------------------------
 
 class _Tokens:
+    """A text's tokens, ``(kind, text, position)``, each scanned once: the
+    parser peeks at a token several times before it takes it, and every
+    peek after the first returns the token kept from the first.  A character
+    that starts no token raises its ``ParseError`` when the parser reaches
+    it, so an earlier syntax error is reported first."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.token = None  # the token at pos, once peeked
 
     def peek(self) -> tuple[str, str, int]:
         """Return (kind, text, position) of the next token without consuming."""
-        self._skip_ws()
-        pos = self.pos
-        if pos >= len(self.text):
-            return ("eof", "", pos)
-        ch = self.text[pos]
-        if ch in "+-*/^()":
-            return ("op", ch, pos)
-        m = _NUMBER_RE.match(self.text, pos)
-        if m:
-            return ("number", m.group(0), pos)
-        m = _IDENT_RE.match(self.text, pos)
-        if m:
-            return ("ident", m.group(0), pos)
-        raise ParseError(f"unexpected character {ch!r}", pos)
+        if self.token is None:
+            self.token = self._scan()
+        return self.token
 
     def next(self) -> tuple[str, str, int]:
         kind, text, pos = self.peek()
-        self.pos = pos + len(text)
+        self.pos, self.token = pos + len(text), None
         return kind, text, pos
+
+    def _scan(self) -> tuple[str, str, int]:
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            return ("eof", "", pos)
+        ch = text[pos]
+        if ch in "+-*/^()":
+            return ("op", ch, pos)
+        m = _NUMBER_RE.match(text, pos)
+        if m:
+            return ("number", m.group(0), pos)
+        m = _IDENT_RE.match(text, pos)
+        if m:
+            return ("ident", m.group(0), pos)
+        raise ParseError(f"unexpected character {ch!r}", pos)
 
 
 def parse(text: str, chart: Chart) -> Expr:

@@ -22,10 +22,13 @@ and Hessians ``(P, N, N)`` by truncated Taylor arithmetic (Griewank &
 Walther, *Evaluating Derivatives*, ch. 13), exact up to rounding.  Every step
 is elementwise and each ufunc gives a row the same bits in any batch (pinned
 by ``tests/test_jets.py``), so a row's channels are bit-identical to a run of
-that row alone.  A constant subtree stays a float; its zero gradient and a
-linear subtree's zero Hessian are None and cost no array work.  Order 2 is
-the most the library needs (second partials of a metric give the first
-partials of its Christoffel symbols).
+that row alone.  The channels are indexed entry first but laid out point
+major: each is a ``(P, E, ...)`` buffer seen through ``swapaxes(0, 1)``, so
+that a field's arrays, batch axis first, are C-contiguous (``tensor``).  A
+constant subtree stays a float; its zero gradient and a linear subtree's
+zero Hessian are None and cost no array work.  Order 2 is the most the
+library needs (second partials of a metric give the first partials of its
+Christoffel symbols).
 """
 
 from __future__ import annotations
@@ -105,10 +108,12 @@ def run_program(program: Program, point, order: int):
 
     `point` is one point (N coordinates), or a ``(P, N)`` array of points;
     then the channels are ``(E, P)``, ``(E, P, N)`` and ``(E, P, N, N)``
-    arrays, in the points' floating dtype.  Floats overflow to inf/NaN with
-    numpy's warnings off.  A run whose checks fire raises the ``DomainError``
-    of its first failing entry at that entry's first failing row, as runs of
-    each row alone in turn would.
+    arrays, in the points' floating dtype, each the entry-first view of a
+    point-major buffer (``swapaxes(0, 1)`` of a C-contiguous ``(P, E, ...)``
+    array).  Floats overflow to inf/NaN with numpy's warnings off.  A run
+    whose checks fire raises the ``DomainError`` of its first failing entry
+    at that entry's first failing row, as runs of each row alone in turn
+    would.
     """
     points = np.asarray(point)
     if points.dtype.kind != "f":
@@ -186,8 +191,10 @@ def _run(program: Program, points: np.ndarray, order: int) -> tuple:
             push((-a, _minus(None, ga), _minus(None, ha)))
         else:
             raise ValueError(f"unknown binary op {code!r}")
-    # channels by entry; a None channel of an entry stays zero
-    out = [np.zeros((len(program.roots), rows) + (n,) * k, points.dtype) for k in range(order + 1)]
+    # channels laid out point-major, (P, E, ...), and indexed entry-first;
+    # a None channel of an entry stays zero
+    lead = (rows, len(program.roots))
+    out = [np.zeros(lead + (n,) * k, points.dtype).swapaxes(0, 1) for k in range(order + 1)]
     for entry, slot in enumerate(program.roots):
         for channel, part in zip(out, slots[slot] if order else (slots[slot],)):
             if part is not None:

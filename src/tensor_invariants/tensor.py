@@ -23,7 +23,10 @@ curvature, an invariant's building blocks) is computed once per batch by
 batch.  A block of a longer run (``PointBatch.blocks``) lets an expression
 field jet several whole blocks at once, its span, as many as keep its
 largest channel within one N^4 array per block; each block reads read-only
-row views of the span's result, bit-identical to a run of its own.
+row views of the span's result, bit-identical to a run of its own.  The
+``jets`` channels are laid out point-major, so a field run alone gives
+C-contiguous arrays, and so do a span's rows of them: the kernels that
+read them run over contiguous rows.
 
 An expression field (:class:`TensorField`) compiles its own ``jets``
 program when it first runs alone.  :func:`run_fields` runs several fields
@@ -463,7 +466,9 @@ def _check_finite(field, channels, point) -> None:
 def _entry_arrays(field, channels, point, order):
     """A field's channels, cut from a run's: entry values at order 0, else
     (value, grad[, hess]), with the batch axis first and derivative axes
-    last."""
+    last.  Views, no copies: the channels of a field's own run are
+    point-major buffers, so these are C-contiguous; a field's part of a
+    joint run is strided by the other fields' entries."""
     lead = batch_shape(point)
     out = tuple(
         (c.swapaxes(0, 1) if lead else c).reshape(lead + field.shape + c.shape[1 + len(lead) :])

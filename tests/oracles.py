@@ -9,6 +9,8 @@ way, or one expression at a time:
   the compiled programs;
 - :func:`eval_jet`, one expression's value and partials at one point,
   through a one-entry program;
+- :func:`parse`, the parser fed by :class:`RescanningTokens`, which scans
+  each token afresh whenever the parser asks for it;
 - :func:`riemannian_weyl`, the projective Weyl assembly reduced for a
   symmetric Ricci tensor;
 - :func:`omega_square_residual`, the audit's omega-square measurement one
@@ -26,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tensor_invariants.expr import Const, DomainError, Expr, Unary, Var
+from tensor_invariants import expr
+from tensor_invariants.expr import Const, DomainError, Expr, ParseError, Unary, Var
 from tensor_invariants.geometry import (
     RICCI_LAST,
     Space,
@@ -98,6 +101,50 @@ def eval_jet(node: Expr, point, order: int = 2) -> Jet:
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_program(compile_program(node), point, order)
     return Jet(*[c[0] for c in (result if order else (result,))], *[None] * (2 - order))
+
+
+class RescanningTokens:
+    """The parser's tokens, each scanned from the text when the parser asks
+    for it: whitespace skipped and both patterns tried again on every peek."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> tuple[str, str, int]:
+        self._skip_ws()
+        pos = self.pos
+        if pos >= len(self.text):
+            return ("eof", "", pos)
+        ch = self.text[pos]
+        if ch in "+-*/^()":
+            return ("op", ch, pos)
+        m = expr._NUMBER_RE.match(self.text, pos)
+        if m:
+            return ("number", m.group(0), pos)
+        m = expr._IDENT_RE.match(self.text, pos)
+        if m:
+            return ("ident", m.group(0), pos)
+        raise ParseError(f"unexpected character {ch!r}", pos)
+
+    def next(self) -> tuple[str, str, int]:
+        kind, text, pos = self.peek()
+        self.pos = pos + len(text)
+        return kind, text, pos
+
+
+def parse(text: str, chart) -> Expr:
+    """``expr.parse`` with its tokens from :class:`RescanningTokens`."""
+    toks = RescanningTokens(text)
+    node = expr._parse_expr(toks, chart)
+    kind, tok, pos = toks.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok!r}", pos)
+    return node
 
 
 def riemannian_weyl(space: Space, convention: str = RICCI_LAST):

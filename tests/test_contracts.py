@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tensor_invariants.configs import builtin_config
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [
     "tensor_invariants",
@@ -83,6 +85,19 @@ def test_traced_verify_reaches_every_verify_span():
     # through tensor), and the F-planar rho, which takes two traces of the
     # source connection, is computed once for its four readers
     assert counts["numpy.einsum.calls"] == 18
+
+
+def test_traced_verifies_of_one_config_count_alike(tmp_path):
+    # the benchmark fails a traced verify job whose counts differ from its
+    # first job's; 250 points at N = 3 are three blocks of 101, 101 and 48
+    config = json.loads(builtin_config("fplanar-demo").to_json())
+    config["points"]["count"] = 250
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    first, again = (_traced("verify", "--config", str(path)) for _ in range(2))
+    assert first["code"] == again["code"] == 3
+    assert first["counts"]["geometry.provider.calls"] == 3  # one metric run per block
+    assert again["counts"] == first["counts"]
 
 
 @pytest.fixture(scope="module")

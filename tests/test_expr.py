@@ -15,6 +15,7 @@ from tensor_invariants.expr import (
     parse,
     print_expr,
 )
+import oracles
 from oracles import evaluate
 from tensor_invariants.jets import compile_program, run_program
 
@@ -99,6 +100,54 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse("u + ", CHART)
     assert err.value.position == 4
+
+
+# --- the tokenizer that scans each token once, against the rescanning one ---
+
+def _parsed(parse_text, text):
+    """The tree, or the ParseError's message and position."""
+    try:
+        return parse_text(text, CHART)
+    except ParseError as err:
+        return str(err), err.position
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(u v $", "expected ')', found 'v'", 3),  # a syntax error before the bad character
+        ("(u $", "unexpected character '$'", 3),
+        ("u v", "unexpected trailing input 'v'", 2),
+        ("u)$", "unexpected trailing input ')'", 1),
+        ("u +\x1c$", "unexpected character '$'", 4),
+        ("1e400", "number 1e400 is not finite", 0),
+        ("", "unexpected token ''", 0),
+        (" \x1c", "unexpected token ''", 2),
+    ],
+)
+def test_parse_errors_name_the_token_the_parser_reaches(text, message, position):
+    for parse_text in (parse, oracles.parse):
+        assert _parsed(parse_text, text) == (f"{message} (at position {position})", position)
+
+
+_CHARACTERS = "uvw0123456789.eE+-*/^()sincolxpqrt_ \t\u2003\x1c$é"
+_TOKEN_TEXT = [
+    *"uvw()+-*/^$#é_",
+    *["0", "7", "2.5", ".5", "3.", "1e3", "2E-2", "1e400", "1e", "e", "E+"],
+    *["sin", "cos", "ln", "exp", "sqrt", "sinu", "u2"],
+    *[" ", "\t", "\u2003", "\x1c"],  # whitespace to str.isspace(), \x1c included
+]
+
+
+@given(
+    st.one_of(
+        st.text(st.sampled_from(_CHARACTERS), max_size=30),
+        st.lists(st.sampled_from(_TOKEN_TEXT), max_size=20).map("".join),
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_one_pass_tokens_parse_as_rescanned_tokens(text):
+    assert _parsed(parse, text) == _parsed(oracles.parse, text)
 
 
 def test_evaluate_simple():

@@ -22,8 +22,9 @@ from tensor_invariants.geometry import (
     thomas,
     weyl,
 )
-from tensor_invariants.mappings import sample_points
-from tensor_invariants.sampling import random_metric_space
+from tensor_invariants.deformation import OmegaSpec
+from tensor_invariants.mappings import MappingSpec, apply_mapping, sample_points, verify_invariance
+from tensor_invariants.sampling import random_mapping, random_metric_space
 from tensor_invariants.tensor import PointBatch, TensorField
 
 P0 = (1.0, 2.0, 3.0)
@@ -107,6 +108,59 @@ def test_constant_rescaling_leaves_christoffels_unchanged(n, seed, c):
             else:
                 size = max(1.0, float(np.max(np.abs(mine))))
                 assert np.max(np.abs(mine - theirs)) <= 1e-12 * size
+
+
+def _permuted(field, chart, perm):
+    """`field` over `chart`, whose names are the field's chart's names in the
+    order `perm`: entry (a, b, ...) is the field's entry (perm[a], perm[b],
+    ...), printed in the old names and parsed in the new ones."""
+    texts = np.array(field.strings(), dtype=object)
+    for axis in range(texts.ndim):
+        texts = texts.take(perm, axis=axis)
+    return TensorField(chart, field.variance, texts.tolist())
+
+
+def _permuted_spec(spec, chart, perm):
+    names = ("rho", "sigma", "F", "phi", "sigma2")
+    return OmegaSpec(chart, spec.s, **{k: _permuted(getattr(spec, k), chart, perm) for k in names})
+
+
+@given(st.permutations(range(3)), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_permuting_the_chart_names_permutes_every_index(perm, seed):
+    chart = Chart(("u", "v", "w"))
+    moved = Chart(tuple(chart.names[k] for k in perm))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(sampling, "TensorField", wraps=TensorField) as build:
+        source = random_metric_space(chart, rng)
+    metric = TensorField(chart, "ll", build.call_args.args[2])
+    mapping = random_mapping(chart, rng)
+    moved_source = Space.from_metric(_permuted(metric, moved, perm))
+    moved_mapping = MappingSpec(
+        _permuted_spec(mapping.omega_src, moved, perm),
+        _permuted_spec(mapping.omega_tgt, moved, perm),
+    )
+    points = sample_points([[0.5, 1.5]] * 3, 4, seed=seed)
+    moved_points = [tuple(point[k] for k in perm) for point in points]
+    target = apply_mapping(source, mapping)
+    moved_target = apply_mapping(moved_source, moved_mapping)
+    # every chart axis of each array, past the batch axis, taken in the order perm
+    for space, moved_space in ((source, moved_source), (target, moved_target)):
+        for build_eval in (lambda s: s.connection_jet, curvature, weyl):
+            want = build_eval(space)(PointBatch(points))
+            got = build_eval(moved_space)(PointBatch(moved_points))
+            for mine, theirs in zip(want, got) if isinstance(want, tuple) else [(want, got)]:
+                for axis in range(1, mine.ndim):
+                    mine = mine.take(perm, axis=axis)
+                size = max(1.0, float(np.max(np.abs(mine))))
+                assert np.max(np.abs(mine - theirs)) <= 1e-12 * size
+    report = verify_invariance(source, target, mapping, points)
+    moved_report = verify_invariance(moved_source, moved_target, moved_mapping, moved_points)
+    assert [row.name for row in moved_report.rows] == [row.name for row in report.rows]
+    for row, moved_row in zip(report.rows, moved_report.rows):
+        assert moved_row.passed == row.passed, row.name
+        for (_, mine), (_, theirs) in zip(row.discrepancies, moved_row.discrepancies):
+            assert abs(mine - theirs) <= 1e-12 * max(1.0, mine), row.name
 
 
 def test_asymmetric_metric_rejected(chart):

@@ -30,6 +30,7 @@ from tensor_invariants.invariants import (
     derived_weyl_chain,
     reduced_space,
 )
+from tensor_invariants.jets import run_program
 from tensor_invariants.mappings import (
     apply_mapping,
     fplanar_as_omega,
@@ -502,3 +503,49 @@ def test_memoised_arrays_are_read_only():
     assert first[1].base is not None and first[1].base is second[1].base
     with pytest.raises(ValueError):
         F.value(blocks[2])[0, 0, 0] = 1.0
+
+
+def test_block_field_arrays_are_c_contiguous(monkeypatch):
+    # N = 6 at 12 points is two blocks of 6: the metric's order-2 jet runs
+    # once per block, the omega fields once per span of both blocks.  Every
+    # value, jet and jet2 array a block reads, from either, is C-contiguous,
+    # so the N^4 kernels that read them run over contiguous rows
+    rng = np.random.default_rng(3)
+    chart = Chart(tuple(f"x{i + 1}" for i in range(6)))
+    source = random_metric_space(chart, rng)
+    mapping = random_mapping(chart, rng)
+    target = apply_mapping(source, mapping)
+    points = sample_points([[0.5, 1.5]] * 6, 12, seed=3)
+    read, cut = [], []
+    for name in ("value", "jet", "jet2"):
+
+        def reader(self, point, method=getattr(tensor.TensorField, name)):
+            out = method(self, point)
+            read.extend(out if isinstance(out, tuple) else (out,))
+            return out
+
+        monkeypatch.setattr(tensor.TensorField, name, reader)
+    span = tensor.PointBatch.span
+
+    def spanned(self, blocks):
+        found = span(self, blocks)
+        cut.append(found[1] is not None)
+        return found
+
+    monkeypatch.setattr(tensor.PointBatch, "span", spanned)
+    verify_invariance(source, target, mapping, points)
+    assert set(cut) == {False, True}  # own runs and span rows both read
+    assert len(read) > 50
+    strided = [a.shape for a in read if not a.flags.c_contiguous]
+    assert not strided, f"{len(strided)} of {len(read)} field arrays are strided: {strided[:3]}"
+    # run_program's channels keep their entry-first shapes, each row the bits
+    # of a run of that row alone
+    program = mapping.omega_src.F.program
+    batch = np.array(points)
+    channels = run_program(program, batch, 2)
+    assert [c.shape for c in channels] == [(36, 12), (36, 12, 6), (36, 12, 6, 6)]
+    for row, point in enumerate(points):
+        for together, alone in zip(channels, run_program(program, batch[row : row + 1], 2)):
+            assert together[:, row].tobytes() == alone[:, 0].tobytes()
+        for together, alone in zip(channels, run_program(program, point, 2)):
+            assert together[:, row].tobytes() == alone.tobytes()
