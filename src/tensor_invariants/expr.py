@@ -43,7 +43,8 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "ln", "exp", "sqrt")
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# ASCII digits only: \d would also take any other script's decimal digits
+_NUMBER_RE = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 

@@ -312,13 +312,19 @@ class InvarianceReport:
         that takes the pieces in turn holds one row's text at a time.  The
         rows of a verify report share their point tuples, so each point's text
         is formatted once; it is keyed by identity, since equal points may
-        print differently (0.0 and -0.0, 1 and 1.0)."""
+        print differently (0.0 and -0.0, 1 and 1.0).  The report's
+        discrepancies repeat too (rows that agree, zeros), so each distinct
+        one is formatted once per report (:func:`_distinct_texts`), keyed by
+        its 64-bit pattern: 0.0 and -0.0 are equal and hash alike, so a key
+        by value would print one as the other."""
         head = f'{{\n  "tol": {_json_number(self.tol)},\n  "passed": {_json_number(self.passed)},\n'
         if not self.rows:
             yield head + '  "invariants": []\n}'
             return
         yield head + '  "invariants": [\n'
         point_text: dict = {}
+        texts, index = _distinct_texts([d for row in self.rows for _, d in row.discrepancies])
+        disc_text = map(texts.__getitem__, index)
         for k, row in enumerate(self.rows):
             fields = [
                 f'      "name": {json.dumps(row.name)}',
@@ -328,14 +334,14 @@ class InvarianceReport:
             if not row.finite:
                 fields.append('      "non_finite": true')
             entries = []
-            for point, disc in row.discrepancies:
+            for (point, _), disc in zip(row.discrepancies, disc_text):  # this row's texts
                 text = point_text.get(id(point))
                 if text is None:
-                    text = point_text[id(point)] = _json_list(point, " " * 10)
-                entries.append(
-                    f'        {{\n          "point": {text},\n'
-                    f'          "discrepancy": {_json_number(disc)}\n        }}'
-                )
+                    text = point_text[id(point)] = (
+                        f'        {{\n          "point": {_json_list(point, " " * 10)},\n'
+                        '          "discrepancy": '
+                    )
+                entries.append(text + disc + "\n        }")
             fields.append('      "points": ' + _json_block(entries, "      "))
             yield (",\n" if k else "") + "    {\n" + ",\n".join(fields) + "\n    }"
         yield "\n  ]\n}"
@@ -363,6 +369,20 @@ def _json_number(x) -> str:
             return "-Infinity"
         return float.__repr__(x)
     return json.dumps(x)
+
+
+def _distinct_texts(values: list) -> tuple[list[str], list[int]]:
+    """The texts of `values` as :func:`_json_number` writes them, one per
+    distinct 64-bit pattern, and for each value the index of its text.  If
+    one is not a float (an int in a row a caller built prints 0, not 0.0),
+    every value gets a text of its own."""
+    if not all(issubclass(kind, float) for kind in set(map(type, values))):
+        return list(map(_json_number, values)), list(range(len(values)))
+    bits, inverse = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    # float.__repr__ is _json_number's text of a finite float
+    fmt = float.__repr__ if np.isfinite(distinct).all() else _json_number
+    return list(map(fmt, distinct.tolist())), inverse.tolist()
 
 
 def _json_block(items: list, indent: str) -> str:

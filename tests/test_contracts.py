@@ -2,13 +2,17 @@
 benchmark (bench/tracing.py) wraps."""
 
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tensor_invariants import cli, mappings
 from tensor_invariants.configs import builtin_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,3 +132,65 @@ def test_traced_audits_at_one_seed_count_alike(traced_audit, tmp_path):
     # the benchmark fails a traced run whose counts differ between its jobs
     again = _traced("audit-paper", "--points-seed", "7", "--out", str(tmp_path))
     assert again["counts"] == traced_audit["counts"]
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file without touching bench/."""
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, distinct", [(7, 1863), (11, 1848)])
+def test_bench_report_json_formats_each_distinct_discrepancy_once(
+    seed, distinct, tmp_path, monkeypatch
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_bench_workloads().fplanar_demo_config(seed)))
+    reports, formatted = [], []
+    verify, distinct_texts = cli.verify_invariance, mappings._distinct_texts
+
+    def kept(*args, **kwargs):
+        reports.append(verify(*args, **kwargs))
+        return reports[-1]
+
+    def counted(values):
+        texts, index = distinct_texts(values)
+        formatted.append((len(texts), len(index)))
+        return texts, index
+
+    monkeypatch.setattr(cli, "verify_invariance", kept)
+    monkeypatch.setattr(mappings, "_distinct_texts", counted)
+    assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 3
+    (report,) = reports
+    assert (tmp_path / "report.json").read_text() == json.dumps(report.to_dict(), indent=2)
+    discs = [d for row in report.rows for _, d in row.discrepancies]
+    patterns = len(set(np.array(discs).view(np.int64).tolist()))
+    assert formatted == [(patterns, len(discs))]  # one call, one text per bit pattern
+    assert (patterns, len(discs)) == (distinct, 13 * 256)
+
+
+# token kinds the budget leaves out: comments and layout
+_LAYOUT = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+MODULE_FILES = sorted((ROOT / "src" / "tensor_invariants").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULE_FILES, ids=lambda path: path.name)
+def test_every_module_stays_under_4096_tokens(path):
+    # compiling a module past a power of two in tokens raises the import's
+    # memory peak (ROADMAP, "Peak RSS is set at import")
+    with open(path, "rb") as source:
+        count = sum(tok.type not in _LAYOUT for tok in tokenize.tokenize(source.readline))
+    assert count < 4096, f"{path.name} has {count} tokens"

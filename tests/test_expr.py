@@ -130,6 +130,16 @@ def test_parse_errors_name_the_token_the_parser_reaches(text, message, position)
         assert _parsed(parse_text, text) == (f"{message} (at position {position})", position)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("٣*u", 0), ("u*١٢", 2), ("1.٥", 2)],  # Arabic-Indic digits
+)
+def test_numbers_take_ascii_digits_only(text, position):
+    message = f"unexpected character {text[position]!r} (at position {position})"
+    for parse_text in (parse, oracles.parse):
+        assert _parsed(parse_text, text) == (message, position)
+
+
 _CHARACTERS = "uvw0123456789.eE+-*/^()sincolxpqrt_ \t\u2003\x1c$é"
 _TOKEN_TEXT = [
     *"uvw()+-*/^$#é_",

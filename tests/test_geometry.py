@@ -110,6 +110,32 @@ def test_constant_rescaling_leaves_christoffels_unchanged(n, seed, c):
                 assert np.max(np.abs(mine - theirs)) <= 1e-12 * size
 
 
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.1, 10.0))
+@settings(max_examples=10, deadline=None)
+def test_constant_rescaling_leaves_every_verify_row_unchanged(seed, c):
+    chart = Chart(("u", "v", "w"))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(sampling, "TensorField", wraps=TensorField) as build:
+        source = random_metric_space(chart, rng)
+    _, _, entries = build.call_args.args
+    mapping = random_mapping(chart, rng)  # a general omega pair
+    points = sample_points([[1.0, 2.0]] * 3, 4, seed=seed)
+    want = verify_invariance(source, apply_mapping(source, mapping), mapping, points)
+    for factor in (4.0, c):
+        scaled = [[Binary("mul", Const(factor), g) for g in row] for row in entries]
+        space = Space.from_metric(TensorField(chart, "ll", scaled))
+        got = verify_invariance(space, apply_mapping(space, mapping), mapping, points)
+        assert [row.name for row in got.rows] == [row.name for row in want.rows]
+        for row, scaled_row in zip(want.rows, got.rows):
+            mine = np.array([d for _, d in row.discrepancies])
+            theirs = np.array([d for _, d in scaled_row.discrepancies])
+            if factor == 4.0:  # the connection is bit-identical, so every row is
+                assert mine.tobytes() == theirs.tobytes(), row.name
+            else:
+                assert scaled_row.passed == row.passed, row.name
+                assert np.all(np.abs(mine - theirs) <= 1e-12 * np.maximum(1.0, mine)), row.name
+
+
 def _permuted(field, chart, perm):
     """`field` over `chart`, whose names are the field's chart's names in the
     order `perm`: entry (a, b, ...) is the field's entry (perm[a], perm[b],

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import thomas
@@ -288,6 +290,32 @@ def test_report_json_is_json_dumps_of_the_dict(example_space, chart):
     target = apply_mapping(example_space, mapping)
     report = verify_invariance(example_space, target, mapping, sample_points([[1, 2]] * 3, 5, 3))
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+# zeros of both signs, NaN, the infinities, subnormals, ints and np.float64:
+# values that are equal but print differently, or print alike but differ
+_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e-9, 0.1, 88.25,
+    0, 3, -7, np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+]
+_COORDS = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0).map(np.float64))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_report_json_of_shared_points_and_repeated_values(data):
+    points = data.draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4))
+    # a small pool per report, so values repeat within and across rows
+    values = st.one_of(st.sampled_from(_VALUES), st.floats())
+    pool = data.draw(st.lists(values, min_size=1, max_size=6))
+    rows = []
+    for k in range(data.draw(st.integers(1, 4))):
+        shared = data.draw(st.lists(st.sampled_from(points), max_size=6))  # the same tuples
+        discs = [data.draw(st.sampled_from(pool)) for _ in shared]
+        rows.append(InvarianceRow(f"row{k}", list(zip(shared, discs)), 1e-8))
+    report = InvarianceReport(rows, data.draw(st.sampled_from([1e-8, 0.0, 1])))
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    assert len(list(report.json_pieces())) == len(rows) + 2  # one piece per row
 
 
 def test_unknown_invariant_name_rejected(example_space, chart):
