@@ -319,7 +319,8 @@ def _print(node: Expr, chart: Chart | None, parent_prec: int) -> str:
     if node.op == "pow":
         base = _print_pow_base(node.left, chart)
         exponent = node.right.value
-        exp_text = repr(exponent) if exponent >= 0 else f"(-{repr(-exponent)})"
+        negative = math.copysign(1.0, exponent) < 0  # by the sign bit: -0.0 too
+        exp_text = f"(-{repr(-exponent)})" if negative else repr(exponent)
         return f"{base}^{exp_text}"
     prec = _PREC[node.op]
     symbol = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[node.op]

@@ -128,19 +128,6 @@ class _MetricConnection:
         return gamma, dgamma
 
 
-class _SumConnection:
-    """A base space's (cached) connection plus a symmetric deformation field."""
-
-    def __init__(self, base: "Space", deformation):
-        self.base = base
-        self.deformation = deformation
-
-    def jets(self, point):
-        base, dbase = self.base.connection_jet(point)
-        delta, ddelta = self.deformation.jet(point)
-        return base + delta, dbase + ddelta
-
-
 class Space:
     """Chart plus connection; immutable.
 
@@ -189,9 +176,17 @@ class Space:
     def connection(self, point) -> np.ndarray:
         return self.connection_jet(point)[0]
 
-    def deformed(self, deformation) -> "Space":
-        """New space with coefficients L + deformation (deformation symmetric)."""
-        return Space(self.chart, _SumConnection(self, deformation).jets)
+    def deformed(self, delta) -> "Space":
+        """New space with coefficients L + delta: `delta` maps a batch to
+        the symmetric deformation's values and first partials, each added
+        to this space's (cached) connection jet, base first."""
+
+        def provider(point):
+            base, dbase = self.connection_jet(point)
+            value, grad = delta(point)
+            return base + value, dbase + grad
+
+        return Space(self.chart, provider)
 
 
 def christoffel(metric: TensorField) -> Space:

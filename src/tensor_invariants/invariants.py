@@ -86,7 +86,6 @@ from .geometry import (
 )
 from .tensor import (
     PointBatch,
-    PointField,
     _batch,
     batch_shape,
     contract,
@@ -155,16 +154,16 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     if rho:
         base = reduced_space(space, spec, rho=False)
 
-        def fn(point):
+        def delta(point):
             return tuple(-spec.s.s1 * x for x in _delta_pair_jet(*spec.rho.jet(point)))
 
     else:
         base, part = space, replace(spec, s=replace(spec.s, s1=0.0))
 
-        def fn(point):
+        def delta(point):
             return tuple(-x for x in omega_jet(part, point))
 
-    reduced = base.deformed(PointField(spec.chart, "ull", fn))
+    reduced = base.deformed(delta)
     reduced.key = _key("reduced", space, spec, rho)
     return reduced
 

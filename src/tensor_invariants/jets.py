@@ -56,13 +56,10 @@ class Program(NamedTuple):
 def compile_program(*entries: Expr) -> Program:
     """Compile the entries into one program, one op per distinct subtree.
 
-    An inner node object met again (a subtree that the trees share, as
-    sampled fields do) takes the slot of its first visit, without a walk:
-    its key would find that slot.  A leaf is keyed as cheaply as it is
-    looked up, so leaves are not recorded.  The entries hold every node
-    alive for the call, so a node's ``id`` names it until the call returns,
-    and no further."""
-    ops, owners, slots, seen = [], [], {}, {}
+    Every node is visited and keyed, so a subtree met again, as the same
+    object (sampled fields share theirs) or as an equal tree, finds its
+    first op's slot by its key."""
+    ops, owners, slots = [], [], {}
 
     def visit(node) -> int:
         left = right = arg = tag = None
@@ -71,17 +68,13 @@ def compile_program(*entries: Expr) -> Program:
             code, tag = "const", arg if arg else (arg, math.copysign(1.0, arg))
         elif isinstance(node, Var):
             code, arg, tag = "var", node.index, node.index
+        elif isinstance(node, Unary):
+            code, tag, left = ("neg" if node.op == "neg" else "map"), node.op, visit(node.arg)
+        elif node.op == "pow":
+            p = node.right.value
+            code, tag, left = "map", (p, math.copysign(1.0, p)), visit(node.left)
         else:
-            slot = seen.get(id(node))
-            if slot is not None:
-                return slot
-            if isinstance(node, Unary):
-                code, tag, left = ("neg" if node.op == "neg" else "map"), node.op, visit(node.arg)
-            elif node.op == "pow":
-                p = node.right.value
-                code, tag, left = "map", (p, math.copysign(1.0, p)), visit(node.left)
-            else:
-                code, left, right = node.op, visit(node.left), visit(node.right)
+            code, left, right = node.op, visit(node.left), visit(node.right)
         key = (code, tag, left, right)
         slot = slots.get(key)
         if slot is None:
@@ -90,8 +83,6 @@ def compile_program(*entries: Expr) -> Program:
             slot = slots[key] = len(ops)
             ops.append((code, arg, node, left, right))
             owners.append(owner)
-        if left is not None:
-            seen[id(node)] = slot
         return slot
 
     roots = []

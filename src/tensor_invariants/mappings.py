@@ -127,33 +127,28 @@ class FPlanarSpec:
     F: object
 
 
-def _deformation_field(mapping: MappingSpec) -> PointField:
-    chart = mapping.omega_src.chart
-
-    def fn(point):
-        w_src, dw_src = omega_jet(mapping.omega_src, point)
-        w_tgt, dw_tgt = omega_jet(mapping.omega_tgt, point)
-        return w_tgt - w_src, dw_tgt - dw_src
-
-    return PointField(chart, "ull", fn)
-
-
 def apply_mapping(source: Space, mapping: MappingSpec) -> Space:
     """Target space with Lbar = L + (omega_bar - omega)."""
     if mapping.omega_src.chart != source.chart:
         raise ValueError("mapping fields live on a different chart than the space")
-    return source.deformed(_deformation_field(mapping))
+
+    def delta(point):
+        w_src, dw_src = omega_jet(mapping.omega_src, point)
+        w_tgt, dw_tgt = omega_jet(mapping.omega_tgt, point)
+        return w_tgt - w_src, dw_tgt - dw_src
+
+    return source.deformed(delta)
 
 
 def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
     """Target space of the F-planar mapping with the given defining data."""
 
-    def fn(point):
+    def delta(point):
         psi_pair, dpsi_pair = _delta_pair_jet(*f.psi.jet(point))
         calF, dcalF = calF_jet(f.F, f.sigma, point)
         return psi_pair + calF, dpsi_pair + dcalF
 
-    return source.deformed(PointField(source.chart, "ull", fn))
+    return source.deformed(delta)
 
 
 def fplanar_rho_field(space: Space, F, sigma) -> PointField:
@@ -326,13 +321,7 @@ class InvarianceReport:
         texts, index = _distinct_texts([d for row in self.rows for _, d in row.discrepancies])
         disc_text = map(texts.__getitem__, index)
         for k, row in enumerate(self.rows):
-            fields = [
-                f'      "name": {json.dumps(row.name)}',
-                f'      "max_discrepancy": {_json_number(row.max_discrepancy)}',
-                f'      "passed": {_json_number(row.passed)}',
-            ]
-            if not row.finite:
-                fields.append('      "non_finite": true')
+            fields = [f'      "{key}": {_json_number(x)}' for key, x in _row_head(row).items()]
             entries = []
             for (point, _), disc in zip(row.discrepancies, disc_text):  # this row's texts
                 text = point_text.get(id(point))
@@ -395,10 +384,17 @@ def _json_list(values, indent: str) -> str:
     return _json_block([indent + "  " + _json_number(x) for x in values], indent)
 
 
-def _row_dict(row: InvarianceRow) -> dict:
-    out = {"name": row.name, "max_discrepancy": row.max_discrepancy, "passed": row.passed}
+def _row_head(row: InvarianceRow) -> dict:
+    """A report row's fields before its points: its name, worst discrepancy
+    and verdict, and ``non_finite`` if a discrepancy is not finite."""
+    head = {"name": row.name, "max_discrepancy": row.max_discrepancy, "passed": row.passed}
     if not row.finite:
-        out["non_finite"] = True
+        head["non_finite"] = True
+    return head
+
+
+def _row_dict(row: InvarianceRow) -> dict:
+    out = _row_head(row)
     out["points"] = [
         {"point": list(point), "discrepancy": disc} for point, disc in row.discrepancies
     ]

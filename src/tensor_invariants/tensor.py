@@ -326,7 +326,7 @@ class TensorField:
                     node = ex.parse(node, chart)
                 flat.append(node)
                 return
-            if len(node) != n:
+            if isinstance(node, str) or len(node) != n:  # a string is one entry, not a list
                 raise ValueError(f"expected {n} entries at depth {depth}")
             for item in node:
                 collect(item, depth + 1)
@@ -405,15 +405,13 @@ def run_fields(fields, point, order: int) -> None:
     One field runs its own program.  Several run one program compiled over
     all their entries, in which a subtree shared by fields is one op; each
     op gives the bits it gives in a field's own program, so each field's
-    channels are those of its own run.  An error is the one that running the
-    fields one by one in order would raise: the joint run names the first
-    failing entry of all, but a field before it may go non-finite with no
-    check firing, so a failed joint run is redone field by field.  A run
-    overflows to inf/NaN without raising or warning, so its channels are
-    checked for finiteness, once for the whole run; only if that check
-    fails are the fields checked in order, and the first with a non-finite
-    value or derivative raises, naming its entry (at the first point of a
-    batch that has one), with the fields before it kept."""
+    channels are those of its own run.  A run overflows to inf/NaN without
+    raising or warning, so its channels are checked for finiteness, once for
+    the whole run.  A joint run that raises a ``DomainError`` or fails that
+    check is redone field by field, so the error is the one that running
+    the fields one by one in order raises (the joint run would name the
+    first failing entry of all, though a field before it may go non-finite
+    with no check firing), with the fields before it kept."""
     batch = _batch(point)
     todo = [
         field
@@ -422,39 +420,37 @@ def run_fields(fields, point, order: int) -> None:
     ]
     if not todo:
         return
-    if len(todo) == 1:
-        program = todo[0].program
-    else:
+    joint = len(todo) > 1
+    if joint:
         program = compile_program(*(entry for field in todo for entry in field.entries))
+    else:
+        program = todo[0].program
     try:
         result = run_program(program, batch.array, order)
     except ex.DomainError:
-        if len(todo) == 1:
+        if not joint:
             raise
         result = None  # redone outside the handler, so the error stands alone
-    if result is None:
+    channels = result if order else (result,)
+    if result is None or not all(np.isfinite(c).all() for c in channels):
+        if not joint:
+            _check_finite(todo[0], channels, batch)  # raises
         for field in todo:
             run_fields((field,), batch, order)
         return
-    channels = result if order else (result,)
-    finite = all(np.isfinite(c).all() for c in channels)
     start = 0
     for field in todo:
         stop = start + len(field.entries)
         part = [c[start:stop] for c in channels]
-        if not finite:
-            _check_finite(field, part, batch)
         batch.cache[(field, order)] = _read_only(_entry_arrays(field, part, batch, order))
         start = stop
 
 
 def _check_finite(field, channels, point) -> None:
     """Raise naming the field's first entry with a non-finite value or
-    derivative in its channels cut from a run, at the first point of a
-    batch that has one."""
+    derivative in the channels of its own run, which hold one, at the first
+    point of a batch that has one."""
     lead = batch_shape(point)
-    if all(np.isfinite(c).all() for c in channels):
-        return
     finite = np.logical_and.reduce(
         [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
     )

@@ -601,6 +601,21 @@ def test_config_normalization_round_trip():
         assert again.to_dict() == normalized
 
 
+def test_config_with_negative_zero_exponents_round_trips():
+    # u^(-0) normalises to u^(-0.0), which loads again (u^-0.0 did not)
+    omega = {"s": [1, 0, 0], "rho": ["v", "u"]}
+    raw = {
+        "chart": ["u", "v"],
+        "space": {"connection": {}},
+        "omega": omega,
+        "omega_bar": dict(omega, rho=["u^(-0)", "2^(-0)*v"]),
+        "points": {"list": [[1.0, 1.0]]},
+    }
+    normalized = json.loads(JobConfig.from_dict(raw).to_json())
+    assert normalized["omega_bar"]["rho"] == ["u^(-0.0)", "2.0^(-0.0)*v"]
+    assert JobConfig.from_dict(normalized).to_dict() == normalized
+
+
 def test_config_requires_exactly_one_space():
     with pytest.raises(ConfigError, match="exactly one"):
         JobConfig.from_dict({"chart": ["u", "v"], "space": {}})

@@ -214,6 +214,18 @@ def test_parse_print_parse_fixed_point(node):
     assert parse(print_expr(reparsed, CHART), CHART) == reparsed
 
 
+@pytest.mark.parametrize("text", ["u^(-0)", "2^(-0)*v"])
+def test_negative_zero_exponent_prints_text_that_parses_back(text):
+    # the sign is tested by its bit: -0.0 >= 0, and u^-0.0 does not parse
+    node = parse(text, CHART)
+    printed = print_expr(node, CHART)
+    assert "^(-0.0)" in printed
+    reparsed = parse(printed, CHART)
+    assert reparsed == node and print_expr(reparsed, CHART) == printed
+    power = reparsed if reparsed.op == "pow" else reparsed.left
+    assert math.copysign(1.0, power.right.value) == -1.0
+
+
 def _random_ast(rng, depth):
     import numpy as np
 

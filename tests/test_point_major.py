@@ -210,7 +210,7 @@ def test_verify_fplanar_work_counts(monkeypatch):
     provided = Counter()
     summed = Counter()
     metric_jets = geometry._MetricConnection.jets
-    sum_jets = geometry._SumConnection.jets
+    deformed = geometry.Space.deformed
 
     calls = Counter()
 
@@ -220,14 +220,22 @@ def test_verify_fplanar_work_counts(monkeypatch):
             provided[row] += 1
         return metric_jets(self, point)
 
-    def counting_sum(self, point):
-        calls["sum"] += 1
-        for row in _rows(point):
-            summed[(id(self), row)] += 1
-        return sum_jets(self, point)
+    def counting_deformed(self, delta):
+        # the sum's provider, counted per call and per (sum, point)
+        space = deformed(self, delta)
+        sum_jets = space._provider
+
+        def counting_sum(point):
+            calls["sum"] += 1
+            for row in _rows(point):
+                summed[(id(sum_jets), row)] += 1
+            return sum_jets(point)
+
+        space._provider = counting_sum
+        return space
 
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
-    monkeypatch.setattr(geometry._SumConnection, "jets", counting_sum)
+    monkeypatch.setattr(geometry.Space, "deformed", counting_deformed)
     kernels = _count_kernels(monkeypatch)
 
     source = job.build_space()

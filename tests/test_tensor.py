@@ -44,6 +44,15 @@ def test_field_entries_share_chart():
         TensorField(CHART, "l", ["u", "q", "w"])
 
 
+def test_field_rejects_a_string_for_a_list_of_entries():
+    # "uv" has two characters, as a row of a 2x2 field has two entries
+    chart = Chart(("u", "v"))
+    for entries in (["uv", "vu"], "uv", [["u", "v"], "vu"]):
+        with pytest.raises(ValueError, match="expected 2 entries at depth"):
+            TensorField(chart, "ll", entries)
+    assert TensorField(chart, "l", ["u*v", "v"]).strings() == ["u*v", "v"]
+
+
 # --- fields run together ---------------------------------------------------
 
 _POINTS = [(1.25, 1.5, 1.75), (1.0, 2.0, 1.5), (1.75, 1.125, 1.0), (1.5, 1.25, 2.0)]
