@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .deformation import _FIELDS
 from .expr import Chart, ExprError, print_expr
 from .geometry import Space
 from .invariants import OmegaSpec, SValues
@@ -241,13 +242,7 @@ class JobConfig:
         _require(isinstance(values, list) and len(values) == 3, f"{label} needs s = [s1, s2, s3]")
         s = SValues(*(_number(x, f"{label}.s") for x in values))
         fields = {}
-        for name, variance in (
-            ("rho", "l"),
-            ("sigma", "l"),
-            ("F", "ul"),
-            ("phi", "u"),
-            ("sigma2", "ll"),
-        ):
+        for name, variance in _FIELDS.items():
             if name in raw:
                 fields[name] = _parse_entries(chart, variance, raw[name], f"{label}.{name}")
         return OmegaSpec(chart, s, **fields)
@@ -290,12 +285,9 @@ class JobConfig:
 
     @staticmethod
     def _omega_to_dict(spec: OmegaSpec) -> dict:
-        out = {"s": list(spec.s.as_tuple())}
-        for name in ("rho", "sigma", "F", "phi", "sigma2"):
-            fld = getattr(spec, name)
-            if isinstance(fld, TensorField):
-                out[name] = fld.strings()
-        return out
+        fields = zip(_FIELDS, spec.fields)
+        strings = {name: f.strings() for name, f in fields if isinstance(f, TensorField)}
+        return {"s": list(spec.s.as_tuple()), **strings}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -43,7 +43,7 @@ __all__ = [
     "omega_square_arrays",
 ]
 
-_FIELDS = ("rho", "sigma", "F", "phi", "sigma2")
+_FIELDS = {"rho": "l", "sigma": "l", "F": "ul", "phi": "u", "sigma2": "ll"}  # name: variance
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class OmegaSpec:
     sigma2: object = None
 
     def __post_init__(self):
-        for name, variance in zip(_FIELDS, ("l", "l", "ul", "u", "ll")):
+        for name, variance in _FIELDS.items():
             if getattr(self, name) is None:
                 setattr(self, name, zero_field(self.chart, variance))
 

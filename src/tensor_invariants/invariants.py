@@ -443,16 +443,13 @@ class WeylChain:
 
 
 def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LAST) -> WeylChain:
-    classical_eval = weyl(space, convention)
-    dee_eval = dee(space, spec)
+    def pieces_at(point):  # W and D read from the batch's cache, where rows share them
+        d = dee(space, spec)(point)
+        return (weyl(space, convention)(point) + _alt(d),) + _dee_traces(d)
 
-    def pieces_at(point):
-        d = dee_eval(point)
-        return (classical_eval(point) + _alt(d),) + _dee_traces(d)
-
-    # shared by the four stages, so each batch assembles them once: the
-    # final stage W + D_{j[mn]}, and D's traces
-    pieces = partial(memo, key=pieces_at, fn=pieces_at)
+    # shared by the stages of every chain on this D and convention, so each
+    # batch assembles them once: the final stage W + D_{j[mn]}, and D's traces
+    pieces = partial(memo, key=_key("weyl chain", space, spec, False) + (convention,), fn=pieces_at)
 
     def first(point, trace_sign: float) -> np.ndarray:
         # the head is formed per stage: kept in the cache, it would hold one

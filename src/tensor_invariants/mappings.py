@@ -23,6 +23,12 @@ The F-planar Thomas object is the Thomas parameter of the reduced
 connection L - calF/2 (``invariants.reduced_space`` at this split); the
 printed Weyl-type reductions are assembled from their formulas.
 
+Each verify row is declared once, in :data:`ROWS`, in report order: the
+mapping it needs and the builder of its evaluator on one side from the space,
+that side's omega spec and the Ricci convention.  Verify builds only the rows
+it is asked for; what rows share is kept in a batch's cache under a key that
+names it, so a row built alone computes nothing twice.
+
 Verification is pointwise-numeric at seeded pseudorandom points inside a box
 that avoids coordinate singularities; jet-exact derivatives make random-point
 sampling a sound falsifier of the field identities.  The verifier and the
@@ -90,6 +96,7 @@ __all__ = [
     "MappingSpec",
     "FPlanarSpec",
     "UnknownInvariantError",
+    "ROWS",
     "apply_mapping",
     "fplanar_build",
     "fplanar_as_omega",
@@ -125,6 +132,10 @@ class FPlanarSpec:
     psi: object
     sigma: object
     F: object
+
+
+_OMEGA = (MappingSpec, FPlanarSpec)  # the mappings that give an omega pair
+FPLANAR_S = SValues(1.0, 0.5, 0.0)  # the s-values of the F-planar split
 
 
 def apply_mapping(source: Space, mapping: MappingSpec) -> Space:
@@ -165,17 +176,16 @@ def fplanar_rho_field(space: Space, F, sigma) -> PointField:
         grad = (dtrace + 0.5 * dnu) / (n + 1)
         return value, grad
 
-    return PointField(chart, "l", partial(memo, key=fn, fn=fn))
+    return PointField(chart, "l", partial(memo, key=("fplanar rho", space.key, F, sigma), fn=fn))
 
 
 def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
     """The s = (1, 1/2, 0) omega pair realizing the F-planar deformation."""
     chart = source.chart
-    s = SValues(1.0, 0.5, 0.0)
     rho = fplanar_rho_field(source, f.F, f.sigma)
     rho_bar = add_fields(rho, f.psi)
-    spec_src = OmegaSpec(chart, s, rho=rho, sigma=f.sigma, F=f.F)
-    spec_tgt = OmegaSpec(chart, s, rho=rho_bar, sigma=scale_field(f.sigma, 3.0), F=f.F)
+    spec_src = OmegaSpec(chart, FPLANAR_S, rho=rho, sigma=f.sigma, F=f.F)
+    spec_tgt = OmegaSpec(chart, FPLANAR_S, rho=rho_bar, sigma=scale_field(f.sigma, 3.0), F=f.F)
     return MappingSpec(spec_src, spec_tgt)
 
 
@@ -204,7 +214,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
     riemann, ric, classical = curvature(space), ricci(space, convention), weyl(space, convention)
     # shared by the evaluators below, so each batch assembles them once
     pieces_at = partial(_fplanar_pieces, space, F, sigma)
-    pieces = partial(memo, key=pieces_at, fn=pieces_at)
+    pieces = partial(memo, key=("fplanar pieces", space.key, F, sigma), fn=pieces_at)
 
     def dee_eval(point) -> np.ndarray:
         return -0.5 * pieces(point)[4]
@@ -235,7 +245,7 @@ def fplanar_invariants(space: Space, F, sigma, convention: str = RICCI_LAST):
         point = _batch(point)
         return classical(point) - 0.5 * _alt(pieces(point)[4])
 
-    split = OmegaSpec(space.chart, SValues(1.0, 0.5, 0.0), sigma=sigma, F=F)
+    split = OmegaSpec(space.chart, FPLANAR_S, sigma=sigma, F=F)
     return {
         "thomas": thomas(reduced_space(space, split, rho=False)),
         "zeta": zeta_eval,
@@ -409,36 +419,35 @@ def sample_points(box, count: int, seed: int) -> list[tuple]:
     return [tuple(lo + rng.random(len(box)) * (hi - lo)) for _ in range(count)]
 
 
-def _evaluator_pairs(source, target, mapping, convention):
-    """name -> (eval in source, eval in target) for every known invariant."""
-    pairs: dict[str, tuple] = {}
-    pairs["classical_thomas"] = (thomas(source), thomas(target))
-    pairs["classical_weyl"] = (weyl(source, convention), weyl(target, convention))
-    if mapping is not None:
-
-        def both(build, *args):
-            return build(source, mapping.omega_src, *args), build(target, mapping.omega_tgt, *args)
-
-        pairs["basic_thomas"] = both(basic_thomas)
-        pairs["basic_weyl_direct"] = both(basic_weyl, MODE_DIRECT)
-        pairs["basic_weyl_structured"] = both(basic_weyl, MODE_STRUCTURED)
-        pairs["derived_thomas"] = both(derived_thomas)
-        chain_src, chain_tgt = both(derived_weyl_chain, convention)
-        pairs["weyl_first_printed"] = (chain_src.first_printed, chain_tgt.first_printed)
-        pairs["weyl_first_corrected"] = (chain_src.first_corrected, chain_tgt.first_corrected)
-        pairs["weyl_second"] = (chain_src.second, chain_tgt.second)
-        pairs["weyl_final"] = (chain_src.final, chain_tgt.final)
-    return pairs
+def _chain_stage(stage: str):
+    return lambda space, spec, conv: getattr(derived_weyl_chain(space, spec, conv), stage)
 
 
-def _fplanar_pairs(source, target, mapping: MappingSpec, convention):
-    src_set, tgt_set = (
-        fplanar_invariants(space, spec.F, spec.sigma, convention)
-        for space, spec in ((source, mapping.omega_src), (target, mapping.omega_tgt))
-    )
-    return {
-        f"fplanar_{key}": (src_set[key], tgt_set[key]) for key in ("thomas", "wbasic", "wderived")
-    }
+def _fplanar_row(key: str):
+    return lambda space, spec, conv: fplanar_invariants(space, spec.F, spec.sigma, conv)[key]
+
+
+# name -> (the mapping the row needs: any, an omega pair or F-planar, or
+# F-planar; its builder), in report order.  A builder looks its functions
+# up when called, so that it calls a module binding a caller has wrapped.
+ROWS = {
+    "classical_thomas": (object, lambda space, spec, conv: thomas(space)),
+    "classical_weyl": (object, lambda space, spec, conv: weyl(space, conv)),
+    "basic_thomas": (_OMEGA, lambda space, spec, conv: basic_thomas(space, spec)),
+    "basic_weyl_direct": (_OMEGA, lambda space, spec, conv: basic_weyl(space, spec, MODE_DIRECT)),
+    "basic_weyl_structured": (
+        _OMEGA,
+        lambda space, spec, conv: basic_weyl(space, spec, MODE_STRUCTURED),
+    ),
+    "derived_thomas": (_OMEGA, lambda space, spec, conv: derived_thomas(space, spec)),
+    "weyl_first_printed": (_OMEGA, _chain_stage("first_printed")),
+    "weyl_first_corrected": (_OMEGA, _chain_stage("first_corrected")),
+    "weyl_second": (_OMEGA, _chain_stage("second")),
+    "weyl_final": (_OMEGA, _chain_stage("final")),
+    "fplanar_thomas": (FPlanarSpec, _fplanar_row("thomas")),
+    "fplanar_wbasic": (FPlanarSpec, _fplanar_row("wbasic")),
+    "fplanar_wderived": (FPlanarSpec, _fplanar_row("wderived")),
+}
 
 
 def verify_invariance(
@@ -453,7 +462,8 @@ def verify_invariance(
     """Evaluate each requested invariant in both spaces and report the
     per-point maximum absolute discrepancy.
 
-    `mapping` is a MappingSpec, an FPlanarSpec, or None (classical set only).
+    `mapping` is a MappingSpec, an FPlanarSpec, or None; by default every
+    row of :data:`ROWS` that it allows is reported.
     `points` must hold at least one point, each of ``source.dim`` finite
     coordinates, and `invariants` at least one known name; a ValueError
     names the first point that does not, an unknown name, and a tolerance
@@ -461,26 +471,21 @@ def verify_invariance(
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, not {tol!r}")
-    fplanar_extra = {}
+    known = [name for name, (needs, _) in ROWS.items() if isinstance(mapping, needs)]
     if isinstance(mapping, FPlanarSpec):
-        mspec = fplanar_as_omega(source, mapping)
-        fplanar_extra = _fplanar_pairs(source, target, mspec, convention)
-    else:
-        mspec = mapping
-    pairs = _evaluator_pairs(source, target, mspec, convention)
-    pairs.update(fplanar_extra)
-    if invariants is None:
-        names = list(pairs)
-    else:
-        unknown = [name for name in invariants if name not in pairs]
-        if unknown:
-            raise UnknownInvariantError(f"unknown invariants: {unknown}")
-        names = list(invariants)
+        mapping = fplanar_as_omega(source, mapping)
+    names = list(known if invariants is None else invariants)
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise UnknownInvariantError(f"unknown invariants: {unknown}")
     if not names:
         raise ValueError("verify needs at least one invariant")  # no rows would PASS
 
     points = _checked_points(points, source.dim)
-    found = evaluate_points([partial(_discrepancies, pairs[name]) for name in names], points)
+    specs = (None, None) if mapping is None else (mapping.omega_src, mapping.omega_tgt)
+    sides = list(zip((source, target), specs))
+    pairs = [[ROWS[name][1](space, spec, convention) for space, spec in sides] for name in names]
+    found = evaluate_points([partial(_discrepancies, pair) for pair in pairs], points)
     rows = [list(zip(points, discs.tolist())) for discs in found]
     return InvarianceReport([InvarianceRow(name, r, tol) for name, r in zip(names, rows)], tol)
 

@@ -18,7 +18,9 @@ way, or one expression at a time:
 - :func:`weyl_modes_residual` and :func:`correlation_residuals`, the
   measurements of the audit's basic-Weyl modes and correlation findings the
   same way, and :func:`weyl_correlation_residual`, the Weyl correlation
-  residual of one draw, assembled from the evaluators' results.
+  residual of one draw, assembled from the evaluators' results;
+- :func:`fplanar_zeta_dee`, the printed F-planar zeta and D at one point,
+  each entry summed with ``np.einsum`` from the jets it reads.
 """
 
 from __future__ import annotations
@@ -218,3 +220,48 @@ def correlation_residuals(chart, rng, points) -> tuple[float, float]:
         worst_t = max(worst_t, _largest(derived_thomas_correlation_residual(space, spec)(batch)))
         worst_w = max(worst_w, _largest(weyl_correlation_residual(space, spec, batch)))
     return worst_t, worst_w
+
+
+def fplanar_zeta_dee(space: Space, F, sigma, point) -> tuple[np.ndarray, np.ndarray]:
+    """The printed F-planar zeta_ij and D^i_jmn at one point, from the jets
+    of the connection L, the affinor F and the 1-form sigma there:
+
+        zeta_ij = (t_i|j + t_i t_j / (N+1) + (F^a_i t_a sigma_j + sigma_i F^a_j t_a) / 2
+                   + (nu_i|j + t_i nu_j + nu_i t_j) / 2) / (N+1),
+        D^i_jmn = -calF^i_jm|n / 2,
+
+    with t_j = L^a_ja, nu_j = F^a_a sigma_j + F^a_j sigma_a and calF^i_jm =
+    F^i_j sigma_m + F^i_m sigma_j; each covariant derivative adds its index
+    last and reads L itself."""
+    conn, dconn = space.connection_jet(point)
+    Fv, dF = F.jet(point)
+    sv, ds = sigma.jet(point)
+    n = space.dim
+    t = np.einsum("aja->j", conn)
+    t_cov = np.einsum("ajan->jn", dconn) - np.einsum("ajn,a->jn", conn, t)
+    nu = np.einsum("aa,j->j", Fv, sv) + np.einsum("aj,a->j", Fv, sv)
+    dnu = (
+        np.einsum("aan,j->jn", dF, sv)
+        + np.einsum("aa,jn->jn", Fv, ds)
+        + np.einsum("ajn,a->jn", dF, sv)
+        + np.einsum("aj,an->jn", Fv, ds)
+    )
+    nu_cov = dnu - np.einsum("ajn,a->jn", conn, nu)
+    Ft = np.einsum("ai,a->i", Fv, t)
+    zeta = t_cov + np.einsum("i,j->ij", t, t) / (n + 1)
+    zeta += (np.einsum("i,j->ij", Ft, sv) + np.einsum("i,j->ij", sv, Ft)) / 2
+    zeta += (nu_cov + np.einsum("i,j->ij", t, nu) + np.einsum("i,j->ij", nu, t)) / 2
+    calF = np.einsum("ij,m->ijm", Fv, sv) + np.einsum("im,j->ijm", Fv, sv)
+    dcalF = (
+        np.einsum("ijn,m->ijmn", dF, sv)
+        + np.einsum("ij,mn->ijmn", Fv, ds)
+        + np.einsum("imn,j->ijmn", dF, sv)
+        + np.einsum("im,jn->ijmn", Fv, ds)
+    )
+    calF_cov = (
+        dcalF
+        + np.einsum("ian,ajm->ijmn", conn, calF)
+        - np.einsum("ajn,iam->ijmn", conn, calF)
+        - np.einsum("amn,ija->ijmn", conn, calF)
+    )
+    return zeta / (n + 1), -0.5 * calF_cov

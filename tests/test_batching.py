@@ -44,8 +44,9 @@ from tensor_invariants.invariants import (
     zeta_arrays,
 )
 from tensor_invariants.mappings import (
-    _evaluator_pairs,
-    _fplanar_pairs,
+    ROWS,
+    FPlanarSpec,
+    MappingSpec,
     apply_mapping,
     block_size,
     fplanar_as_omega,
@@ -60,6 +61,19 @@ from tensor_invariants.sampling import (
     random_omega_spec,
 )
 from tensor_invariants.tensor import PointBatch, TensorField, batch_shape
+
+
+def _row_pairs(source, target, mapping, kind):
+    """name -> (source evaluator, target evaluator) for every row of the
+    table that a mapping of `kind` allows, on the omega pair `mapping`."""
+    return {
+        name: tuple(
+            build(space, spec, RICCI_LAST)
+            for space, spec in ((source, mapping.omega_src), (target, mapping.omega_tgt))
+        )
+        for name, (needs, build) in ROWS.items()
+        if issubclass(kind, needs)
+    }
 
 
 def _check_batch_against_points(pairs, points, checked):
@@ -93,7 +107,7 @@ def test_batches_are_bit_identical_to_single_points(dim, kind):
     points.append(points[1])
     # both ends of each block and the middle of the first
     checked = sorted({0, 1, size // 2, size - 1, size, size + 1, size + 2})
-    pairs = _evaluator_pairs(source, target, mapping, RICCI_LAST)
+    pairs = _row_pairs(source, target, mapping, MappingSpec)
     expected = _check_batch_against_points(pairs, points, checked)
     report = verify_invariance(source, target, mapping, points)
     for row in report.rows:
@@ -106,8 +120,7 @@ def test_fplanar_batches_are_bit_identical_to_single_points():
     source = job.build_space()
     target = fplanar_build(source, job.mapping())
     mspec = fplanar_as_omega(source, job.mapping())
-    pairs = _evaluator_pairs(source, target, mspec, RICCI_LAST)
-    pairs.update(_fplanar_pairs(source, target, mspec, RICCI_LAST))
+    pairs = _row_pairs(source, target, mspec, FPlanarSpec)
     points = sample_points([[1.0, 2.0]] * 3, 9, seed=31)
     _check_batch_against_points(pairs, points + [points[4]], range(10))
 

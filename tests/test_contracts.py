@@ -14,6 +14,11 @@ import pytest
 
 from tensor_invariants import cli, mappings
 from tensor_invariants.configs import builtin_config
+from tensor_invariants.expr import Chart
+from tensor_invariants.geometry import RICCI_LAST
+from tensor_invariants.mappings import FPlanarSpec, MappingSpec
+from tensor_invariants.sampling import random_mapping, random_metric_space
+from tensor_invariants.tensor import PointBatch
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [
@@ -170,6 +175,58 @@ def test_bench_report_json_formats_each_distinct_discrepancy_once(
     patterns = len(set(np.array(discs).view(np.int64).tolist()))
     assert formatted == [(patterns, len(discs))]  # one call, one text per bit pattern
     assert (patterns, len(discs)) == (distinct, 13 * 256)
+
+
+def test_default_rows_follow_the_table_for_each_mapping_kind():
+    # the report's rows, in order, decide its bytes; the benchmark checks
+    # the verdicts in this order
+    workloads = _bench_workloads()
+    general = list(workloads.GENERAL_INVARIANTS)
+    fplanar = general + list(workloads.FPLANAR_INVARIANTS)
+    job = builtin_config("fplanar-demo")
+    source, fspec = job.build_space(), job.mapping()
+    mapping = random_mapping(source.chart, np.random.default_rng(3))
+    for given, target, expected in (
+        (None, source, ["classical_thomas", "classical_weyl"]),
+        (mapping, mappings.apply_mapping(source, mapping), general),
+        (fspec, mappings.fplanar_build(source, fspec), fplanar),
+    ):
+        report = mappings.verify_invariance(source, target, given, job.points()[:1])
+        assert [row.name for row in report.rows] == expected
+    assert list(mappings.ROWS) == fplanar
+
+
+def _key_parts(key):
+    """A cache key and, if it is a tuple, every part of it, nested too."""
+    yield key
+    if isinstance(key, tuple):
+        for part in key:
+            yield from _key_parts(part)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_no_cache_key_is_a_function(count):
+    # every shared result is kept under a key that names what it holds, so
+    # that a row built on its own finds what another row computed: a
+    # function object as a key would name only the closure that made it
+    job = builtin_config("fplanar-demo")
+    source, fspec = job.build_space(), job.mapping()
+    rng = np.random.default_rng(9)
+    space = random_metric_space(Chart(("x1", "x2", "x3")), rng)
+    mapping = random_mapping(space.chart, rng)
+    worlds = (
+        (source, mappings.fplanar_build(source, fspec), mappings.fplanar_as_omega(source, fspec)),
+        (space, mappings.apply_mapping(space, mapping), mapping),
+    )
+    for (src, tgt, pair), kind in zip(worlds, (FPlanarSpec, MappingSpec)):
+        points = job.points()
+        batch = PointBatch(points[0] if count == 1 else points[:count])
+        for needs, build in mappings.ROWS.values():
+            if issubclass(kind, needs):
+                build(src, pair.omega_src, RICCI_LAST)(batch)
+                build(tgt, pair.omega_tgt, RICCI_LAST)(batch)
+        functions = [key for key in batch.cache if any(map(callable, _key_parts(key)))]
+        assert not functions, functions
 
 
 # token kinds the budget leaves out: comments and layout

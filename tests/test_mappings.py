@@ -1,11 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fplanar_zeta_dee
+from tensor_invariants.configs import builtin_config
 from tensor_invariants.expr import Chart
 from tensor_invariants.geometry import thomas
 from tensor_invariants.invariants import OmegaSpec, SValues
@@ -23,7 +26,7 @@ from tensor_invariants.mappings import (
     verify_invariance,
 )
 from tensor_invariants.sampling import random_mapping, random_omega_spec
-from tensor_invariants.tensor import TensorField, scale_field, zero_field
+from tensor_invariants.tensor import PointBatch, TensorField, scale_field, zero_field
 
 P0 = (1.0, 2.0, 3.0)
 LN15 = math.log(15.0)
@@ -167,6 +170,25 @@ def test_fplanar_thomas_matches_derived_form(example_space, chart, affinor, sigm
         specialized = evaluators["thomas"](point)
         general = derived_thomas(example_space, mapping.omega_src)(point)
         assert np.max(np.abs(specialized - general)) < 1e-13
+
+
+def test_printed_fplanar_zeta_and_dee_match_an_independent_assembly():
+    # every component, not the largest: the printed zeta is not symmetric,
+    # and a term written with its factors swapped changes entries that are
+    # never the largest
+    job = builtin_config("fplanar-demo")
+    source = job.build_space()
+    target = fplanar_build(source, job.mapping())
+    mapping = fplanar_as_omega(source, job.mapping())
+    points = job.points()
+    batch = PointBatch(points)
+    for space, spec in ((source, mapping.omega_src), (target, mapping.omega_tgt)):
+        evaluators = fplanar_invariants(space, spec.F, spec.sigma)
+        zeta, dee = evaluators["zeta"](batch), evaluators["dee"](batch)
+        for k, point in enumerate(points):
+            expected_zeta, expected_dee = fplanar_zeta_dee(space, spec.F, spec.sigma, point)
+            np.testing.assert_allclose(zeta[k], expected_zeta, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dee[k], expected_dee, rtol=1e-12, atol=1e-12)
 
 
 # --- verification -------------------------------------------------------------------
@@ -321,8 +343,15 @@ def test_report_json_of_shared_points_and_repeated_values(data):
 def test_unknown_invariant_name_rejected(example_space, chart):
     mapping = geodesic_mapping(chart, ["1", "0", "0"])
     target = apply_mapping(example_space, mapping)
-    with pytest.raises(ValueError, match="unknown invariants"):
-        verify_invariance(example_space, target, mapping, [P0], invariants=["nope"])
+    # a name of no row, an F-planar row under an omega pair, and an omega
+    # row with no mapping
+    for given, names in (
+        (mapping, ["nope"]),
+        (mapping, ["fplanar_thomas"]),
+        (None, ["basic_thomas"]),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"unknown invariants: {names}")):
+            verify_invariance(example_space, target, given, [P0], invariants=names)
 
 
 def test_an_empty_invariant_list_is_rejected(example_space, chart):

@@ -417,8 +417,13 @@ def test_reduced_spaces_die_with_the_evaluators():
     try:
         source, target, _, mspec = _fplanar_world()
         batch = tensor.PointBatch((1.25, 1.5, 1.75))
-        pairs = mappings._evaluator_pairs(source, target, mspec, geometry.RICCI_LAST)
-        pairs.update(mappings._fplanar_pairs(source, target, mspec, geometry.RICCI_LAST))
+        pairs = {
+            name: [
+                build(space, spec, geometry.RICCI_LAST)
+                for space, spec in ((source, mspec.omega_src), (target, mspec.omega_tgt))
+            ]
+            for name, (_, build) in mappings.ROWS.items()
+        }
         for eval_src, eval_tgt in pairs.values():
             eval_src(batch)
             eval_tgt(batch)
