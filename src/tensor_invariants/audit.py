@@ -9,9 +9,9 @@ claim fails numerically; the measurement quantifies by how much), or
 
 A sweep over sample points evaluates its objects once on the points as one
 batch (``tensor.PointBatch``) and takes the maximum over it.  A finding over
-many random draws reads each draw's field values, or its connection jet and
-field jets, on a batch of its own, which dies with the draw, all of them
-from one program run (``tensor.run_fields``); then it
+many random draws reads its draws' field values, or their connection jets
+and field jets, in groups, each group's fields one program run on one batch
+that dies with the group (``tensor.run_grouped``); then it
 evaluates all its draws as one stack, with a leading draw axis before the
 point axis, through the array cores of ``deformation``, ``invariants`` and
 ``geometry`` (each s-value a ``(draws, 1)`` array): the omega-square
@@ -73,7 +73,7 @@ from .mappings import (
     verify_invariance,
 )
 from .sampling import random_connection_space, random_mapping, random_omega_spec
-from .tensor import PointBatch, run_fields, scale_field
+from .tensor import PointBatch, run_fields, run_grouped, scale_field
 
 __all__ = ["Finding", "run_paper_audit", "findings_to_json"]
 
@@ -194,19 +194,25 @@ def _calf_table_finding(chart, affinor, sigma, points) -> Finding:
 
 
 def _omega_square_finding(chart, rng, points) -> Finding:
-    # each draw's values are read on its own batch, which dies with its spec,
-    # its five fields run as one program; then omega, the direct contraction
-    # and the expansion run once over the (draws, points) leading axes, each
-    # draw's residual the bits of its own
-    s_values, values = [], []
-    for _ in range(50):
-        spec = random_omega_spec(chart, rng)
-        batch = PointBatch(points[:3])
-        run_fields(spec.fields, batch, 0)
+    # the specs' values are read in groups, each group's fields one program
+    # run on one batch (tensor.run_grouped), and copied into the stacked
+    # arrays at once: views kept for a final stack would hold each group's
+    # run buffer among its freed temporaries, which raised the peak RSS by
+    # 0.1 MB; then omega, the direct contraction and the expansion run once
+    # over the (draws, points) leading axes, each draw's residual the bits
+    # of its own
+    draws = 50
+    s_values, fields = [], None
+    specs = (random_omega_spec(chart, rng) for _ in range(draws))
+    grouped = run_grouped(specs, lambda spec: spec.fields, points[:3], 0)
+    for k, (spec, batch) in enumerate(grouped):
         s_values.append(spec.s.as_tuple())
-        values.append(spec.values(batch))
+        values = spec.values(batch)
+        if fields is None:
+            fields = [np.empty((draws,) + value.shape) for value in values]
+        for stacked, value in zip(fields, values):
+            stacked[k] = value
     s = tuple(np.array(s_values).T[:, :, None])  # each s-value (draws, 1)
-    fields = [np.stack(draws) for draws in zip(*values)]
     # the expansion first, so that its peak does not hold the contraction too
     expanded = omega_square_arrays(s, *fields)
     w = omega_arrays(s, *fields)

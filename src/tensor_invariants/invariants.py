@@ -40,10 +40,11 @@ by any reader) and the branches that leave a term group with a zero s-value
 unread, and the core does the arithmetic, with s-values stacked as
 ``deformation`` describes.  So the audit evaluates many random draws of
 spaces and specs as one stack, each draw's entries the bits of its own
-evaluators: :func:`stack_draws` reads each draw on a batch of its own and
-stacks what the cores read, :func:`reduced_arrays` sums the reduced
-connections as the reduced spaces do, and :func:`weyl_correlation_arrays`
-is the core of the Weyl correlation identity.
+evaluators: :func:`stack_draws` reads the draws in groups, each group's
+fields one program run on one batch, and stacks what the cores read,
+:func:`reduced_arrays` sums the reduced connections as the reduced spaces
+do, and :func:`weyl_correlation_arrays` is the core of the Weyl correlation
+identity.
 """
 
 from __future__ import annotations
@@ -85,13 +86,12 @@ from .geometry import (
     weyl,
 )
 from .tensor import (
-    PointBatch,
     _batch,
     batch_shape,
     contract,
     delta_product,
     memo,
-    run_fields,
+    run_grouped,
 )
 
 __all__ = [
@@ -174,17 +174,20 @@ def stack_draws(draws, points, rho: bool = True) -> tuple:
     the jets (values, partials) of the connection and, if `rho`, of rho
     (else None); and D's term groups (:func:`dee_arrays`), the values of F
     and sigma with the calF jet, and of sigma_{jk} and phi with the
-    sigma_{jk} phi^i jet.  Each draw is read on a batch of `points` (one
-    point or a list) of its own, its expression fields (the connection's
-    coefficients too) run as one program; taken from an iterator, the draw
-    and its batch die at its turn's end."""
+    sigma_{jk} phi^i jet.  The draws are read in groups on batches of
+    `points` (one point or a list), each group's expression fields (the
+    connections' coefficients too) run as one program within
+    ``tensor.GROUP_ENTRIES`` entries (:func:`tensor.run_grouped`); taken
+    from an iterator, a group's draws and batch die once it is read."""
+
+    def fields(spec):
+        return (spec.F, spec.sigma, spec.sigma2, spec.phi) + ((spec.rho,) if rho else ())
+
     s_values, jets = [], []
-    for space, spec in draws:
-        batch = PointBatch(points)
-        fields = (spec.F, spec.sigma, spec.sigma2, spec.phi) + ((spec.rho,) if rho else ())
-        run_fields((space.coefficients,) + fields, batch, 1)
+    grouped = run_grouped(draws, lambda draw: (draw[0].coefficients,) + fields(draw[1]), points, 1)
+    for (space, spec), batch in grouped:
         s_values.append(spec.s.as_tuple())
-        jets.append([space.connection_jet(batch)] + [f.jet(batch) for f in fields])
+        jets.append([space.connection_jet(batch)] + [f.jet(batch) for f in fields(spec)])
     lead = (len(s_values),) + (1,) * (np.ndim(points) - 1)
     s = tuple(np.reshape(column, lead) for column in zip(*s_values))
     conn, F, sigma, sigma2, phi, *rho_jet = (

@@ -72,33 +72,40 @@ def random_expr(chart: Chart, rng: np.random.Generator) -> Expr:
     """One random term as an expression tree: ``c``, ``c*x``, ``c*x*y``,
     ``c*sin(x)``, ``c*cos(x)`` or ``c*ln(1+x^2)``, with c uniform in
     [-0.3, 0.3] rounded to 4 decimals and x, y random coordinates."""
-    form = rng.integers(6)
+    return _term(_factors(chart.dim), rng)
+
+
+def _term(factors: tuple, rng) -> Expr:
+    """:func:`random_expr` from the chart's factor table (:func:`_factors`),
+    looked up once per field; each integer drawn is made a Python int once."""
+    form = int(rng.integers(6))
     c = _coefficient(rng.uniform(-0.3, 0.3))
     if form == 0:
         return c
-    factors = _factors(chart.dim)
-    node = Binary("mul", c, factors[rng.integers(chart.dim)][form - 1])
+    n = len(factors)
+    node = Binary("mul", c, factors[int(rng.integers(n))][form - 1])
     if form == 2:
-        return Binary("mul", node, factors[rng.integers(chart.dim)][0])
+        return Binary("mul", node, factors[int(rng.integers(n))][0])
     return node
 
 
-def _nested(chart: Chart, rng, depth: int):
+def _nested(factors: tuple, rng, depth: int):
     if depth == 0:
-        return random_expr(chart, rng)
-    return [_nested(chart, rng, depth - 1) for _ in range(chart.dim)]
+        return _term(factors, rng)
+    return [_nested(factors, rng, depth - 1) for _ in factors]
 
 
 def random_field(chart: Chart, variance: str, rng) -> TensorField:
-    return TensorField(chart, variance, _nested(chart, rng, len(variance)))
+    return TensorField(chart, variance, _nested(_factors(chart.dim), rng, len(variance)))
 
 
 def random_symmetric_field(chart: Chart, rng) -> TensorField:
     n = chart.dim
+    factors = _factors(n)
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            entries[j][k] = entries[k][j] = random_expr(chart, rng)
+            entries[j][k] = entries[k][j] = _term(factors, rng)
     return TensorField(chart, "ll", entries)
 
 

@@ -286,13 +286,70 @@ def _count_programs(monkeypatch) -> dict:
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("convention", ["last", "middle"])
 def test_an_audit_compiles_and_runs_one_program_per_draw(seed, convention, monkeypatch):
-    # the omega-square finding's 50 specs, the 20 draws of the basic-Weyl
-    # modes and correlation findings, and the random space of the derived
-    # Thomas and first-stage Weyl sign findings each compile one program and
-    # run it once (403 compiles and 405 runs when every field ran its own)
+    # the draws run in groups within tensor.GROUP_ENTRIES = 128 entries:
+    # the omega-square finding's 50 specs (27 entries each) in 13 groups of
+    # at most 4, and the 10 draws of each of the basic-Weyl modes and
+    # correlation findings (54 entries with rho, 51 without) in 5 groups of
+    # 2, each group compiling one program and running it once, as does the
+    # random space of the derived Thomas and first-stage Weyl sign findings
+    # (88 compiles and 97 runs when each draw ran its own program, 403 and
+    # 405 when every field ran its own)
     counts = _count_programs(monkeypatch)
     run_paper_audit(seed=seed, convention=convention)
-    assert counts == {"compile_program": 88, "run_program": 97}
+    assert counts == {"compile_program": 41, "run_program": 50}
+
+
+def test_an_audit_keeps_each_program_within_the_group_budget(monkeypatch):
+    # a group's run holds every op of its program at once, so the entry
+    # budget bounds the memory of the audit's grouped draws
+    sizes = []
+    original = tensor.compile_program
+
+    def recorded(*entries):
+        sizes.append(len(entries))
+        return original(*entries)
+
+    for module in (tensor, audit):
+        monkeypatch.setattr(module, "compile_program", recorded)
+    run_paper_audit(seed=7)
+    assert sizes and max(sizes) <= tensor.GROUP_ENTRIES
+
+
+def test_grouped_omega_specs_are_drawn_in_order():
+    # the omega-square finding draws its 50 specs as 50 plain calls would,
+    # whatever groups their fields run in
+    chart = builtin_config("example-r3").chart
+    points = sample_points([[1.0, 2.0]] * 3, 8, seed=1)
+    rng, plain = np.random.default_rng(5), np.random.default_rng(5)
+    audit._omega_square_finding(chart, rng, points)
+    for _ in range(50):
+        random_omega_spec(chart, plain)
+    assert rng.bit_generator.state == plain.bit_generator.state
+
+
+def _leaves(value) -> list:
+    """The arrays of a nested tuple, in order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [leaf for item in value for leaf in _leaves(item)]
+
+
+# (budget, programs run) for 7 draws of 54 entries each: groups of 5 and 2,
+# then one draw per group, at the budget of one draw and below it
+@pytest.mark.parametrize("budget, runs", [(5 * 54, 2), (54, 7), (1, 7)])
+def test_grouped_draws_stack_the_bits_of_each_draw_alone(budget, runs, monkeypatch):
+    rng = np.random.default_rng(60)
+    chart = Chart(("x1", "x2", "x3"))
+    draws = [(random_connection_space(chart, rng), random_omega_spec(chart, rng)) for _ in range(7)]
+    points = sample_points([[1.0, 2.0]] * 3, 3, seed=60)
+    alone = [_leaves(stack_draws([draw], points)) for draw in draws]
+    monkeypatch.setattr(tensor, "GROUP_ENTRIES", budget)
+    counts = _count_programs(monkeypatch)
+    grouped = _leaves(stack_draws(draws, points))
+    assert counts["run_program"] == runs
+    for k, own in enumerate(alone):
+        for whole, part in zip(grouped, own, strict=True):
+            assert np.array_equal(whole[k].view(np.int64), part[0].view(np.int64))
 
 
 _SAMPLED = {

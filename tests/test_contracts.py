@@ -247,7 +247,8 @@ MODULE_FILES = sorted((ROOT / "src" / "tensor_invariants").glob("*.py"))
 @pytest.mark.parametrize("path", MODULE_FILES, ids=lambda path: path.name)
 def test_every_module_stays_under_4096_tokens(path):
     # compiling a module past a power of two in tokens raises the import's
-    # memory peak (ROADMAP, "Peak RSS is set at import")
+    # memory high-water mark, which every job's later peak builds on (ROADMAP,
+    # "Memory and module size")
     with open(path, "rb") as source:
         count = sum(tok.type not in _LAYOUT for tok in tokenize.tokenize(source.readline))
     assert count < 4096, f"{path.name} has {count} tokens"
