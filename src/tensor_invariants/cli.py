@@ -187,13 +187,16 @@ def _emit_tables(args, job, objects, points) -> None:
     # next, so the objects share the results in the block's cache
     per_object = evaluate_points([evaluate for _, _, evaluate in objects], points)
     for (name, variance, _), arrays in zip(objects, per_object):
+        kinds = ("csv", "json") if out_dir else (args.format,)  # each formatted once
+        csv_text = _csv_text(job, len(variance), points, arrays) if "csv" in kinds else None
+        json_text = _json_text(job, name, variance, points, arrays) if "json" in kinds else None
         if out_dir:
-            (out_dir / f"{name}.csv").write_text(_csv_text(job, len(variance), points, arrays))
-            (out_dir / f"{name}.json").write_text(_json_text(job, name, variance, points, arrays))
+            (out_dir / f"{name}.csv").write_text(csv_text)
+            (out_dir / f"{name}.json").write_text(json_text)
         if args.format == "csv":
-            _emit(_csv_text(job, len(variance), points, arrays), end="")
+            _emit(csv_text, end="")
         elif args.format == "json":
-            _emit(_json_text(job, name, variance, points, arrays))
+            _emit(json_text)
         else:
             _emit(_text_table(name, points, arrays))
 

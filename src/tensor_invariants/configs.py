@@ -44,7 +44,7 @@ def tolerance(value) -> float:
     _require(
         0.0 <= tol < math.inf, f"tolerance must be a finite non-negative number, not {value!r}"
     )
-    return tol
+    return tol + 0.0  # -0.0 becomes 0.0: no report says "tolerance -0"
 
 
 def _integer(value, least: int, label: str) -> int:

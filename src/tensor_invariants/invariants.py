@@ -415,17 +415,19 @@ def _dee_traces(d):
     return trace, np.einsum("...ajma->...jm", d) - np.einsum("...ajam->...jm", d)
 
 
+def _first_stage_arrays(head, trace, mix, trace_sign: float) -> np.ndarray:
+    """The first Weyl stage on `head`: head - d^i_j A_mn / (N+1) + (d^i_m B_jn
+    - d^i_n B_jm) / (N^2-1), A = `trace`, B = (N+1) `mix` + `trace_sign` A."""
+    n = head.shape[-1]
+    out = head - delta_product("ij,mn->ijmn", trace) / (n + 1)
+    return out + delta_bracket((n + 1) * mix + trace_sign * trace) / (n * n - 1)
+
+
 def weyl_correlation_arrays(final, reduced_weyl, d) -> np.ndarray:
-    """The chain's ``final`` minus W(Lambda') + d^i_j A_mn / (N+1)
-    - (d^i_m B_jn - d^i_n B_jm) / (N^2-1) (Lambda' = L - omega without rho,
-    A_mn = D^a_{amn} - D^a_{anm}, B_jm = (N+1) (D^a_{jma} - D^a_{jam}) + A_jm),
-    which vanishes under the shipped Ricci convention, from ``final``,
-    W(Lambda') and D over any leading axes."""
-    trace, mix = _dee_traces(d)
-    n = d.shape[-1]
-    out = final - reduced_weyl
-    out -= delta_product("ij,mn->ijmn", trace) / (n + 1)
-    return out + delta_bracket((n + 1) * mix + trace) / (n * n - 1)
+    """The corrected first stage minus W(Lambda') (Lambda' = L - omega
+    without rho), zero under the shipped Ricci convention: that stage on the
+    head ``final`` - W(Lambda'), over any leading axes."""
+    return _first_stage_arrays(final - reduced_weyl, *_dee_traces(d), 1.0)
 
 
 @dataclass
@@ -454,20 +456,14 @@ def derived_weyl_chain(space: Space, spec: OmegaSpec, convention: str = RICCI_LA
     # batch assembles them once: the final stage W + D_{j[mn]}, and D's traces
     pieces = partial(memo, key=_key("weyl chain", space, spec, False) + (convention,), fn=pieces_at)
 
-    def first(point, trace_sign: float) -> np.ndarray:
-        # the head is formed per stage: kept in the cache, it would hold one
-        # more N^4 array per block for a subtraction
-        final, dtrace_alt, dmix = pieces(point)
-        n = final.shape[-1]
-        out = final - delta_product("ij,mn->ijmn", dtrace_alt) / (n + 1)
-        bracket_m = (n + 1) * dmix + trace_sign * dtrace_alt
-        return out + delta_bracket(bracket_m) / (n * n - 1)
-
+    # each first stage forms final - d^i_j A_mn / (N+1) anew: kept in the cache,
+    # it would hold one more N^4 array per block for a subtraction.  Under ``last``
+    # the corrected stage is W(Lambda'), the chain's core (weyl_correlation_arrays)
     def first_printed(point) -> np.ndarray:
-        return first(point, trace_sign=-1.0)
+        return _first_stage_arrays(*pieces(point), -1.0)
 
     def first_corrected(point) -> np.ndarray:
-        return first(point, trace_sign=+1.0)
+        return _first_stage_arrays(*pieces(point), +1.0)
 
     def second(point) -> np.ndarray:
         final, _, dmix = pieces(point)

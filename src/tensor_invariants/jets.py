@@ -17,24 +17,23 @@ a mask of the rows that fail it: the order-1 jet of ``u^1.5`` at u = 0 is
 fine, its order-2 jet is singular.
 
 :func:`run_program` runs a program over a ``(P, N)`` array of points, one
-point as one row: values ``(P,)``, and at order 1 or 2 gradients ``(P, N)``
-and Hessians ``(P, N, N)`` by truncated Taylor arithmetic (Griewank &
-Walther, *Evaluating Derivatives*, ch. 13), exact up to rounding.  Every step
-is elementwise and each ufunc gives a row the same bits in any batch (pinned
-by ``tests/test_jets.py``), so a row's channels are bit-identical to a run of
+point as one row, by truncated Taylor arithmetic (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13), exact up to rounding: values ``(P,)``,
+gradients ``(P, N)`` and Hessians ``(P, N, N)`` up to the order, and order 0
+is the jet with no derivative channels.  Every step is elementwise and each
+ufunc gives a row the same bits in any batch (pinned by
+``tests/test_jets.py``), so a row's channels are bit-identical to a run of
 that row alone.  The channels are indexed entry first but laid out point
 major: each is a ``(P, E, ...)`` buffer seen through ``swapaxes(0, 1)``, so
 that a field's arrays, batch axis first, are C-contiguous (``tensor``).  A
-constant subtree stays a float; its zero gradient and a linear subtree's
-zero Hessian are None and cost no array work.  Order 2 is the most the
-library needs (second partials of a metric give the first partials of its
-Christoffel symbols).
+zero channel is None and costs no array work: a constant's gradient, a
+linear subtree's Hessian, every derivative at order 0.  Order 2 is the most
+the library needs (second partials of a metric give Christoffel partials).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 from typing import NamedTuple
 
@@ -93,9 +92,10 @@ def compile_program(*entries: Expr) -> Program:
 
 
 def run_program(program: Program, point, order: int):
-    """Run `program` at `point`: the entries' values at order 0, else their
-    channels up to the order, ``(value, grad)`` or ``(value, grad, hess)``,
-    each with a leading entry axis: ``(E,)``, ``(E, N)`` and ``(E, N, N)``.
+    """Run `program` at `point`: the entries' values at order 0 (one array,
+    the value channel of any order bit for bit), else their channels up to
+    the order, ``(value, grad)`` or ``(value, grad, hess)``, each with a
+    leading entry axis: ``(E,)``, ``(E, N)`` and ``(E, N, N)``.
 
     `point` is one point (N coordinates), or a ``(P, N)`` array of points;
     then the channels are ``(E, P)``, ``(E, P, N)`` and ``(E, P, N, N)``
@@ -127,35 +127,16 @@ def run_program(program: Program, point, order: int):
     return tuple(out) if order else out[0]
 
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-
-
 def _run(program: Program, points: np.ndarray, order: int) -> tuple:
-    """The channels of every entry, and ``(owner, node, fails, reason, x)``
-    of each check that fired, in run order."""
+    """Each entry's channels, and ``(owner, node, fails, reason, x)`` of each
+    check that fired, in run order; a slot is a jet (value, grad, hess)."""
     slots: list = []
     failures: list = []
     push = slots.append
     rows, n = points.shape
     second = order == 2
     for (code, arg, node, i, j), owner in zip(program.ops, program.owners):
-        if order == 0:
-            if code == "const":
-                push(arg)
-            elif code == "var":
-                push(points[:, arg])
-            elif code == "map":
-                x = slots[i]
-                push(_checked(arg(x, 0), failures, owner, node, x)[0])
-            elif code == "neg":
-                push(-slots[i])
-            elif code != "div":
-                push(_ARITHMETIC[code](slots[i], slots[j]))
-            else:
-                b = slots[j]
-                _checked(_divisor(b, 0), failures, owner, node, b)
-                push(np.divide(slots[i], b))
-        elif code == "mul":
+        if code == "mul":
             a, b = slots[i], slots[j]
             push(_product(a, b, a[0] * b[0], second))
         elif code == "map":
@@ -168,8 +149,10 @@ def _run(program: Program, points: np.ndarray, order: int) -> tuple:
             (a, ga, ha), (b, gb, hb) = slots[i], slots[j]
             push((a - b, _minus(ga, gb), _minus(ha, hb)))
         elif code == "var":
-            grad = np.zeros((rows, n), points.dtype)
-            grad[:, arg] = 1.0
+            grad = None
+            if order:
+                grad = np.zeros((rows, n), points.dtype)
+                grad[:, arg] = 1.0
             push((points[:, arg], grad, None))
         elif code == "const":
             push((arg, None, None))
@@ -187,7 +170,7 @@ def _run(program: Program, points: np.ndarray, order: int) -> tuple:
     lead = (rows, len(program.roots))
     out = [np.zeros(lead + (n,) * k, points.dtype).swapaxes(0, 1) for k in range(order + 1)]
     for entry, slot in enumerate(program.roots):
-        for channel, part in zip(out, slots[slot] if order else (slots[slot],)):
+        for channel, part in zip(out, slots[slot]):
             if part is not None:
                 channel[entry] = part
     return out, failures
@@ -330,7 +313,7 @@ def _divisor(x, order: int) -> tuple:
     reciprocal's rule, whose jet the quotient's derivatives take."""
     zero = (np.equal(x, 0.0), "division by zero")
     if not order:
-        return (), (zero,)
+        return (None,), (zero,)
     derivs, checks = _pow(-1.0, x, order)
     return derivs, [zero] + checks[1:]  # checks[0], the zero base, is the same test
 

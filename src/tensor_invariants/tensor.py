@@ -355,11 +355,10 @@ class TensorField:
         the span already holds the order-1 or order-2 channels, their value
         channel, bit-identical to an order-0 run, is returned."""
         point = _batch(point)
-        for order in (1, 2):
-            out = self._rows(order, point, compute=False)
+        for order in (1, 2, 0):  # runs only at order 0, when neither is there
+            out = self._rows(order, point, compute=not order)
             if out is not None:
                 return out[0]
-        return self._rows(0, point)
 
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Values and first partials; derivative axis last (read-only)."""
@@ -386,7 +385,7 @@ class TensorField:
         out = span.cache.get((self, order))
         if rows is None or out is None:
             return out
-        return tuple(c[rows] for c in out) if order else out[rows]
+        return tuple(c[rows] for c in out)
 
     def strings(self) -> list:
         """Entries printed back to grammar text, nested per the shape."""
@@ -435,7 +434,7 @@ def run_fields(fields, point, order: int) -> None:
         if not joint:
             raise
         result = None  # redone outside the handler, so the error stands alone
-    channels = result if order else (result,)
+    channels = result if order else (result,)  # run_program's bare order-0 array
     if result is None or not all(np.isfinite(c).all() for c in channels):
         if not joint:
             _check_finite(todo[0], channels, batch)  # raises
@@ -446,7 +445,7 @@ def run_fields(fields, point, order: int) -> None:
     for field in todo:
         stop = start + len(field.entries)
         part = [c[start:stop] for c in channels]
-        batch.cache[(field, order)] = _read_only(_entry_arrays(field, part, batch, order))
+        batch.cache[(field, order)] = _read_only(_entry_arrays(field, part, batch))
         start = stop
 
 
@@ -500,18 +499,17 @@ def _check_finite(field, channels, point) -> None:
     raise ex.DomainError("non-finite value or derivative", field.entries[entry])
 
 
-def _entry_arrays(field, channels, point, order):
-    """A field's channels, cut from a run's: entry values at order 0, else
-    (value, grad[, hess]), with the batch axis first and derivative axes
-    last.  Views, no copies: the channels of a field's own run are
-    point-major buffers, so these are C-contiguous; a field's part of a
-    joint run is strided by the other fields' entries."""
+def _entry_arrays(field, channels, point):
+    """A field's channels, cut from a run's: (value[, grad[, hess]]) up to
+    the run's order, with the batch axis first and derivative axes last.
+    Views, no copies: the channels of a field's own run are point-major
+    buffers, so these are C-contiguous; a field's part of a joint run is
+    strided by the other fields' entries."""
     lead = batch_shape(point)
-    out = tuple(
+    return tuple(
         (c.swapaxes(0, 1) if lead else c).reshape(lead + field.shape + c.shape[1 + len(lead) :])
         for c in channels
     )
-    return out if order else out[0]
 
 
 class PointField:

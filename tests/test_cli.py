@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -93,6 +94,20 @@ def test_bad_tolerance_is_a_config_error(tol, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: tolerance must be a finite non-negative number, not {float(tol)!r}\n"
     )
+
+
+def test_a_zero_tolerance_is_reported_as_positive_zero(tmp_path, capsys):
+    # "-0" passes the range check, and a tolerance of -0.0 printed as
+    # "tolerance -0" and went into report.json as -0.0
+    argv = ("verify", "--config", "geodesic-demo", "--tol", "-0", "--out", str(tmp_path))
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "tolerance 0; overall FAIL"
+    text = (tmp_path / "report.json").read_text()
+    assert '\n  "tol": 0.0,\n' in text
+    assert math.copysign(1.0, json.loads(text)["tol"]) == 1.0
+    raw = builtin_config("geodesic-demo").to_dict()
+    raw["tol"] = -0.0
+    assert math.copysign(1.0, JobConfig.from_dict(raw).tol) == 1.0
 
 
 @pytest.mark.parametrize("command", ["verify", "thomas", "audit-paper"])
@@ -304,6 +319,30 @@ def test_csv_and_json_outputs_identical_values(tmp_path):
         index = tuple(int(c) - 1 for c in cells[2:-1])
         value = float(cells[-1])
         assert value == data[index]  # bit-identical through repr round-trip
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_texts_are_formatted_once_for_files_and_stdout(fmt, tmp_path, monkeypatch, capsys):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def format_text(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return format_text
+
+    for name in ("_csv_text", "_json_text"):
+        monkeypatch.setattr(cli, name, counting(name))
+    argv = ("ricci", "--config", "sphere2", "--point", "1.1,0.7", "--format", fmt)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    # two objects, each with a CSV and a JSON file; stdout reuses the file's text
+    assert calls == {"_csv_text": 2, "_json_text": 2}
+    end = "" if fmt == "csv" else "\n"
+    files = [(tmp_path / f"{name}.{fmt}").read_text() for name in ("ricci", "ricci_antisymmetric")]
+    assert capsys.readouterr().out == "".join(text + end for text in files)
 
 
 def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
@@ -702,6 +741,38 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
         os.close(write_end)
     assert done.returncode == code
     assert done.stderr == ""
+
+
+def test_the_output_compare_script_digests_a_command_alike_in_any_directory(tmp_path):
+    # tests/compare_cli_outputs.py, which byte-compares two source trees:
+    # one line per command, the same in any output directory, and a digest
+    # that covers every file the command wrote under --out
+    script = ROOT / "tests" / "compare_cli_outputs.py"
+    lines = []
+    for where in ("a", "bb"):
+        done = subprocess.run(
+            [sys.executable, str(script), str(ROOT / "src"), str(tmp_path / where), "example-r3"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        lines.append(done.stdout)
+    assert lines[0] == lines[1]
+    name, _, code, digest = lines[0].split()
+    assert (name, code, len(digest)) == ("example-r3", "0", 64)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "bb"]
+    work = tmp_path / "a" / "example-r3"
+    written = work / "out" / "example-r3.json"
+    assert written.read_text() == builtin_config("example-r3").to_json() + "\n"
+    spec = importlib.util.spec_from_file_location("compare_cli_outputs", script)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    streams = [(work / stream).read_bytes() for stream in ("stdout", "stderr")]
+    assert compare._digest(0, *streams, work / "out") == digest
+    written.write_text(written.read_text() + " ")
+    assert compare._digest(0, *streams, work / "out") != digest
 
 
 # --- malformed configs -------------------------------------------------------

@@ -79,6 +79,43 @@ def test_value_channel_matches_evaluate_exactly():
             assert eval_jet(node, point).value == evaluate(node, point)
 
 
+# beside the corpus: division by a variable and by a constant, negation,
+# the constants 0.0 and -0.0 (as entries, so a value's sign shows), and
+# u^0, u^1 and u^1.5, whose rules take their own branches
+VALUE_TEXTS = CORPUS + ["v/u", "u/4", "-u", "-(v*w) + u", "u^0", "u^1", "u^1.5"]
+VALUE_ENTRIES = [parse(text, CHART) for text in VALUE_TEXTS] + [
+    Const(0.0),
+    Const(-0.0),
+    Binary("mul", Const(-0.0), Var(0)),
+    Binary("add", Var(1), Const(-0.0)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(VALUE_ENTRIES)))
+def test_an_order_0_run_gives_the_value_channel_of_orders_1_and_2(index):
+    # TensorField.value reads an order-1 or order-2 run's value channel in
+    # place of an order-0 run, so the three give one value the same bits
+    program = compile_program(VALUE_ENTRIES[index])
+    batch = np.random.default_rng(20 + index).uniform(0.5, 2.0, (6, 3))
+    for points in (batch[0], batch):
+        values = run_program(program, points, 0)
+        assert values.shape == (1,) + points.shape[:-1]
+        for order in (1, 2):
+            assert run_program(program, points, order)[0].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("text, lowest", [("sqrt(u)", 1), ("u^1.5", 2)])
+def test_a_singular_derivative_fails_only_the_orders_that_form_it(text, lowest):
+    # order 0 forms no derivative, so it keeps the value checks alone
+    program = compile_program(parse(text, CHART))
+    for points in ((0.0, 1.0, 2.0), np.array([(1.0, 1.0, 2.0), (0.0, 1.0, 2.0)])):
+        assert np.isfinite(run_program(program, points, 0)).all()
+        for order in range(1, lowest):
+            run_program(program, points, order)  # raises nothing
+        with pytest.raises(DomainError, match="singular at zero"):
+            run_program(program, points, lowest)
+
+
 def test_order_is_at_most_two():
     with pytest.raises(ValueError, match="0..2"):
         eval_jet(parse("u", CHART), (1.0, 2.0, 3.0), order=3)

@@ -89,7 +89,7 @@ def test_fields_run_together_give_each_the_bytes_of_its_own_run(order):
     for batch, results in zip(batches, joint):
         for field, together in zip(fields, results):
             alone = field._rows(order, PointBatch(batch.array))
-            for a, b in zip(together if order else (together,), alone if order else (alone,)):
+            for a, b in zip(together, alone):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
     # one field runs its own program, compiled once and kept; what is not an
