@@ -149,8 +149,10 @@ def reduced_space(space: Space, spec: OmegaSpec, rho: bool = True) -> Space:
     mapping with this omega pair Lambda is unchanged and Lambda' changes
     projectively, by s1 (d^i_j (rhobar - rho)_k + d^i_k (rhobar - rho)_j).
     Each call builds a new space, keyed by its base space, s-values and
-    fields, so equal reduced spaces share their results in a batch.
+    fields, so equal reduced spaces share their results in a batch.  At a
+    zero s1, Lambda is Lambda' and reads no rho.
     """
+    rho = rho and spec.s.s1 != 0.0
     if rho:
         base = reduced_space(space, spec, rho=False)
 

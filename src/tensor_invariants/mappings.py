@@ -33,14 +33,13 @@ Verification is pointwise-numeric at seeded pseudorandom points inside a box
 that avoids coordinate singularities; jet-exact derivatives make random-point
 sampling a sound falsifier of the field identities.  The verifier and the
 table commands walk their points through one loop, :func:`evaluate_points`,
-in blocks (``tensor.PointBatch``) whose size follows from a byte budget, and
-each point's result is bit-identical to its evaluation alone.  Each block is
-cut from one batch of all the points, its run, so an expression field jets
-a span of several blocks in one pass (``tensor.TensorField``); what the
-evaluators share lives in the block's cache.  A block that raises, in its
-own rows or in a later block of a field's span, is redone one point at a
-time, each point one batch for every evaluator, so the error is the one its
-first failing point raises alone.
+over the blocks of one batch of all the points (``tensor.PointBatch``, which
+sizes its blocks and an expression field's spans), and each point's result
+is bit-identical to its evaluation alone; what the evaluators share lives in
+the block's cache.  A block that raises, in its own rows or in a later
+block of a field's span, is redone one point at a time from its first row,
+each point one batch for every evaluator, only to find the first point that
+raises alone: that error is the one raised, the same as ``--point`` gives.
 """
 
 from __future__ import annotations
@@ -471,6 +470,7 @@ def verify_invariance(
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, not {tol!r}")
+    tol += 0.0  # -0.0 becomes 0.0, as in configs.tolerance
     known = [name for name, (needs, _) in ROWS.items() if isinstance(mapping, needs)]
     if isinstance(mapping, FPlanarSpec):
         mapping = fplanar_as_omega(source, mapping)
@@ -488,17 +488,6 @@ def verify_invariance(
     found = evaluate_points([partial(_discrepancies, pair) for pair in pairs], points)
     rows = [list(zip(points, discs.tolist())) for discs in found]
     return InvarianceReport([InvarianceRow(name, r, tol) for name, r in zip(names, rows)], tol)
-
-
-# bytes that one block may give an array of N^4 doubles (a curvature-sized
-# array); the many such arrays alive at once during a block make up the
-# extra memory verify holds
-BLOCK_BYTES = 64 * 1024
-
-
-def block_size(dim: int) -> int:
-    """Points per verify block at chart dimension `dim`."""
-    return max(1, BLOCK_BYTES // (8 * dim**4))
 
 
 def _checked_points(points, dim: int) -> list[tuple]:
@@ -526,17 +515,17 @@ def evaluate_points(evaluators, points) -> list[np.ndarray]:
     a ``PointBatch`` to such an array (with no point axis for a batch made
     from one point).  The blocks and the point-by-point redo are those of
     the module docstring."""
-    size = block_size(len(points[0]))
     parts = [[] for _ in evaluators]
-    for batch in PointBatch(points).blocks(size):
+    for batch in PointBatch(points).blocks():
         try:
-            found = [evaluate(batch) for evaluate in evaluators]
+            for results, evaluate in zip(parts, evaluators):
+                results.append(evaluate(batch))
         except (ExprError, SingularMetricError):
-            block = map(PointBatch, points[batch.start : batch.start + size])
-            each = [[evaluate(alone) for evaluate in evaluators] for alone in block]
-            found = [np.stack(results) for results in zip(*each)]
-        for results, new in zip(parts, found):
-            results.append(new)
+            for point in points[batch.start :]:
+                alone = PointBatch(point)
+                for evaluate in evaluators:
+                    evaluate(alone)
+            raise
     return [np.concatenate(results) for results in parts]
 
 

@@ -20,10 +20,12 @@ point is alone or a row of a stacked ``np.matmul`` (:func:`contract`).
 Every result that readers share (a field's jets, a space's connection and
 curvature, an invariant's building blocks) is computed once per batch by
 :func:`memo` and kept in the batch's cache, so it lives as long as the
-batch.  A block of a longer run (``PointBatch.blocks``) lets an expression
-field jet several whole blocks at once, its span, as many as keep its
-largest channel within one N^4 array per block; each block reads read-only
-row views of the span's result, bit-identical to a run of its own.  The
+batch.  A run of points is cut into blocks (``PointBatch.blocks``) of as
+many points as keep an array of N^4 doubles (a curvature-sized array)
+within ``BLOCK_BYTES``.  An expression field jets several whole blocks at
+once, its span (``PointBatch.span``), as many as keep its largest channel
+within one N^4 array per block; each block reads read-only row views of the
+span's result, bit-identical to a run of its own.  The
 ``jets`` channels are laid out point-major, so a field run alone gives
 C-contiguous arrays, and so do a span's rows of them: the kernels that
 read them run over contiguous rows.
@@ -77,6 +79,17 @@ __all__ = [
 # point batches and their caches
 # ---------------------------------------------------------------------------
 
+# bytes that one block may give an array of N^4 doubles (a curvature-sized
+# array); the many such arrays alive at once during a block make up the
+# extra memory verify holds
+BLOCK_BYTES = 64 * 1024
+
+
+def block_size(dim: int) -> int:
+    """Points per block at chart dimension `dim`."""
+    return max(1, BLOCK_BYTES // (8 * dim**4))
+
+
 class PointBatch(tuple):
     """P points of an N-dimensional chart, passed where one point would go,
     and the cache of the results computed on them (:func:`memo`).
@@ -85,15 +98,14 @@ class PointBatch(tuple):
     batch made from one point, whose results have no batch axis.  It
     iterates as its coordinates, row-major, as a point does.
 
-    A block of a longer run of points (:meth:`blocks`) also knows that run,
-    its first row in it and the run's block length, so that an evaluator
-    whose arrays are small can run several whole blocks in one pass
-    (:meth:`span`) and give each block its rows of the result.
+    A block of a longer run of points (:meth:`blocks`) also knows that run
+    and its first row in it, so that an evaluator whose arrays are small can
+    run several whole blocks in one pass (:meth:`span`) and give each block
+    its rows of the result.
     """
 
     run = None  # the batch this one is a block of
     start = 0  # the block's (or span's) first row in its run
-    step = 0  # the run's block length
 
     def __new__(cls, points):
         array = np.array(points, dtype=float)
@@ -105,44 +117,38 @@ class PointBatch(tuple):
         self.cache = {}
         return self
 
-    def blocks(self, size: int) -> "_Blocks":
-        """The batch cut into blocks of `size` points (the last may be
-        shorter), each a batch that knows this one as its run, made when it
-        is read so that it and its cache are freed once its reader moves on."""
-        self.spans = {}
-        return _Blocks(self, size)
+    def blocks(self):
+        """The batch cut into blocks of ``block_size(N)`` points (the last
+        may be shorter), each a batch that knows this one as its run, made
+        when it is read so that it and its cache are freed once its reader
+        moves on."""
+        size = block_size(self.array.shape[-1])
+        for start in range(0, len(self.array), size):
+            block = PointBatch(self.array[start : start + size])
+            block.run, block.start = self, start
+            yield block
 
-    def span(self, blocks: int) -> tuple:
-        """``(span, rows)`` for a block: the batch of `blocks` whole blocks
-        of its run that holds it, spans laid end to end from the run's first
-        row, and the slice of the span's rows that are the block's; the
+    def span(self, doubles: int) -> tuple:
+        """``(span, rows)`` for a block whose reader's largest channel holds
+        `doubles` doubles per point: the span of whole blocks that holds it,
+        as many as keep that channel within one N^4 array per block, laid end
+        to end from the run's first row, and the block's rows of it; the
         block itself and None when the span is no more than the block.  The
-        run keeps the current span of each width only, so a span and the
-        jets in its cache are freed once its blocks are done."""
+        run's cache keeps the current span of each width, so a span and its
+        jets are freed once its blocks are done; a span knows no run, so the
+        two make no cycle."""
         run, start, stop = self.run, self.start, self.start + len(self.array)
-        width = blocks * self.step
+        n = self.array.shape[-1]
+        width = max(1, n**4 // doubles) * block_size(n)
         lo = start - start % width
         hi = min(lo + width, len(run.array))
         if lo == start and hi == stop:
             return self, None
-        span = run.spans.get(width)
+        span = run.cache.get(("span", width))
         if span is None or span.start != lo:
-            span = run.spans[width] = PointBatch(run.array[lo:hi])
+            span = run.cache["span", width] = PointBatch(run.array[lo:hi])
             span.start = lo
         return span, slice(start - lo, stop - lo)
-
-
-class _Blocks:
-    """A run's blocks, each made when it is read: ``blocks[k]``, or in turn."""
-
-    def __init__(self, run: PointBatch, size: int):
-        self.run, self.size = run, size
-
-    def __getitem__(self, k: int) -> PointBatch:
-        start = range(0, len(self.run.array), self.size)[k]  # IndexError past the end
-        block = PointBatch(self.run.array[start : start + self.size])
-        block.run, block.start, block.step = self.run, start, self.size
-        return block
 
 
 def batch_shape(point) -> tuple:
@@ -375,11 +381,7 @@ class TensorField:
         run."""
         span, rows = _batch(point), None
         if span.run is not None:
-            # blocks per span: as many as keep the largest channel, entries *
-            # n**order doubles per point, within the n**4 doubles per point
-            # that a verify block's budget is sized for
-            n = self.chart.dim
-            span, rows = span.span(max(1, n**4 // (len(self.entries) * n**order)))
+            span, rows = span.span(len(self.entries) * self.chart.dim**order)
         if compute:
             run_fields((self,), span, order)
         out = span.cache.get((self, order))

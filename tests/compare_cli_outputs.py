@@ -9,9 +9,10 @@ and prints one line per command: its name, its exit code and a SHA-256 of
 the exit code, stdout, stderr and every file it wrote to its ``--out``
 directory.  A command runs in its own directory ``OUT_DIR/NAME``, with
 ``--out out`` and any config file given by a path relative to it, so no
-output holds ``OUT_DIR``; its stdout and stderr are kept there too.  The
-bench configs are written from this checkout's ``bench/workloads.py``, so
-both trees see the same inputs.  Nothing is written outside ``OUT_DIR``.
+output holds ``OUT_DIR``; its stdout and stderr are kept there too.  A
+command's config is a bench config, written from this checkout's
+``bench/workloads.py``, or one given inline here, so both trees see the
+same inputs.  Nothing is written outside ``OUT_DIR``.
 Comparing two trees is a ``diff`` of the two runs' printed lines.
 """
 
@@ -25,9 +26,52 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> (bench config maker and seed, or None; CLI arguments before --out)
+
+def _span_error_n6() -> dict:
+    """N = 6, 30 listed points, the 22nd outside ln(x1)'s domain: rho's one
+    span holds all 30 points, so it fails while the first block runs."""
+    names = [f"x{k + 1}" for k in range(6)]
+    metric = [[f"1 + {x}^2" if i == j else "0" for j in range(6)] for i, x in enumerate(names)]
+    points = (1.0 + np.random.default_rng(3).random((30, 6))).tolist()
+    points[21][0] = -0.5
+    return {
+        "chart": names,
+        "space": {"metric": metric},
+        "omega": {"s": [1, 0, 0], "rho": ["ln(x1)"] + ["0"] * 5},
+        "omega_bar": {"s": [1, 0, 0], "rho": ["x2"] + ["0"] * 5},
+        "points": {"list": points},
+    }
+
+
+# s1 = 0, so no row reads rho, whose ln(u - 5) has no value at the points
+ZERO_S1 = {
+    "chart": ["u", "v"],
+    "space": {"metric": [["1 + u^2", "0"], ["0", "1 + v^2"]]},
+    "omega": {
+        "s": [0, 0.5, 0.5],
+        "rho": ["ln(u - 5)", "0"],
+        "sigma": ["u", "v"],
+        "F": [["1", "u"], ["v", "1"]],
+        "phi": ["1", "u*v"],
+        "sigma2": [["u", "v"], ["v", "1"]],
+    },
+    "omega_bar": {
+        "s": [0, 0.5, 0.5],
+        "rho": ["0", "0"],
+        "sigma": ["v", "1"],
+        "F": [["u", "0"], ["1", "v"]],
+        "phi": ["v", "1"],
+        "sigma2": [["1", "u"], ["u", "v"]],
+    },
+    "points": {"list": [[1.5, 1.5], [1.2, 1.7]]},
+}
+
+# name -> (bench config maker and seed, an inline config, or None; CLI
+# arguments before --out)
 COMMANDS = {
     "verify-bench-fplanar-demo-11": (("fplanar_demo_config", 11), ["verify"]),
     "verify-bench-omega-n6-7-last": (("omega_n6_config", 7), ["verify"]),
@@ -69,6 +113,8 @@ COMMANDS = {
         ["audit-paper", "--points-seed", "11", "--ricci-convention", "middle"],
     ),
     "example-r3": (None, ["example-r3"]),
+    "verify-span-error-n6": (_span_error_n6(), ["verify"]),
+    "verify-zero-s1": (ZERO_S1, ["verify"]),
 }
 
 
@@ -105,9 +151,11 @@ def run(src: Path, out_dir: Path, names) -> list[str]:
         work.mkdir(parents=True, exist_ok=False)
         argv = list(args)
         if config is not None:
-            workloads = workloads or _bench_workloads()
-            maker, seed = config
-            (work / "config.json").write_text(json.dumps(getattr(workloads, maker)(seed)))
+            if not isinstance(config, dict):
+                workloads = workloads or _bench_workloads()
+                maker, seed = config
+                config = getattr(workloads, maker)(seed)
+            (work / "config.json").write_text(json.dumps(config))
             argv += ["--config", "config.json"]
         done = subprocess.run(
             [sys.executable, "-m", "tensor_invariants.cli", *argv, "--out", "out"],

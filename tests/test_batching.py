@@ -14,7 +14,7 @@ from oracles import (
     weyl_correlation_residual,
     weyl_modes_residual,
 )
-from tensor_invariants import audit, geometry, mappings, sampling, tensor
+from tensor_invariants import audit, geometry, sampling, tensor
 from tensor_invariants.audit import run_paper_audit
 from tensor_invariants.cli import main
 from tensor_invariants.configs import builtin_config
@@ -48,7 +48,6 @@ from tensor_invariants.mappings import (
     FPlanarSpec,
     MappingSpec,
     apply_mapping,
-    block_size,
     fplanar_as_omega,
     fplanar_build,
     sample_points,
@@ -60,7 +59,7 @@ from tensor_invariants.sampling import (
     random_metric_space,
     random_omega_spec,
 )
-from tensor_invariants.tensor import PointBatch, TensorField, batch_shape
+from tensor_invariants.tensor import PointBatch, TensorField, batch_shape, block_size
 
 
 def _row_pairs(source, target, mapping, kind):
@@ -187,7 +186,7 @@ def _stacked_results(stack, off=None) -> dict:
     out = {
         "omega jet": omega_jet_arrays(s, (rho_pair, calF, sphi), conn[0].shape),
         "Lambda'": lam,
-        "Lambda": reduced_arrays(s, conn, calF, sphi, rho),
+        "Lambda": reduced_arrays(s, conn, calF, sphi, None if off == 0 else rho),
         "zeta": z,
         "dee": d,
         "basic Weyl structured": basic_weyl_arrays(geometry.curvature_arrays(*conn), z, d),
@@ -541,20 +540,45 @@ def test_span_errors_name_the_first_failing_point(tmp_path, capsys, monkeypatch)
     # blocks of 2 points; rho's order-1 span is N^4 / (2 entries * N) = 4
     # blocks, all 8 points, so its one run fails at the sixth point, in the
     # first entry, while the blocks before it are being verified
-    monkeypatch.setattr(mappings, "BLOCK_BYTES", 2 * 8 * 2**4)
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 2 * 8 * 2**4)
     assert block_size(2) == 2
     path = tmp_path / "job.json"
     path.write_text(json.dumps(_span_error_config()))
     field = TensorField(Chart(("u", "v")), "l", ["ln(v)", "ln(u)"])
     run = PointBatch([(1.0, 1.0), (1.5, 2.0), (1.25, 1.75), (-0.5, 1.0), (2.0, 1.0), (1.0, -2.0)])
     with pytest.raises(DomainError, match="-2.0"):
-        field.jet(run.blocks(2)[0])
+        field.jet(next(run.blocks()))
     assert main(["verify", "--config", str(path)]) == 2
     listed = capsys.readouterr().err
     assert main(["verify", "--config", str(path), "--point=-0.5,1.0"]) == 2
     alone = capsys.readouterr().err
     assert listed == alone
     assert listed.startswith("math error: ln of non-positive value -0.5 in subexpression 'ln(u)'")
+
+
+def test_a_failing_span_runs_once(tmp_path, capsys, monkeypatch):
+    # rho's order-1 span of all 8 points fails while the first block runs;
+    # the redo from that block's first row runs points alone until the
+    # fourth fails, so no later block runs the span again
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 2 * 8 * 2**4)
+    runs = []
+    run_program = tensor.run_program
+
+    def counting(program, points, order):
+        try:
+            return run_program(program, points, order)
+        except DomainError:
+            runs.append((program, np.shape(points)))
+            raise
+
+    monkeypatch.setattr(tensor, "run_program", counting)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_span_error_config()))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "'ln(u)'" in capsys.readouterr().err
+    # rho's own program, over the span, then at the fourth point alone
+    assert [shape for _, shape in runs] == [(8, 2), (2,)]
+    assert runs[0][0] is runs[1][0]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

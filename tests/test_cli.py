@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tensor_invariants import cli, geometry, mappings
+from tensor_invariants import cli, geometry, tensor
 from tensor_invariants.cli import main
 from tensor_invariants.configs import BUILTIN_CONFIGS, ConfigError, JobConfig, builtin_config
+from tensor_invariants.invariants import reduced_space
 from tensor_invariants.mappings import sample_points
 
 
@@ -108,6 +110,45 @@ def test_a_zero_tolerance_is_reported_as_positive_zero(tmp_path, capsys):
     raw = builtin_config("geodesic-demo").to_dict()
     raw["tol"] = -0.0
     assert math.copysign(1.0, JobConfig.from_dict(raw).tol) == 1.0
+
+
+# s1 = 0 and a rho with no value at the points: no row reads rho
+ZERO_S1 = {
+    "chart": ["u", "v"],
+    "space": {"metric": [["1 + u^2", "0"], ["0", "1 + v^2"]]},
+    "omega": {
+        "s": [0, 0.5, 0.5],
+        "rho": ["ln(u - 5)", "0"],
+        "sigma": ["u", "v"],
+        "F": [["1", "u"], ["v", "1"]],
+        "phi": ["1", "u*v"],
+        "sigma2": [["u", "v"], ["v", "1"]],
+    },
+    "omega_bar": {
+        "s": [0, 0.5, 0.5],
+        "rho": ["0", "0"],
+        "sigma": ["v", "1"],
+        "F": [["u", "0"], ["1", "v"]],
+        "phi": ["v", "1"],
+        "sigma2": [["1", "u"], ["u", "v"]],
+    },
+    "points": {"list": [[1.5, 1.5], [1.2, 1.7]]},
+}
+
+
+def test_a_zero_s1_reads_no_rho(tmp_path, capsys):
+    # Lambda = L - omega was Lambda' - 0 * (d rho + rho d), so basic_thomas
+    # and basic_weyl_direct read rho, and verify exited 2 on ln(u - 5)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(ZERO_S1))
+    assert run_cli("verify", "--config", str(path)) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert re.search(r"^basic_thomas +0\.000e\+00  PASS$", out.out, re.M)
+    job = JobConfig.from_dict(ZERO_S1)
+    space = job.build_space()
+    for spec in (job.omega, job.omega_bar):
+        assert reduced_space(space, spec).key == reduced_space(space, spec, rho=False).key
 
 
 @pytest.mark.parametrize("command", ["verify", "thomas", "audit-paper"])
@@ -374,7 +415,7 @@ def test_table_commands_evaluate_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_tensor_objects", counting(cli._tensor_objects))
     monkeypatch.setattr(cli, "_invariant_objects", counting(cli._invariant_objects))
     monkeypatch.setattr(geometry._MetricConnection, "jets", counting_metric)
-    monkeypatch.setattr(mappings, "block_size", lambda dim: 2)
+    monkeypatch.setattr(tensor, "block_size", lambda dim: 2)
     listed = [[1.0, 2.0, 3.0], [1.5, 1.25, 2.0], [2.0, 1.0, 1.5]]
     blocks = {tuple(listed[0] + listed[1]), tuple(listed[2])}
     paths = {}

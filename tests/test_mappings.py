@@ -393,6 +393,18 @@ def test_verify_rejects_a_tolerance_that_is_not_finite_and_non_negative(
         verify_invariance(example_space, target, example_fspec, [P0], tol=tol)
 
 
+def test_a_zero_tolerance_from_python_is_reported_as_positive_zero():
+    # the range check accepts -0.0, which the report printed as "tolerance
+    # -0" and wrote as "tol": -0.0
+    job = builtin_config("geodesic-demo")
+    source, mapping = job.build_space(), job.mapping()
+    target = apply_mapping(source, mapping)
+    report = verify_invariance(source, target, mapping, job.points(), tol=-0.0)
+    assert report.to_text().splitlines()[-1] == "tolerance 0; overall FAIL"
+    assert '\n  "tol": 0.0,\n' in report.to_json()
+    assert math.copysign(1.0, json.loads(report.to_json())["tol"]) == 1.0
+
+
 def test_fplanar_invariance_on_curved_source(chart, affinor, sigma_form):
     # the example metric is curvature-flat; repeat the key invariances on a
     # genuinely curved source space

@@ -186,8 +186,8 @@ def test_verify_fplanar_work_counts(monkeypatch):
     points = job.points()
     assert len(points) == 20
     # blocks of 8, 8 and 4 points
-    monkeypatch.setattr(mappings, "BLOCK_BYTES", 8 * 3**4 * 8)
-    assert mappings.block_size(3) == 8
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 3**4 * 8)
+    assert tensor.block_size(3) == 8
     program_runs = _count_runs(monkeypatch)
 
     # the F-planar rho's point function, behind its memo
@@ -292,8 +292,8 @@ def test_verify_omega_work_counts(monkeypatch):
     points = sample_points([[1.0, 2.0]] * 4, 10, seed=29)
     # blocks of 2 points; the rank-2 fields' spans are 4 blocks, so the
     # second span is one block long
-    monkeypatch.setattr(mappings, "BLOCK_BYTES", 2 * 8 * 4**4)
-    assert mappings.block_size(4) == 2
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 2 * 8 * 4**4)
+    assert tensor.block_size(4) == 2
     calls = _count_runs(monkeypatch)
     kernels = _count_kernels(monkeypatch)
     # D takes its two covariant derivatives of rank-3 tensors (of calF and of
@@ -489,7 +489,7 @@ def test_connection_cache_holds_last_point_only(monkeypatch):
         gc.enable()
 
 
-def test_memoised_arrays_are_read_only():
+def test_memoised_arrays_are_read_only(monkeypatch):
     job = builtin_config("fplanar-demo")
     space = job.build_space()
     point = (1.25, 1.5, 1.75)
@@ -507,7 +507,8 @@ def test_memoised_arrays_are_read_only():
         job.metric.value(point)[1, 1] = 0.0
     # a block's rows of its span's jet: views of the span's read-only arrays
     F = job.mapping().F
-    blocks = tensor.PointBatch(sample_points([[1.0, 2.0]] * 3, 5, seed=7)).blocks(2)
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 2 * 8 * 3**4)
+    blocks = list(tensor.PointBatch(sample_points([[1.0, 2.0]] * 3, 5, seed=7)).blocks())
     first, second = F.jet(blocks[0]), F.jet(blocks[1])
     for together, alone in zip(first + second, F.jet(blocks[0].array[0].tolist()) * 2):
         assert together.shape == (2,) + alone.shape

@@ -205,6 +205,40 @@ def _einsum_spec(spec):
     return ",".join("..." + letters for letters in inputs.split(",")) + "->..." + output
 
 
+def test_one_budget_sizes_blocks_and_spans(monkeypatch):
+    # tensor.BLOCK_BYTES alone cuts a run: blocks of as many points as keep
+    # an array of N^4 doubles within it, and a field's spans of as many
+    # blocks as keep its largest channel within one such array per block
+    assert [tensor.block_size(n) for n in range(2, 7)] == [512, 101, 32, 13, 6]
+    metric = TensorField(CHART, "ll", [["1 + u^2", "0", "0"], ["0", "1 + v^2", "0"], ["0", "0", "w"]])
+    F = TensorField(CHART, "ul", [["u", "v", "w"], ["1", "u*v", "0"], ["0", "0", "v"]])
+    sigma = TensorField(CHART, "l", ["u", "v*w", "1"])
+    runs = []
+
+    def counting(program, points, order):
+        runs.append((program, order, len(points)))
+        return run_program(program, points, order)
+
+    monkeypatch.setattr(tensor, "run_program", counting)
+    for budget, size in ((tensor.BLOCK_BYTES, 101), (4 * 8 * 3**4, 4)):
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", budget)
+        assert tensor.block_size(3) == size
+        count = 10 * size + 3
+        runs.clear()
+        blocks = PointBatch(np.random.default_rng(size).uniform(1.0, 2.0, (count, 3))).blocks()
+        lengths = []
+        for block in blocks:
+            lengths.append(len(block.array))
+            metric.jet2(block)
+            F.jet(block)
+            sigma.jet(block)
+        assert lengths == [size] * 10 + [3]
+        # the metric's order-2 span is one block, F's order-1 span 3, sigma's 9
+        for field, order, width in ((metric, 2, size), (F, 1, 3 * size), (sigma, 1, 9 * size)):
+            rows = [n for program, o, n in runs if program is field.program and o == order]
+            assert rows == [width] * (count // width) + [count % width], (field.variance, budget)
+
+
 def test_single_sum_specs_found():
     # the rank-3 covariant derivative and the quadratic curvature term among them
     for spec in ("azn,zbc->abcn", "zbn,azc->abcn", "zcn,abz->abcn", "ajm,ian->ijmn"):
