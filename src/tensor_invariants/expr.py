@@ -263,6 +263,8 @@ def _parse_exponent(toks: _Tokens, chart: Chart) -> float:
             raise ParseError("pow exponent must be a constant", pos2)
         value = sign * _number(tok2, pos2)
         _expect(toks, ")")
+    elif kind == "op" and tok == "-":
+        raise ParseError("a negative exponent needs parentheses, e.g. u^(-2)", pos)
     else:
         raise ParseError("pow exponent must be a constant", pos)
     kind, tok, pos = toks.peek()

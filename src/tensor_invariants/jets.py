@@ -3,12 +3,25 @@ rule of each scalar map.
 
 :func:`compile_program` compiles the entries of a field (one expression,
 every entry of a tensor, or the entries of several fields run together) into
-one program of ``(code, arg, node, left, right)`` ops, one per distinct
-subtree, each writing a slot from its operands' slots.  An op's key is its code, the constant's bits (0.0 and -0.0
-stay apart), the variable's index and the operands' slots, so a subtree
-repeated within or across entries (mirror entries, a shared ``sin(u)``) is
-computed once, with the bits a program of one entry gives.  ``node`` is the
-op's tree node, so a ``DomainError`` names the subexpression that failed.
+one program of ``(code, arg, node, left, right)`` ops, each writing a slot
+from its operands' slots: one op per distinct subtree, a literal and a
+product's literal left factor folded into their op.  The ops:
+
+- ``const``: a literal, a constant or a negated constant (``-2``), its
+  value as ``arg``;
+- ``var``: a coordinate, its index as ``arg``;
+- ``scale``: a product whose left factor is a literal (``2*u``), ``arg``
+  times each channel of its operand, the bits the ``mul`` of that literal's
+  ``const`` gives (``u*2`` stays a ``mul``);
+- ``add``, ``sub``, ``mul``, ``div`` and ``neg``: Taylor arithmetic;
+- ``map``: a scalar map, its rule as ``arg``.
+
+An op's key is its code, the literal's bits (0.0 and -0.0 stay apart), the
+variable's index, the map's name or exponent and the operands' slots, so a
+subtree repeated within or across entries (mirror entries, a shared
+``sin(u)``) is computed once, with the bits a program of one entry gives.
+``node`` is the op's tree node, so a ``DomainError`` names the
+subexpression that failed.
 A scalar map (a function, or ``pow`` with its constant exponent folded in)
 carries its rule as ``arg`` (:func:`rule_of`): numpy ufuncs on a whole value
 (a constant subtree's float, or a ``(P,)`` array, in its dtype) give the
@@ -61,17 +74,18 @@ def compile_program(*entries: Expr) -> Program:
     ops, owners, slots = [], [], {}
 
     def visit(node) -> int:
-        left = right = arg = tag = None
-        if isinstance(node, Const):
-            arg = node.value  # a zero's key keeps its sign: 0.0 and -0.0 stay apart
-            code, tag = "const", arg if arg else (arg, math.copysign(1.0, arg))
+        left = right = tag = None
+        arg = _literal(node)
+        if arg is not None:
+            code, tag = "const", _signed(arg)
         elif isinstance(node, Var):
             code, arg, tag = "var", node.index, node.index
         elif isinstance(node, Unary):
             code, tag, left = ("neg" if node.op == "neg" else "map"), node.op, visit(node.arg)
         elif node.op == "pow":
-            p = node.right.value
-            code, tag, left = "map", (p, math.copysign(1.0, p)), visit(node.left)
+            code, tag, left = "map", _signed(node.right.value), visit(node.left)
+        elif node.op == "mul" and (arg := _literal(node.left)) is not None:
+            code, tag, left = "scale", _signed(arg), visit(node.right)
         else:
             code, left, right = node.op, visit(node.left), visit(node.right)
         key = (code, tag, left, right)
@@ -89,6 +103,20 @@ def compile_program(*entries: Expr) -> Program:
         roots.append(visit(node))
     del visit  # its closure holds itself, ops and the trees: no cycle left for the GC
     return Program(tuple(ops), tuple(roots), tuple(owners))
+
+
+def _literal(node):
+    """The value of a literal, a constant or a negated constant, else None."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Unary) and node.op == "neg" and isinstance(node.arg, Const):
+        return -node.arg.value
+    return None
+
+
+def _signed(value: float):
+    """A constant's key part: a zero keeps its sign, so 0.0 and -0.0 stay apart."""
+    return value if value else (value, math.copysign(1.0, value))
 
 
 def run_program(program: Program, point, order: int):
@@ -136,7 +164,10 @@ def _run(program: Program, points: np.ndarray, order: int) -> tuple:
     rows, n = points.shape
     second = order == 2
     for (code, arg, node, i, j), owner in zip(program.ops, program.owners):
-        if code == "mul":
+        if code == "scale":  # the bits of _product((arg, None, None), slots[i])
+            a, ga, ha = slots[i]
+            push((arg * a, None if ga is None else arg * ga, None if ha is None else arg * ha))
+        elif code == "mul":
             a, b = slots[i], slots[j]
             push(_product(a, b, a[0] * b[0], second))
         elif code == "map":

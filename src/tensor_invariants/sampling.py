@@ -3,8 +3,12 @@
 Everything is expression-backed so jets stay exact; coefficients are kept
 small so connections remain tame over the default [1, 2]^N sampling box.
 Fields are built as expression trees, not as text: each tree is the one
-``expr.parse`` gives for the term's printed text (a coefficient rounded to
-4 decimals), drawn in the same order, so a seed gives the same fields.  A
+``expr.parse`` gives for the term's printed text, drawn in the same order,
+so a seed gives the same fields.  A coefficient is one ``rng.random()`` draw
+scaled into its range, the draw and the sum ``rng.uniform`` makes, so the
+generator's state moves as it did; it is rounded to 4 decimals by
+``round``, which gives the float its ``.4f`` text reads as, and a negative
+sign bit (-0.0 too) makes a negated constant, as the text's ``-`` does.  A
 term builds only its coefficient and its products: the subtrees x, sin(x),
 cos(x) and ln(1+x^2) of each coordinate are built once per chart dimension
 and shared by every term that uses them, so a compile walks each once.
@@ -12,6 +16,7 @@ and shared by every term that uses them, so a compile walks each once.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,12 +42,18 @@ _DIAGONAL_HIGH = 0.2 + 0.1
 
 
 def _coefficient(value: float) -> Expr:
-    """``value`` rounded to 4 decimals, as ``parse`` reads its text: a
-    leading ``-`` (``-0.0000`` too) is a negated constant."""
-    text = f"{value:.4f}"
-    if text.startswith("-"):
-        return Unary("neg", Const(float(text[1:])))
-    return Const(float(text))
+    """``value`` rounded to 4 decimals, as ``parse`` reads its ``.4f`` text:
+    a negative sign bit (``-0.0000`` too) is a negated constant."""
+    value = round(value, 4)
+    if math.copysign(1.0, value) < 0:
+        return Unary("neg", Const(-value))
+    return Const(value)
+
+
+def _draw(rng, low: float, high: float) -> Expr:
+    """A coefficient uniform in [low, high): the one ``random()`` draw and
+    the sum ``rng.uniform(low, high)`` makes, without its argument checks."""
+    return _coefficient(low + (high - low) * rng.random())
 
 
 def _mul(*factors: Expr) -> Expr:
@@ -79,7 +90,7 @@ def _term(factors: tuple, rng) -> Expr:
     """:func:`random_expr` from the chart's factor table (:func:`_factors`),
     looked up once per field; each integer drawn is made a Python int once."""
     form = int(rng.integers(6))
-    c = _coefficient(rng.uniform(-0.3, 0.3))
+    c = _draw(rng, -0.3, 0.3)
     if form == 0:
         return c
     n = len(factors)
@@ -132,11 +143,11 @@ def random_metric_space(chart: Chart, rng) -> Space:
     n = chart.dim
     entries = [[None] * n for _ in range(n)]
     for j in range(n):
-        coefficient = _coefficient(rng.uniform(0.1, _DIAGONAL_HIGH))
+        coefficient = _draw(rng, 0.1, _DIAGONAL_HIGH)
         entries[j][j] = Binary("add", Const(1.0 + j), _mul(coefficient, _square(Var(j))))
     for j in range(n):
         for k in range(j + 1, n):
-            coefficient = _coefficient(rng.uniform(-0.05, 0.05))
+            coefficient = _draw(rng, -0.05, 0.05)
             entries[j][k] = entries[k][j] = _mul(coefficient, Var(j), Var(k))
     return Space.from_metric(TensorField(chart, "ll", entries))
 

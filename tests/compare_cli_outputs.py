@@ -70,6 +70,37 @@ ZERO_S1 = {
     "points": {"list": [[1.5, 1.5], [1.2, 1.7]]},
 }
 
+# literal factors in every place the compiler folds them: signed zeros
+# (-0*u, 0*v), a negated one (-2*u*v), a product of literals (3*2*w) and
+# c*x*y terms, in the metric (run to order 2) and in both omegas
+LITERAL_PRODUCTS = {
+    "chart": ["u", "v", "w"],
+    "space": {
+        "metric": [
+            ["12 + 0.1*u^2 + -0*u + -2*u*v", "-0.02*u*v", "0.01*u*w"],
+            ["-0.02*u*v", "3 + 0*v + 0.2*v^2", "-0.0*v*w"],
+            ["0.01*u*w", "-0.0*v*w", "4 + 3*2*w - 0.05*u*v"],
+        ]
+    },
+    "omega": {
+        "s": [0.5, 0.3, 0.2],
+        "rho": ["-0*u + 0.1*v", "0*v - 0.2*u*w", "3*2*w"],
+        "sigma": ["-2*u*v", "0.5*sin(u)", "-1.5*ln(1 + v^2)"],
+        "F": [["-0*u", "0.1*u*v", "3*2*w"], ["-2*u*v", "0*v", "1"], ["0.2", "-0.3*w", "u*2"]],
+        "phi": ["0.1*u*v", "-0*w", "2"],
+        "sigma2": [["u", "-2*u*v", "0"], ["-2*u*v", "3*2*w", "0.1*v"], ["0", "0.1*v", "-0*u*v"]],
+    },
+    "omega_bar": {
+        "s": [0.5, 0.3, 0.2],
+        "rho": ["0*u", "-2*u*v", "0.3*v*w"],
+        "sigma": ["3*2*u", "-0*v", "0.1*u*w"],
+        "F": [["0*w", "1", "-2*u*v"], ["0.4*v*w", "-0*u", "2*(u + v)"], ["3*2", "0", "w"]],
+        "phi": ["-0.0*u*v", "0*w", "-1.5*cos(w)"],
+        "sigma2": [["-0*u", "0.2*u*v", "1"], ["0.2*u*v", "-2*w", "0"], ["1", "0", "3*2*v*w"]],
+    },
+    "points": {"list": [[1.2, 1.5, 1.7], [1.9, 1.1, 1.3], [1.4, 1.8, 1.6]]},
+}
+
 # name -> (bench config maker and seed, an inline config, or None; CLI
 # arguments before --out)
 COMMANDS = {
@@ -115,6 +146,7 @@ COMMANDS = {
     "example-r3": (None, ["example-r3"]),
     "verify-span-error-n6": (_span_error_n6(), ["verify"]),
     "verify-zero-s1": (ZERO_S1, ["verify"]),
+    "verify-literal-products": (LITERAL_PRODUCTS, ["verify"]),
 }
 
 

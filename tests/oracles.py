@@ -20,7 +20,10 @@ way, or one expression at a time:
   same way, and :func:`weyl_correlation_residual`, the Weyl correlation
   residual of one draw, assembled from the evaluators' results;
 - :func:`fplanar_zeta_dee`, the printed F-planar zeta and D at one point,
-  each entry summed with ``np.einsum`` from the jets it reads.
+  each entry summed with ``np.einsum`` from the jets it reads;
+- :func:`uniform_coefficient`, a sampled coefficient drawn the way the
+  samplers once drew it: ``rng.uniform``, then the ``.4f`` text read back
+  (:func:`coefficient_by_text`).
 """
 
 from __future__ import annotations
@@ -265,3 +268,17 @@ def fplanar_zeta_dee(space: Space, F, sigma, point) -> tuple[np.ndarray, np.ndar
         - np.einsum("amn,ija->ijmn", conn, calF)
     )
     return zeta / (n + 1), -0.5 * calF_cov
+
+
+def coefficient_by_text(value: float) -> Expr:
+    """`value` printed to 4 decimals and read back: a leading ``-``
+    (``-0.0000`` too) makes a negated constant, as ``parse`` reads it."""
+    text = f"{value:.4f}"
+    if text.startswith("-"):
+        return Unary("neg", Const(float(text[1:])))
+    return Const(float(text))
+
+
+def uniform_coefficient(rng, low: float, high: float) -> Expr:
+    """``sampling._draw`` by ``rng.uniform(low, high)`` and the text round trip."""
+    return coefficient_by_text(rng.uniform(low, high))

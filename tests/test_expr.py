@@ -63,7 +63,7 @@ def test_pow_chain_right_associative():
 
 def test_negative_exponent_needs_parens():
     assert parse("u^(-2)", CHART) == Binary("pow", Var(0), Const(-2.0))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"negative exponent needs parentheses.*\(at position 2\)"):
         parse("u^-2", CHART)
 
 

@@ -709,3 +709,61 @@ def test_signed_zero_constants_are_not_merged():
     value = run_program(program, (1.0, 2.0, 3.0), 0)
     assert value.tolist() == [0.0, 0.0]
     assert np.signbit(value).tolist() == [False, True]
+
+
+# literal products, with signed zeros, a product of two literals, a literal
+# times a map and a sum, a right literal (kept a mul) and lone literals
+FOLDED_TEXTS = ["2*u", "-2*u", "0*u", "-0*u", "-0.0*u*v", "3*2", "0.5*sin(u)"]
+FOLDED_TEXTS += ["-1.5*ln(1+u^2)", "2*(u+v)", "u*2", "-3", "0", "-0"]
+
+
+def _unfolded(*entries) -> jets.Program:
+    """The entries' program with one op per node: every constant a ``const``,
+    every ``-`` a ``neg`` and every product a ``mul``, nothing shared."""
+    ops, owners = [], []
+
+    def visit(node, owner) -> int:
+        if isinstance(node, Const):
+            op = ("const", node.value, node, None, None)
+        elif isinstance(node, Var):
+            op = ("var", node.index, node, None, None)
+        elif isinstance(node, Unary) and node.op == "neg":
+            op = ("neg", None, node, visit(node.arg, owner), None)
+        elif isinstance(node, Unary) or node.op == "pow":
+            operand = node.arg if isinstance(node, Unary) else node.left
+            op = ("map", jets.rule_of(node), node, visit(operand, owner), None)
+        else:
+            op = (node.op, None, node, visit(node.left, owner), visit(node.right, owner))
+        ops.append(op)
+        owners.append(owner)
+        return len(ops) - 1
+
+    roots = tuple(visit(node, owner) for owner, node in enumerate(entries))
+    return jets.Program(tuple(ops), roots, tuple(owners))
+
+
+def test_folded_literals_give_the_bits_of_their_unfolded_ops():
+    entries = [parse(text, CHART) for text in FOLDED_TEXTS]
+    batch = np.random.default_rng(30).uniform(0.5, 2.0, (5, 3))
+    programs = [(compile_program(*entries), _unfolded(*entries))]
+    programs += [(compile_program(entry), _unfolded(entry)) for entry in entries]
+    assert sum(len(folded.ops) for folded, _ in programs) < sum(len(p.ops) for _, p in programs)
+    for folded, unfolded in programs:
+        for points in (batch[0], batch):
+            for order in (0, 1, 2):
+                got = run_program(folded, points, order)
+                want = run_program(unfolded, points, order)
+                for a, b in zip(*[c if order else (c,) for c in (got, want)]):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (len(folded.roots), order)
+
+
+def test_a_literal_factor_folds_into_its_product():
+    program = compile_program(parse("-0.1234*sin(u)", CHART))
+    assert [op[0] for op in program.ops] == ["var", "map", "scale"]
+    assert math.copysign(1.0, program.ops[-1][1]) == -1.0 and program.ops[-1][1] == -0.1234
+    assert [op[0] for op in compile_program(parse("u*2", CHART)).ops] == ["var", "const", "mul"]
+    # a literal keeps its sign bit: the scales by 0 and -0 stay apart
+    program = compile_program(parse("0*u", CHART), parse("-0*u", CHART), parse("-(0)", CHART))
+    assert [op[0] for op in program.ops] == ["var", "scale", "scale", "const"]
+    assert np.signbit([op[1] for op in program.ops[1:]]).tolist() == [False, True, True]

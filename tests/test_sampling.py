@@ -4,7 +4,10 @@ The oracle below is the text formatter the samplers once used: each term
 printed as ``f"{c:.4f}*sin(u)"`` and parsed back.  Two generators seeded
 alike feed the tree builders and the oracle; the trees must be equal, with
 the same constant signs, and the generators must end in the same state, so
-a seed keeps giving the same fields.
+a seed keeps giving the same fields.  The samplers' one ``random()`` draw
+and ``round`` per coefficient are checked the same way against
+``oracles.uniform_coefficient``, their former ``rng.uniform`` draw and text
+round trip.
 """
 
 import math
@@ -13,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import coefficient_by_text, uniform_coefficient
 from tensor_invariants import expr, sampling, tensor
 from tensor_invariants.expr import Binary, Chart, Const, Unary, parse
 from tensor_invariants.invariants import SValues
@@ -164,12 +168,65 @@ def test_sampled_subtrees_are_shared_within_a_chart_dimension():
         (-0.00001, "-0.0000", Unary("neg", Const(0.0))),
         (0.00001, "0.0000", Const(0.0)),
         (-0.1234, "-0.1234", Unary("neg", Const(0.1234))),
+        (-0.00004, "-0.0000", Unary("neg", Const(0.0))),
+        (0.00005, "0.0001", Const(0.0001)),
+        (-0.00005, "-0.0001", Unary("neg", Const(0.0001))),
+        (0.29995, "0.2999", Const(0.2999)),
+        (-0.29995, "-0.2999", Unary("neg", Const(0.2999))),
+        (0.3, "0.3000", Const(0.3)),
+        (-0.3, "-0.3000", Unary("neg", Const(0.3))),
     ],
 )
 def test_coefficient_is_the_parsed_text(value, text, tree):
     built = sampling._coefficient(value)
     assert built == tree
     _assert_same_trees([built], [text], Chart(("u", "v")))
+
+
+def test_rounding_agrees_with_the_text_round_trip_on_ties_and_draws():
+    ties = (np.arange(-3000, 3000) + 0.5) / 1e4
+    draws = np.random.default_rng(4).uniform(-0.3, 0.3, 20000)
+    for value in np.concatenate([ties, draws, [0.0, -0.0]]).tolist():
+        built = sampling._coefficient(value)
+        assert built == coefficient_by_text(value), value
+        assert math.copysign(1.0, _constants(built)[0]) == 1.0, value
+
+
+def _sampled(chart, rng) -> list:
+    """The s-values and every tree of 20 omega specs, 5 connection spaces
+    and 5 metric spaces, drawn in turn from `rng`."""
+    out = []
+    for _ in range(20):
+        spec = sampling.random_omega_spec(chart, rng)
+        out += [spec.s] + [entry for field in spec.fields for entry in field.entries]
+    for _ in range(5):
+        out += sampling.random_connection_space(chart, rng).coefficients.entries
+    with mock.patch.object(sampling, "TensorField", wraps=tensor.TensorField) as build:
+        for _ in range(5):
+            sampling.random_metric_space(chart, rng)
+    return out + [node for call in build.call_args_list for row in call.args[2] for node in row]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_one_random_draw_per_coefficient_keeps_trees_and_state(seed, monkeypatch):
+    # the same samplers with each coefficient drawn by rng.uniform and read
+    # back from its text: equal trees, equal signs, the same generator state
+    chart = Chart(NAMES[:3])
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    built = _sampled(chart, rng)
+    calls = []
+
+    def draw(*args):
+        calls.append(args)
+        return uniform_coefficient(*args)
+
+    monkeypatch.setattr(sampling, "_draw", draw)
+    want = _sampled(chart, reference)
+    assert len(calls) == 20 * (3 + 3 + 9 + 3 + 6) + 5 * 27 + 5 * 6
+    assert built == want
+    signs = [[math.copysign(1.0, c) for c in _constants(node)] for node in built]
+    assert signs == [[math.copysign(1.0, c) for c in _constants(node)] for node in want]
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_samplers_never_parse(monkeypatch):
