@@ -75,11 +75,12 @@ class OmegaSpec:
                 setattr(self, name, zero_field(self.chart, variance))
 
     def validate(self, points) -> None:
-        """Check sigma2 symmetry at sample points, to 1e-12."""
+        """Check sigma2 symmetry at sample points, to 1e-12 of its largest
+        entry there, so a rescaled sigma2 is accepted or rejected alike."""
         for point in points:
             s2 = self.sigma2.value(point)
             skew = np.max(np.abs(s2 - s2.T))
-            if skew > 1e-12:
+            if skew > 1e-12 * np.max(np.abs(s2)):
                 raise ValueError(
                     f"sigma2 is not symmetric at {tuple(point)} (max skew {skew:.3e})"
                 )

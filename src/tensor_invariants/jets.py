@@ -21,7 +21,7 @@ variable's index, the map's name or exponent and the operands' slots, so a
 subtree repeated within or across entries (mirror entries, a shared
 ``sin(u)``) is computed once, with the bits a program of one entry gives.
 ``node`` is the op's tree node, so a ``DomainError`` names the
-subexpression that failed.
+subexpression that failed; an op shared by entries belongs to the first.
 A scalar map (a function, or ``pow`` with its constant exponent folded in)
 carries its rule as ``arg`` (:func:`rule_of`): numpy ufuncs on a whole value
 (a constant subtree's float, or a ``(P,)`` array, in its dtype) give the
@@ -42,6 +42,12 @@ that a field's arrays, batch axis first, are C-contiguous (``tensor``).  A
 zero channel is None and costs no array work: a constant's gradient, a
 linear subtree's Hessian, every derivative at order 0.  Order 2 is the most
 the library needs (second partials of a metric give Christoffel partials).
+
+How a run fails is decided here alone.  An entry fails on the rows where a
+domain check of its ops fires, and on those where its value or derivative
+channels hold inf/NaN (floats overflow with numpy's warnings off).  The run
+raises the ``DomainError`` of the first failing entry at its first failing
+row: the check that fired first there, else "non-finite value or derivative".
 """
 
 from __future__ import annotations
@@ -58,11 +64,12 @@ __all__ = ["Program", "RULES", "compile_program", "rule_of", "run_program"]
 
 
 class Program(NamedTuple):
-    """Ops in run order, each entry's slot, and per op the entry that made it."""
+    """Ops in run order, each entry's slot and tree, per op the entry that made it."""
 
     ops: tuple
     roots: tuple
     owners: tuple
+    entries: tuple
 
 
 def compile_program(*entries: Expr) -> Program:
@@ -102,7 +109,7 @@ def compile_program(*entries: Expr) -> Program:
     for owner, node in enumerate(entries):
         roots.append(visit(node))
     del visit  # its closure holds itself, ops and the trees: no cycle left for the GC
-    return Program(tuple(ops), tuple(roots), tuple(owners))
+    return Program(tuple(ops), tuple(roots), tuple(owners), entries)
 
 
 def _literal(node):
@@ -129,10 +136,10 @@ def run_program(program: Program, point, order: int):
     then the channels are ``(E, P)``, ``(E, P, N)`` and ``(E, P, N, N)``
     arrays, in the points' floating dtype, each the entry-first view of a
     point-major buffer (``swapaxes(0, 1)`` of a C-contiguous ``(P, E, ...)``
-    array).  Floats overflow to inf/NaN with numpy's warnings off.  A run
-    whose checks fire raises the ``DomainError`` of its first failing entry
-    at that entry's first failing row, as runs of each row alone in turn
-    would.
+    array).  A run that fails (a domain check fires, or an entry's channels
+    hold inf/NaN) raises the ``DomainError`` of its first failing entry, at
+    that entry's first failing row: a run of that row alone raises the same,
+    though another row alone may fail at an earlier entry.
     """
     points = np.asarray(point)
     if points.dtype.kind != "f":
@@ -140,8 +147,16 @@ def run_program(program: Program, point, order: int):
     rows = points if points.ndim == 2 else points[None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out, failures = _run(program, rows, order)
+    # an entry whose channels hold inf/NaN fails on those rows, after its own
+    # checks (the sort by owner is stable) and before the next entry's
+    if not all(np.isfinite(channel).all() for channel in out):
+        bad = ~np.logical_and.reduce([np.isfinite(c).all(tuple(range(2, c.ndim))) for c in out])
+        for entry in np.flatnonzero(bad.any(1)).tolist():
+            node, value = program.entries[entry], out[0][entry]
+            failures.append((entry, node, bad[entry], "non-finite value or derivative", value))
+        failures.sort(key=lambda failure: failure[0])
     if failures:
-        # each row's first failing check, then the first row whose check has
+        # each row's first failure, then the first row whose failure has
         # the lowest owner (with no rows, only a constant's check can fire)
         first = np.full(max(len(rows), 1), len(failures))
         for k in range(len(failures) - 1, -1, -1):

@@ -137,10 +137,14 @@ _OMEGA = (MappingSpec, FPlanarSpec)  # the mappings that give an omega pair
 FPLANAR_S = SValues(1.0, 0.5, 0.0)  # the s-values of the F-planar split
 
 
+def _same_chart(source: Space, *fields) -> None:
+    if any(field.chart != source.chart for field in fields):
+        raise ValueError("mapping fields live on a different chart than the space")
+
+
 def apply_mapping(source: Space, mapping: MappingSpec) -> Space:
     """Target space with Lbar = L + (omega_bar - omega)."""
-    if mapping.omega_src.chart != source.chart:
-        raise ValueError("mapping fields live on a different chart than the space")
+    _same_chart(source, mapping.omega_src, mapping.omega_tgt)
 
     def delta(point):
         w_src, dw_src = omega_jet(mapping.omega_src, point)
@@ -152,6 +156,7 @@ def apply_mapping(source: Space, mapping: MappingSpec) -> Space:
 
 def fplanar_build(source: Space, f: FPlanarSpec) -> Space:
     """Target space of the F-planar mapping with the given defining data."""
+    _same_chart(source, f.psi, f.sigma, f.F)
 
     def delta(point):
         psi_pair, dpsi_pair = _delta_pair_jet(*f.psi.jet(point))
@@ -180,6 +185,7 @@ def fplanar_rho_field(space: Space, F, sigma) -> PointField:
 
 def fplanar_as_omega(source: Space, f: FPlanarSpec) -> MappingSpec:
     """The s = (1, 1/2, 0) omega pair realizing the F-planar deformation."""
+    _same_chart(source, f.psi, f.sigma, f.F)
     chart = source.chart
     rho = fplanar_rho_field(source, f.F, f.sigma)
     rho_bar = add_fields(rho, f.psi)

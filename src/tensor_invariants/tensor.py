@@ -34,9 +34,10 @@ An expression field (:class:`TensorField`) compiles its own ``jets``
 program when it first runs alone.  :func:`run_fields` runs several fields
 as one program in one run and keeps each field's channels under the cache
 key of its own run, so that a reader of many small fields pays one compile
-and one run for all of them.  :func:`run_grouped` does so for the fields
-of many random draws, a group of draws at a time, each group's program
-within ``GROUP_ENTRIES`` entries.
+and one run for all of them; how a run fails is decided by ``jets`` alone,
+and a joint run raises the error of the fields' own runs in turn.
+:func:`run_grouped` runs the fields of many random draws so, a group of
+draws at a time, each group's program within ``GROUP_ENTRIES`` entries.
 
 Convention lock (the single most error-prone choice in this codebase): an
 index bracket is the two-term difference WITHOUT the 1/2 factor,
@@ -408,15 +409,11 @@ def run_fields(fields, point, order: int) -> None:
     None), is skipped.
 
     One field runs its own program.  Several run one program compiled over
-    all their entries, in which a subtree shared by fields is one op; each
-    op gives the bits it gives in a field's own program, so each field's
-    channels are those of its own run.  A run overflows to inf/NaN without
-    raising or warning, so its channels are checked for finiteness, once for
-    the whole run.  A joint run that raises a ``DomainError`` or fails that
-    check is redone field by field, so the error is the one that running
-    the fields one by one in order raises (the joint run would name the
-    first failing entry of all, though a field before it may go non-finite
-    with no check firing), with the fields before it kept."""
+    all their entries, field after field, in which a subtree shared by
+    fields is one op; each op gives the bits it gives in a field's own
+    program, so each field's channels are those of its own run.  A failing
+    run raises the error of ``jets.run_program``, which is the error that
+    the fields' own runs in turn raise, and keeps no field's channels."""
     batch = _batch(point)
     todo = [
         field
@@ -425,24 +422,12 @@ def run_fields(fields, point, order: int) -> None:
     ]
     if not todo:
         return
-    joint = len(todo) > 1
-    if joint:
+    if len(todo) > 1:
         program = compile_program(*(entry for field in todo for entry in field.entries))
     else:
         program = todo[0].program
-    try:
-        result = run_program(program, batch.array, order)
-    except ex.DomainError:
-        if not joint:
-            raise
-        result = None  # redone outside the handler, so the error stands alone
+    result = run_program(program, batch.array, order)
     channels = result if order else (result,)  # run_program's bare order-0 array
-    if result is None or not all(np.isfinite(c).all() for c in channels):
-        if not joint:
-            _check_finite(todo[0], channels, batch)  # raises
-        for field in todo:
-            run_fields((field,), batch, order)
-        return
     start = 0
     for field in todo:
         stop = start + len(field.entries)
@@ -486,19 +471,6 @@ def _run_group(group, points, order):
     run_fields([f for _, parts in group for f in parts], batch, order)
     for draw, _ in group:
         yield draw, batch
-
-
-def _check_finite(field, channels, point) -> None:
-    """Raise naming the field's first entry with a non-finite value or
-    derivative in the channels of its own run, which hold one, at the first
-    point of a batch that has one."""
-    lead = batch_shape(point)
-    finite = np.logical_and.reduce(
-        [np.isfinite(c).reshape(c.shape[: 1 + len(lead)] + (-1,)).all(-1) for c in channels]
-    )
-    bad = ~finite
-    entry = int(np.argmax(bad[:, np.argmax(bad.any(0))] if lead else bad))
-    raise ex.DomainError("non-finite value or derivative", field.entries[entry])
 
 
 def _entry_arrays(field, channels, point):

@@ -101,6 +101,13 @@ LITERAL_PRODUCTS = {
     "points": {"list": [[1.2, 1.5, 1.7], [1.9, 1.1, 1.3], [1.4, 1.8, 1.6]]},
 }
 
+# N = 2 connection whose first entry overflows with no check firing and
+# whose second fails ln's check at v = -1: the error names the first
+OVERFLOW_THEN_LN = {
+    "chart": ["u", "v"],
+    "space": {"connection": {"1,1,1": "1e300*1e300*u", "1,1,2": "ln(v)"}},
+}
+
 # name -> (bench config maker and seed, an inline config, or None; CLI
 # arguments before --out)
 COMMANDS = {
@@ -147,6 +154,7 @@ COMMANDS = {
     "verify-span-error-n6": (_span_error_n6(), ["verify"]),
     "verify-zero-s1": (ZERO_S1, ["verify"]),
     "verify-literal-products": (LITERAL_PRODUCTS, ["verify"]),
+    "christoffel-overflow-then-ln": (OVERFLOW_THEN_LN, ["christoffel", "--point", "1,-1"]),
 }
 
 

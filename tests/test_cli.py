@@ -761,6 +761,22 @@ def test_config_rejects_asymmetric_sigma2():
         JobConfig.from_dict(base)
 
 
+def test_config_accepts_a_large_sigma2_whose_mirror_entries_differ_by_rounding():
+    # the mirror entries differ by 1.2e-10 here, far below 1e-12 of the
+    # largest entry (about 8e5)
+    sigma2 = [["u", "(u/3+v/7)*1e6"], ["u*1e6/3+v*1e6/7", "v"]]
+    job = JobConfig.from_dict(
+        {
+            "chart": ["u", "v"],
+            "space": {"connection": {}},
+            "omega": {"s": [0.0, 0.0, 1.0], "sigma2": sigma2},
+            "omega_bar": {"s": [0.0, 0.0, 1.0]},
+            "points": {"list": [[1.755118106560127, 1.4851271756896405]]},
+        }
+    )
+    assert job.omega.sigma2.shape == (2, 2)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["example-r3"], 0), (["verify", "--config", "fplanar-demo"], 3)],

@@ -134,6 +134,22 @@ def test_sigma2_symmetry_validation(chart):
         bad.validate([P0])
 
 
+@pytest.mark.parametrize("scale", ["1e-6", "1", "1e6"])
+def test_sigma2_symmetry_is_checked_relative_to_its_entries(scale):
+    # (u/3 + v/7)*S and u*S/3 + v*S/7 differ by rounding only (by 1.2e-10
+    # at S = 1e6), and adding u*S/1000 makes sigma2 asymmetric at every S
+    plane = Chart(("u", "v"))
+    point = (1.755118106560127, 1.4851271756896405)
+
+    def spec(lower):
+        entries = [["u", f"(u/3 + v/7)*{scale}"], [lower, "v"]]
+        return OmegaSpec(plane, SValues(0.0, 0.0, 1.0), sigma2=TensorField(plane, "ll", entries))
+
+    spec(f"u*{scale}/3 + v*{scale}/7").validate([point])
+    with pytest.raises(ValueError, match="symmetric"):
+        spec(f"u*{scale}/3 + v*{scale}/7 + u*{scale}/1000").validate([point])
+
+
 # --- omega-square expansion ----------------------------------------------------
 
 def test_omega_square_expansion_matches_contraction(chart):

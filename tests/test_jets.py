@@ -352,6 +352,72 @@ def test_a_failed_check_raises_though_a_later_op_absorbs_its_value(text):
     assert raised.value.node == parse("ln(u)", CHART)
 
 
+PLANE = Chart(("u", "v"))
+
+
+@pytest.mark.parametrize(
+    "texts, failing, reason",
+    [
+        (["1e300*1e300*u", "ln(v)"], "1e300*1e300*u", "non-finite value or derivative"),
+        (["ln(v)", "1e300*1e300*u"], "ln(v)", "ln of non-positive value -1.0"),
+        (["u", "ln(v) + 1e300*1e300*u"], "ln(v)", "ln of non-positive value -1.0"),
+        (["u", "1e300*1e300*u", "ln(v)"], "1e300*1e300*u", "non-finite value or derivative"),
+    ],
+)
+def test_an_overflow_fails_its_entry_in_entry_order(texts, failing, reason):
+    # an entry whose channels overflow with no check firing fails as that
+    # entry's tree, in entry order with the other entries' checks; within
+    # one entry a check that fires comes first
+    entries = [parse(text, PLANE) for text in texts]
+    program = compile_program(*entries)
+    for order in range(3):
+        for at in ((1.0, -1.0), np.array([(1.0, -1.0), (1.5, -2.0)])):
+            with pytest.raises(DomainError) as raised:
+                run_program(program, at, order)
+            assert raised.value.reason == reason, (order, at)
+            assert raised.value.node == parse(failing, PLANE)
+            if failing in texts:
+                assert raised.value.node is entries[texts.index(failing)]
+
+
+def test_a_non_finite_entry_is_named_by_its_own_tree():
+    # the second entry is the first's divisor, an op the first entry made;
+    # at order 0 the first is finite (1/inf is 0), and the error names the
+    # second entry's own tree, not the first's equal subtree
+    entries = [parse("1/(1e300*1e300*u)", CHART), parse("1e300*1e300*u", CHART)]
+    with pytest.raises(DomainError, match="non-finite value or derivative") as raised:
+        run_program(compile_program(*entries), (1.0, 2.0, 3.0), 0)
+    assert raised.value.node is entries[1]
+
+
+def test_a_run_whose_channels_overflow_raises_instead_of_returning():
+    # 1e308*u*u*u for u up to 0.5 is finite with its gradient, and its
+    # Hessian overflows (1e308*u*u's is 2e308) with no check firing: orders
+    # 0 and 1 return, 2 raises
+    entries = [parse("v", CHART), parse("1e308*u*u*u", CHART)]
+    program = compile_program(*entries)
+    batch = np.array([(0.25, 2.0, 3.0), (0.5, 2.0, 3.0)])
+    for at in (batch[1], batch):
+        for channel in run_program(program, at, 1):
+            assert np.isfinite(channel).all()
+        with pytest.raises(DomainError, match="non-finite value or derivative") as raised:
+            run_program(program, at, 2)
+        assert raised.value.node is entries[1]
+
+
+def test_a_batch_names_the_first_failing_entry_at_its_first_failing_row():
+    # the first row alone fails ln(v) and the second ln(u): the batch names
+    # the first entry that fails on any row, at the first row it fails on
+    program = compile_program(parse("ln(u)", PLANE), parse("ln(v)", PLANE))
+    with pytest.raises(DomainError, match="ln of non-positive value -1.0") as raised:
+        run_program(program, (1.0, -1.0), 0)
+    assert raised.value.node == parse("ln(v)", PLANE)
+    for order in range(3):
+        with pytest.raises(DomainError, match="ln of non-positive value -2.0") as raised:
+            run_program(program, np.array([(1.0, -1.0), (-2.0, 1.0)]), order)
+        assert raised.value.node == parse("ln(u)", PLANE)
+
+
 def test_a_failing_run_warns_nothing_and_keeps_the_error_state():
     # no numpy error state set here: the run sets its own, for this run only
     texts = ["ln(u) + 1/v", "sqrt(w)*exp(1000*u)", "u^(-2) + v^0.5 + sin(u*1e300*u)"]
@@ -739,7 +805,7 @@ def _unfolded(*entries) -> jets.Program:
         return len(ops) - 1
 
     roots = tuple(visit(node, owner) for owner, node in enumerate(entries))
-    return jets.Program(tuple(ops), roots, tuple(owners))
+    return jets.Program(tuple(ops), roots, tuple(owners), tuple(entries))
 
 
 def test_folded_literals_give_the_bits_of_their_unfolded_ops():

@@ -87,12 +87,33 @@ def test_mapping_chart_mismatch_rejected(example_space):
         apply_mapping(example_space, MappingSpec(spec, spec))
 
 
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "y")], ids=["same-dim", "other-dim"])
+def test_mapping_target_chart_mismatch_rejected(example_space, chart, names):
+    s = SValues(1.0, 0.0, 0.0)
+    mapping = MappingSpec(OmegaSpec(chart, s), OmegaSpec(Chart(names), s))
+    with pytest.raises(ValueError, match="different chart than the space"):
+        apply_mapping(example_space, mapping)
+
+
 # --- F-planar construction ------------------------------------------------------
 
 def test_fplanar_zero_data_is_identity(example_space, chart):
     fspec = FPlanarSpec(zero_field(chart, "l"), zero_field(chart, "l"), zero_field(chart, "ul"))
     target = fplanar_build(example_space, fspec)
     assert np.array_equal(target.connection(P0), example_space.connection(P0))
+
+
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "y")], ids=["same-dim", "other-dim"])
+@pytest.mark.parametrize("foreign", ["psi", "sigma", "F"])
+@pytest.mark.parametrize("build", [fplanar_build, fplanar_as_omega])
+def test_fplanar_chart_mismatch_rejected(example_space, chart, names, foreign, build):
+    # one of psi, sigma and F on another chart, of the same dimension with
+    # other names or of another dimension
+    variances = {"psi": "l", "sigma": "l", "F": "ul"}
+    fields = {name: zero_field(chart, variance) for name, variance in variances.items()}
+    fields[foreign] = zero_field(Chart(names), variances[foreign])
+    with pytest.raises(ValueError, match="different chart than the space"):
+        build(example_space, FPlanarSpec(**fields))
 
 
 def test_fplanar_build_example_entry(example_space, example_fspec):

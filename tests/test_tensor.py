@@ -121,14 +121,14 @@ def _errors(fields, batch, order):
 def test_fields_run_together_raise_the_error_of_their_runs_in_turn(order):
     # `overflow` goes non-finite with no domain check firing (a product
     # overflows) and `domain` fails ln's check at every point: in this order
-    # the overflow is the error, though one program over both names ln
+    # the overflow is the error, and one program over both names it too
     overflow = TensorField(CHART, "l", ["u", "1e300*1e300*u", "v"])
     domain = TensorField(CHART, "l", ["ln(u - 5)", "v", "w"])
     joint = compile_program(*overflow.entries, *domain.entries)
     for batch in _point_forms():
         with pytest.raises(DomainError) as named:
             run_program(joint, batch.array, order)
-        assert named.value.node is domain.entry(0)
+        assert named.value.node is overflow.entry(1)
         together, alone = _errors((overflow, domain), batch, order)
         assert str(together) == str(alone) and together.node is alone.node
         assert together.reason == "non-finite value or derivative"
@@ -138,11 +138,34 @@ def test_fields_run_together_raise_the_error_of_their_runs_in_turn(order):
     # w = 1.75 too above it; sqrt(1.6 - u) fails at u = 1.75
     late = TensorField(CHART, "l", ["u", "v", "1e306*w^8"])
     checked = TensorField(CHART, "l", ["v", "sqrt(1.6 - u)", "w"])
-    for fields in [(domain, overflow), (late, domain), (checked, late, domain), (late, checked)]:
+    # an overflow and a check in one field, in both orders: ln(v - 1.75)
+    # fails at every point but the second
+    mixed = TensorField(CHART, "l", ["1e300*1e300*u", "ln(v - 1.75)", "w"])
+    swapped = TensorField(CHART, "l", ["ln(v - 1.75)", "1e300*1e300*u", "w"])
+    combos = [(domain, overflow), (late, domain), (checked, late, domain), (late, checked)]
+    combos += [(checked, mixed), (swapped, overflow), (late, swapped), (mixed, swapped)]
+    for fields in combos:
         for batch in _point_forms():
             together, alone = _errors(fields, batch, order)
             assert str(together) == str(alone)
             assert getattr(together, "node", None) is getattr(alone, "node", None)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_fields_overflow_and_check_fail_in_entry_order(order):
+    # at (1, -1) the first entry of each field fails: one by overflow with no
+    # check firing, the other by ln's check; a failed run keeps no channels
+    plane = Chart(("u", "v"))
+    overflow_first = TensorField(plane, "l", ["1e300*1e300*u", "ln(v)"])
+    check_first = TensorField(plane, "l", ["ln(v)", "1e300*1e300*u"])
+    for batch in (PointBatch((1.0, -1.0)), PointBatch([(1.0, -1.0), (2.0, -3.0)])):
+        with pytest.raises(DomainError, match="non-finite value or derivative") as raised:
+            run_fields((overflow_first,), batch, order)
+        assert raised.value.node is overflow_first.entry(0)
+        with pytest.raises(DomainError, match="ln of non-positive value -1.0") as raised:
+            run_fields((check_first,), batch, order)
+        assert raised.value.node is check_first.entry(0)
+        assert not batch.cache
 
 
 # --- the contraction kernel --------------------------------------------------
@@ -350,21 +373,18 @@ def test_delta_product_keeps_non_finite_entries(spec):
 @pytest.mark.parametrize("order", [1, 2])
 def test_a_later_fields_non_finite_gradient_names_that_field(order):
     # 1e308*u*u stays finite for u up to 1.34 while its derivatives in u
-    # (2e308*u, 2e308) overflow, and no check fires: the joint run's one
-    # finiteness check fails, and the fields checked in turn name the later
-    # field's entry, the earlier field's channels kept, as runs in turn would
+    # (2e308*u, 2e308) overflow, and no check fires: the joint run names the
+    # later field's entry, as runs in turn do, and keeps no field's channels
     first = TensorField(CHART, "l", ["u", "sin(v)", "w"])
     later = TensorField(CHART, "l", ["v", "1e308*u*u", "w"])
     points = [(1.25, 1.5, 1.75), (1.0, 2.0, 1.5)]
     joint = compile_program(*first.entries, *later.entries)
     for batch in (PointBatch(points[0]), PointBatch(points)):
-        value, *derivatives = run_program(joint, batch.array, order)
-        assert np.isfinite(value).all()
-        for channel in derivatives:
-            assert not np.isfinite(channel[4]).all()
-            assert np.isfinite(np.delete(channel, 4, axis=0)).all()
+        with pytest.raises(DomainError, match="non-finite value or derivative") as named:
+            run_program(joint, batch.array, order)
+        assert named.value.node is later.entry(1)
         together, alone = _errors((first, later), batch, order)
         assert str(together) == str(alone) and together.node is alone.node
         assert together.node is later.entry(1)
-        assert (first, order) in batch.cache and (later, order) not in batch.cache
+        assert (first, order) not in batch.cache and (later, order) not in batch.cache
         run_fields((first, later), batch, 0)  # the values alone are finite
